@@ -19,7 +19,7 @@ import click
 import numpy as np
 
 from .estimators import est_functional, est_mean, est_variance
-from .harness import ExperimentConfig, derive_stream, run_experiment
+from .harness import ExperimentConfig, _parse_vector, derive_stream, run_experiment
 from .inference import ZeroResidualError, ci_known, ci_unknown, test_subspace
 from .processes import Grid, bridge_model, coeffs_from_trajectory, eval_vector, wiener_model
 from .regression import DesignOperator, ci_beta_known, ci_beta_unknown, lse, test_beta
@@ -39,10 +39,13 @@ def _load_model(spec: str) -> SpectralModel:
             n_modes = int(count)
         except ValueError:
             _fail(f"bad mode count in model spec {spec!r}")
-        if name == "wiener":
-            return wiener_model(n_modes)
-        if name == "bridge":
-            return bridge_model(n_modes)
+        try:
+            if name == "wiener":
+                return wiener_model(n_modes)
+            if name == "bridge":
+                return bridge_model(n_modes)
+        except ValueError as exc:
+            _fail(f"bad model spec {spec!r}: {exc}")
         _fail(f"unknown model family {name!r}, expected wiener:<n> or bridge:<n>")
     try:
         return SpectralModel.load(spec)
@@ -66,16 +69,12 @@ def _load_subspace(spec: str, model: SpectralModel) -> Subspace:
 def _load_vector(spec: str, dim: int) -> HVector:
     """Vector from a JSON file, sparse inline `k:v,...`, or dense floats."""
     if os.path.exists(spec):
-        with open(spec, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        if isinstance(data, dict) and "coords" in data:
-            coeffs = np.zeros(dim)
-            for key, value in data["coords"].items():
-                coeffs[int(key) - 1] = float(value)
-            return HVector(coeffs)
-        if isinstance(data, dict) and "coeffs" in data:
-            data = data["coeffs"]
-        return HVector(np.asarray(data, dtype=float))
+        try:
+            with open(spec, "r", encoding="utf-8") as fh:
+                data = json.load(fh)
+        except OSError as exc:
+            raise ValueError(f"cannot read vector file {spec!r}: {exc}") from exc
+        return _parse_vector(data, dim)
     if ":" in spec:
         coeffs = np.zeros(dim)
         for part in spec.split(","):
@@ -92,27 +91,30 @@ def _load_vector(spec: str, dim: int) -> HVector:
 
 
 def _load_observation(path: str, model: SpectralModel) -> HVector:
-    if path.endswith(".csv"):
-        t_vals, y_vals = [], []
+    try:
+        if path.endswith(".csv"):
+            t_vals, y_vals = [], []
+            with open(path, "r", encoding="utf-8") as fh:
+                header = fh.readline()
+                if header.strip() != "t,y":
+                    _fail(f"trajectory CSV {path!r} must start with header 't,y'")
+                for line in fh:
+                    if not line.strip():
+                        continue
+                    t_str, _, y_str = line.partition(",")
+                    t_vals.append(float(t_str))
+                    y_vals.append(float(y_str))
+            return coeffs_from_trajectory(model, Grid(np.asarray(t_vals)), np.asarray(y_vals))
         with open(path, "r", encoding="utf-8") as fh:
-            header = fh.readline()
-            if header.strip() != "t,y":
-                _fail(f"trajectory CSV {path!r} must start with header 't,y'")
-            for line in fh:
-                if not line.strip():
-                    continue
-                t_str, _, y_str = line.partition(",")
-                t_vals.append(float(t_str))
-                y_vals.append(float(y_str))
-        return coeffs_from_trajectory(model, Grid(np.asarray(t_vals)), np.asarray(y_vals))
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    if isinstance(data, dict) and "coeffs" in data:
-        data = data["coeffs"]
-    arr = np.asarray(data, dtype=float)
-    if arr.shape != (model.dim,):
-        _fail(f"observation must have {model.dim} coefficients, got shape {arr.shape}")
-    return HVector(arr)
+            data = json.load(fh)
+        if isinstance(data, dict) and "coeffs" in data:
+            data = data["coeffs"]
+        arr = np.asarray(data, dtype=float)
+        if arr.shape != (model.dim,):
+            _fail(f"observation must have {model.dim} coefficients, got shape {arr.shape}")
+        return HVector(arr)
+    except (OSError, TypeError, ValueError) as exc:
+        _fail(f"cannot load observation from {path!r}: {exc}")
 
 
 def _emit(text: str, out: str) -> None:

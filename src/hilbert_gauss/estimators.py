@@ -16,11 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .inference import FunctionalPlan
 from .spectral import (
     HVector,
     SpectralModel,
     Subspace,
-    default_use_tail,
     inner,
     project,
     restricted_eigenvalues,
@@ -70,13 +70,7 @@ def est_variance(y: HVector, model: SpectralModel, U: Subspace, use_tail: bool |
     denominator follows the tail convention; it must be positive, otherwise
     Q vanishes on the complement of U and no variance information exists.
     """
-    if use_tail is None:
-        use_tail = default_use_tail(model)
-    denom = trace_q_on(model, U.complement(), use_tail=use_tail)
-    if denom <= 0.0:
-        raise ValueError("tr(Q (I - P_U)) is zero; the variance is not identifiable")
-    residual = y - project(y, U)
-    return residual.norm_sq() / denom
+    return float(FunctionalPlan(model, U, use_tail=use_tail).variance(y.coeffs))
 
 
 def risk_mean(model: SpectralModel, U: Subspace, sigma: float, use_tail: bool = False) -> float:

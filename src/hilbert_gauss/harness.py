@@ -15,23 +15,16 @@ from __future__ import annotations
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .estimators import est_functional, est_mean, est_variance, risk_mean, risk_partial, variance_est_risk
+from .estimators import risk_mean, risk_partial, variance_est_risk
 from .distributions import gamma_cdf, ks_critical_value, ks_statistic
-from .inference import ci_known, ci_params_unknown, ci_unknown, test_subspace
+from .inference import FunctionalPlan, SubspaceTestPlan, ci_params_unknown
 from .processes import bridge_model, custom_model, wiener_model
-from .sampling import (
-    GaussianLaw,
-    leading_complement_norm_sq,
-    noise_decomposition,
-    norm_sq_moments,
-    sample,
-    whitened_difference_norm_sq,
-)
-from .spectral import HVector, SpectralModel, Subspace, default_use_tail, inner
+from .sampling import GaussianLaw, NoisePlan, noise_decomposition, norm_sq_moments
+from .spectral import HVector, SpectralModel, Subspace, default_use_tail, inner, project, row_inner
 
 EXPERIMENT_KINDS = (
     "coverage_known",
@@ -176,19 +169,26 @@ def _parse_subspace(spec, model: SpectralModel) -> Subspace | None:
 
 
 def _parse_vector(spec, dim: int) -> HVector | None:
+    """Vector from `{"coords": {k: v}}` (1-based modes), `{"coeffs": [...]}`
+    or a plain list of `dim` coefficients; anything else is a ValueError."""
     if spec is None:
         return None
-    if isinstance(spec, dict) and "coords" in spec:
-        coeffs = np.zeros(dim)
-        for key, value in spec["coords"].items():
-            k = int(key)
-            if not 1 <= k <= dim:
-                raise ValueError(f"coordinate index {k} outside 1..{dim}")
-            coeffs[k - 1] = float(value)
-        return HVector(coeffs)
-    if isinstance(spec, dict) and "coeffs" in spec:
-        spec = spec["coeffs"]
-    arr = np.asarray(spec, dtype=float)
+    try:
+        if isinstance(spec, dict) and "coords" in spec:
+            if not isinstance(spec["coords"], dict):
+                raise ValueError("'coords' must map 1-based mode indices to values")
+            coeffs = np.zeros(dim)
+            for key, value in spec["coords"].items():
+                k = int(key)
+                if not 1 <= k <= dim:
+                    raise ValueError(f"coordinate index {k} outside 1..{dim}")
+                coeffs[k - 1] = float(value)
+            return HVector(coeffs)
+        if isinstance(spec, dict) and "coeffs" in spec:
+            spec = spec["coeffs"]
+        arr = np.asarray(spec, dtype=float)
+    except TypeError as exc:
+        raise ValueError(f"malformed vector: {exc}") from exc
     if arr.shape != (dim,):
         raise ValueError(f"coefficient vector must have length {dim}")
     return HVector(arr)
@@ -293,12 +293,57 @@ def _mean_se(values: np.ndarray):
 
 
 # ---------------------------------------------------------------------------
-# per-kind replicate loops
+# chunk runner
 #
-# Each function handles replicates [start, start + count) and returns a dict
-# of per-replicate arrays and/or partial sums.  Chunk boundaries and the
-# reduction order are fixed by the replicate count alone, so the outcome is
-# independent of how chunks are scheduled.
+# A chunk handles replicates [start, start + count).  It builds the kind's
+# plan once, draws the replicates in row blocks, and applies the plan to
+# each block; the result is a dict of per-replicate arrays and of sums over
+# replicates.  Chunk boundaries and the reduction order are fixed by the
+# replicate count alone, so the outcome is independent of how chunks are
+# scheduled.
+
+
+class ReplicateStreams:
+    """The replicate streams of one master seed, drawn through a single
+    re-keyed generator.
+
+    Philox is counter-based: setting its key words to
+    [replicate, master_seed] with a zero counter and an empty buffer yields
+    exactly the stream of derive_stream(master_seed, replicate), at a
+    fraction of the cost of a new generator.
+    """
+
+    def __init__(self, master_seed: int):
+        master_seed = int(master_seed)
+        if not 0 <= master_seed < 2**64:
+            raise ValueError("master_seed must fit in an unsigned 64-bit integer")
+        self._bitgen = np.random.Philox(key=master_seed << 64)
+        self._generator = np.random.Generator(self._bitgen)
+        # A fresh state: zero counter, empty buffer, no cached 32-bit half.
+        self._state = self._bitgen.state
+        self._key = self._state["state"]["key"]
+
+    def standard_normal_rows(self, replicates, out: np.ndarray) -> np.ndarray:
+        """Fill row j of `out` with the standard normals of stream
+        replicates[j]; each row is the first out.shape[1] draws of its
+        stream."""
+        for replicate, row in zip(replicates, out):
+            self._key[0] = replicate
+            self._bitgen.state = self._state
+            self._generator.standard_normal(out=row)
+        return out
+
+
+# Doubles per block of draws: a block holds at most 128 KiB whatever the
+# dimension, so memory stays flat while the per-row work is vectorised.
+# Larger blocks make the statistics' block-sized temporaries cost page
+# faults on every block (about 60 per row at dim 8192 with 1 MiB blocks).
+BLOCK_DOUBLES = 2**14
+
+
+def block_rows(dim: int) -> int:
+    """Replicates per block of draws at model dimension `dim`."""
+    return max(1, BLOCK_DOUBLES // dim)
 
 
 def _resolved_use_tail(config: ExperimentConfig) -> bool:
@@ -314,154 +359,128 @@ def _law(config: ExperimentConfig, attach: Subspace | None) -> GaussianLaw:
     return GaussianLaw(config.model, zeta, config.sigma, subspace=attach)
 
 
-def _chunk_coverage_known(config, start, count):
-    law = _law(config, config.subspace)
-    truth = inner(config.b, law.mean)
-    covered = np.zeros(count, dtype=np.uint8)
-    for i in range(count):
-        rng = derive_stream(config.master_seed, start + i)
-        y = sample(law, rng)
-        interval = ci_known(config.b, y, config.model, config.subspace, config.sigma, config.alpha)
-        covered[i] = interval.covers(truth)
-    return {"arrays": {"covered": covered}}
+# Per kind: a builder that takes the config and returns the function
+# evaluating one block of draws, and the names of the outputs that are
+# summed over replicates instead of kept per replicate.
 
 
-def _chunk_coverage_unknown(config, start, count):
-    law = _law(config, config.subspace)
-    truth = inner(config.b, law.mean)
-    use_tail = _resolved_use_tail(config)
-    covered = np.zeros(count, dtype=np.uint8)
-    for i in range(count):
-        rng = derive_stream(config.master_seed, start + i)
-        y = sample(law, rng)
-        interval = ci_unknown(config.b, y, config.model, config.subspace, config.alpha, use_tail=use_tail)
-        covered[i] = interval.covers(truth)
-    return {"arrays": {"covered": covered}}
+def _coverage(config):
+    plan = FunctionalPlan(config.model, config.subspace, config.b, _resolved_use_tail(config))
+    truth = inner(config.b, _law(config, None).mean)
+
+    def apply(y):
+        if config.kind == "coverage_known":
+            centers, half_widths = plan.ci_known(y, config.sigma, config.alpha)
+        else:
+            centers, half_widths = plan.ci_unknown(y, config.alpha)
+        return {"covered": np.abs(truth - centers) <= half_widths}
+
+    return apply
 
 
-def _chunk_level(config, start, count):
-    law = _law(config, config.subspace0)
-    rejects = np.zeros(count, dtype=np.uint8)
-    for i in range(count):
-        rng = derive_stream(config.master_seed, start + i)
-        y = sample(law, rng)
-        outcome = test_subspace(y, config.model, config.subspace, config.subspace0, config.alpha)
-        rejects[i] = outcome.reject
-    return {"arrays": {"rejects": rejects}}
+def _level(config):
+    plan = SubspaceTestPlan(config.model, config.subspace, config.subspace0)
+    threshold = plan.threshold(config.alpha)
+    return lambda y: {"rejects": plan.statistic(y) >= threshold}
 
 
-def _chunk_unbiasedness(config, start, count):
-    law = _law(config, config.subspace)
-    use_tail = _resolved_use_tail(config)
-    dim = config.model.dim
-    coord_sum = np.zeros(dim)
-    coord_sumsq = np.zeros(dim)
-    s2 = np.zeros(count)
-    for i in range(count):
-        rng = derive_stream(config.master_seed, start + i)
-        y = sample(law, rng)
-        zhat = est_mean(y, config.subspace).coeffs
-        coord_sum += zhat
-        coord_sumsq += zhat * zhat
-        s2[i] = est_variance(y, config.model, config.subspace, use_tail=use_tail)
-    return {"arrays": {"s2": s2}, "sums": {"coord_sum": coord_sum, "coord_sumsq": coord_sumsq}}
+def _unbiasedness(config):
+    plan = FunctionalPlan(config.model, config.subspace, use_tail=_resolved_use_tail(config))
+
+    def apply(y):
+        zhat = project(y, config.subspace)
+        return {"coord_sum": zhat, "coord_sumsq": zhat * zhat, "s2": plan.variance(y)}
+
+    return apply
 
 
-def _chunk_moments(config, start, count):
-    law = _law(config, None)
-    norm_sq = np.zeros(count)
-    for i in range(count):
-        rng = derive_stream(config.master_seed, start + i)
-        y = sample(law, rng)
-        norm_sq[i] = y.norm_sq()
-    return {"arrays": {"norm_sq": norm_sq}}
+def _moments(config):
+    return lambda y: {"norm_sq": row_inner(y, y)}
 
 
-def _chunk_independence(config, start, count):
-    law = _law(config, config.subspace)
-    use_tail = _resolved_use_tail(config)
-    functional = np.zeros(count)
-    s2 = np.zeros(count)
-    for i in range(count):
-        rng = derive_stream(config.master_seed, start + i)
-        y = sample(law, rng)
-        functional[i] = est_functional(config.b, y, config.subspace)
-        s2[i] = est_variance(y, config.model, config.subspace, use_tail=use_tail)
-    return {"arrays": {"functional": functional, "s2": s2}}
+def _independence(config):
+    plan = FunctionalPlan(config.model, config.subspace, config.b, _resolved_use_tail(config))
+    return lambda y: {"functional": plan.functional(y), "s2": plan.variance(y)}
 
 
-def _chunk_noise_law(config, start, count):
-    law = _law(config, config.subspace)
-    with_t = config.subspace0 is not None
-    s_vals = np.zeros(count)
-    t_vals = np.zeros(count) if with_t else None
-    for i in range(count):
-        rng = derive_stream(config.master_seed, start + i)
-        y = sample(law, rng)
-        s_vals[i] = leading_complement_norm_sq(config.model, config.subspace, y, config.sigma)
-        if with_t:
-            t_vals[i] = whitened_difference_norm_sq(
-                config.model, config.subspace, config.subspace0, y, config.sigma
-            )
-    arrays = {"s_stat": s_vals}
-    if with_t:
-        arrays["t_stat"] = t_vals
-    return {"arrays": arrays}
+def _noise_law(config):
+    plan = NoisePlan(config.model, config.subspace, config.subspace0)
+
+    def apply(y):
+        out = {"s_stat": plan.leading_norm_sq(y, config.sigma)}
+        if config.subspace0 is not None:
+            out["t_stat"] = plan.whitened_norm_sq(y, config.sigma)
+        return out
+
+    return apply
 
 
-def _chunk_risk(config, start, count):
-    law = _law(config, config.subspace)
-    use_tail = _resolved_use_tail(config)
+def _risk(config):
+    plan = FunctionalPlan(config.model, config.subspace, use_tail=_resolved_use_tail(config))
+    zeta = _law(config, None).mean.coeffs
     sigma_sq = config.sigma**2
-    mean_err = np.zeros(count)
-    s2_err = np.zeros(count)
-    for i in range(count):
-        rng = derive_stream(config.master_seed, start + i)
-        y = sample(law, rng)
-        diff = est_mean(y, config.subspace) - law.mean
-        mean_err[i] = diff.norm_sq()
-        s2 = est_variance(y, config.model, config.subspace, use_tail=use_tail)
-        s2_err[i] = (s2 - sigma_sq) ** 2
-    return {"arrays": {"mean_err": mean_err, "s2_err": s2_err}}
+
+    def apply(y):
+        diff = project(y, config.subspace) - zeta
+        return {"mean_err": row_inner(diff, diff), "s2_err": (plan.variance(y) - sigma_sq) ** 2}
+
+    return apply
 
 
-def _chunk_learning_curve(config, start, count):
-    law = _law(config, config.subspace)
-    cutoffs = config.cutoffs
+def _learning_curve(config):
+    # Prefix noise residual plus suffix bias over the ordered modes of U.
     order = np.array(config.subspace.indices, dtype=int) - 1
-    zeta = law.mean.coeffs
-    n_cut = len(cutoffs)
-    risk_sum = np.zeros(n_cut)
-    risk_sumsq = np.zeros(n_cut)
-    for i in range(count):
-        rng = derive_stream(config.master_seed, start + i)
-        y = sample(law, rng)
-        # prefix noise residual + suffix bias over the ordered modes of U
-        noise_sq = (y.coeffs[order] - zeta[order]) ** 2
-        bias_sq = zeta[order] ** 2
-        prefix = np.concatenate([[0.0], np.cumsum(noise_sq)])
-        suffix = np.concatenate([np.cumsum(bias_sq[::-1])[::-1], [0.0]])
-        errs = np.array([prefix[c] + suffix[c] for c in cutoffs])
-        risk_sum += errs
-        risk_sumsq += errs * errs
-    return {"sums": {"risk_sum": risk_sum, "risk_sumsq": risk_sumsq}}
+    zeta = _law(config, None).mean.coeffs[order]
+    cutoffs = list(config.cutoffs)
+    bias_sq = zeta**2
+    suffix = np.concatenate([np.cumsum(bias_sq[::-1])[::-1], [0.0]])[cutoffs]
+
+    def apply(y):
+        noise_sq = (y[:, order] - zeta) ** 2
+        prefix = np.concatenate([np.zeros((y.shape[0], 1)), np.cumsum(noise_sq, axis=1)], axis=1)
+        errs = prefix[:, cutoffs] + suffix
+        return {"risk_sum": errs, "risk_sumsq": errs * errs}
+
+    return apply
 
 
-_CHUNK_FUNCS = {
-    "coverage_known": _chunk_coverage_known,
-    "coverage_unknown": _chunk_coverage_unknown,
-    "level": _chunk_level,
-    "unbiasedness": _chunk_unbiasedness,
-    "moments": _chunk_moments,
-    "independence": _chunk_independence,
-    "noise_law": _chunk_noise_law,
-    "risk": _chunk_risk,
-    "learning_curve": _chunk_learning_curve,
+_KINDS = {
+    "coverage_known": (_coverage, ()),
+    "coverage_unknown": (_coverage, ()),
+    "level": (_level, ()),
+    "unbiasedness": (_unbiasedness, ("coord_sum", "coord_sumsq")),
+    "moments": (_moments, ()),
+    "independence": (_independence, ()),
+    "noise_law": (_noise_law, ()),
+    "risk": (_risk, ()),
+    "learning_curve": (_learning_curve, ("risk_sum", "risk_sumsq")),
 }
 
 
 def _run_chunk(config: ExperimentConfig, start: int, count: int) -> dict:
-    return _CHUNK_FUNCS[config.kind](config, start, count)
+    build, summed = _KINDS[config.kind]
+    apply = build(config)
+    law = _law(config, None)
+    streams = ReplicateStreams(config.master_seed)
+    rows = block_rows(config.model.dim)
+    buffer = np.empty((min(rows, count), config.model.dim))
+    arrays, sums = {}, {}
+    for lo in range(0, count, rows):
+        y = buffer[: min(rows, count - lo)]
+        streams.standard_normal_rows(range(start + lo, start + lo + y.shape[0]), y)
+        for key, values in apply(law.from_normals(y)).items():
+            if key in summed:
+                # Row by row onto the running total, in replicate order, so
+                # the sum is the one of adding each replicate on its own.
+                total = sums.setdefault(key, np.zeros(values.shape[1:]))
+                for row in values:
+                    total += row
+            else:
+                arrays.setdefault(key, []).append(values)
+    return {
+        "arrays": {key: np.concatenate(parts) for key, parts in arrays.items()},
+        "sums": sums,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -501,9 +520,7 @@ def _validate_config(config: ExperimentConfig) -> None:
     # Parameter quantities must exist up front, not at replicate time.
     if config.kind in {"coverage_unknown", "unbiasedness", "independence", "risk"}:
         ci_params_unknown(config.model, config.subspace, use_tail=_resolved_use_tail(config))
-    if config.kind == "level":
-        noise_decomposition(config.model, config.subspace, config.subspace0)
-    if config.kind == "noise_law":
+    if config.kind in ("level", "noise_law"):
         noise_decomposition(config.model, config.subspace, config.subspace0)
 
 
@@ -515,27 +532,7 @@ def _resolve_cutoffs(config: ExperimentConfig) -> "ExperimentConfig":
     for c in cutoffs:
         if not 0 <= c <= size:
             raise ValueError(f"cutoff {c} outside 0..{size}")
-    return ExperimentConfig(
-        **{**_config_kwargs(config), "cutoffs": tuple(int(c) for c in cutoffs)}
-    )
-
-
-def _config_kwargs(config: ExperimentConfig) -> dict:
-    return {
-        "kind": config.kind,
-        "model": config.model,
-        "subspace": config.subspace,
-        "subspace0": config.subspace0,
-        "zeta": config.zeta,
-        "b": config.b,
-        "sigma": config.sigma,
-        "alpha": config.alpha,
-        "replicates": config.replicates,
-        "master_seed": config.master_seed,
-        "use_tail": config.use_tail,
-        "cutoffs": config.cutoffs,
-        "workers": config.workers,
-    }
+    return replace(config, cutoffs=tuple(int(c) for c in cutoffs))
 
 
 def _binomial_tolerance(alpha: float, m: int) -> float:

@@ -12,11 +12,11 @@ is conservative in the same sense.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .distributions import f_quantile, norm_quantile, t_quantile
-from .estimators import est_functional, est_variance
 from .sampling import noise_decomposition
 from .spectral import (
     HVector,
@@ -24,6 +24,7 @@ from .spectral import (
     Subspace,
     default_use_tail,
     project,
+    row_inner,
     sup_eig_on,
     top_multiplicity,
     trace_q_on,
@@ -98,31 +99,6 @@ def functional_variance_factor(b: HVector, model: SpectralModel, U: Subspace) ->
     return float(model.eigenvalues @ (pb * b.coeffs))
 
 
-def _checked_variance_factor(b, model, U) -> float:
-    v = functional_variance_factor(b, model, U)
-    if v <= 0.0:
-        raise ValueError("<Q b, P_U b> is not positive; b carries no signal inside U")
-    return v
-
-
-def ci_known(b: HVector, y: HVector, model: SpectralModel, U: Subspace, sigma: float, alpha: float) -> Interval:
-    """Exact-coverage interval for <b, zeta> with known sigma.
-
-    Center <b, P_U y>, half-width z_{1 - alpha/2} sigma sqrt(<Q b, P_U b>).
-    """
-    sigma = float(sigma)
-    if sigma <= 0.0:
-        raise ValueError("sigma must be positive")
-    alpha = _check_alpha(alpha)
-    v = _checked_variance_factor(b, model, U)
-    z = norm_quantile(1.0 - alpha / 2.0)
-    return Interval(
-        center=est_functional(b, y, U),
-        half_width=z * sigma * float(np.sqrt(v)),
-        level=1.0 - alpha,
-    )
-
-
 def ci_params_unknown(model: SpectralModel, U: Subspace, use_tail: bool | None = None):
     """The quantities (tau, lam, n) of Q on the complement of U.
 
@@ -142,6 +118,88 @@ def ci_params_unknown(model: SpectralModel, U: Subspace, use_tail: bool | None =
     return tau, lam, n
 
 
+class FunctionalPlan:
+    """Replicate-invariant constants of the estimators and intervals for
+    <b, zeta> on U, and their evaluation on a batch of observations.
+
+    The observation argument of every method is a coefficient array of
+    shape (rows, dim), or (dim,) for a single observation; results come one
+    per row.  Each constant is computed on first use, so a plan costs only
+    what its procedures need: `variance_factor` <Q b, P_U b> (needs b),
+    `variance_denominator` tr(Q (I - P_U)) under the tail convention, and
+    `complement_params` (tau, lam, n) of ci_params_unknown.
+    """
+
+    def __init__(self, model: SpectralModel, U: Subspace, b: HVector | None = None, use_tail: bool | None = None):
+        if U.dim != model.dim:
+            raise ValueError(f"dimension mismatch: model {model.dim} vs subspace {U.dim}")
+        self.model = model
+        self.U = U
+        self.b = b
+        self.use_tail = default_use_tail(model) if use_tail is None else bool(use_tail)
+
+    @cached_property
+    def variance_factor(self) -> float:
+        if self.b is None:
+            raise ValueError("the functional procedures need a vector b")
+        v = functional_variance_factor(self.b, self.model, self.U)
+        if v <= 0.0:
+            raise ValueError("<Q b, P_U b> is not positive; b carries no signal inside U")
+        return v
+
+    @cached_property
+    def variance_denominator(self) -> float:
+        denom = trace_q_on(self.model, self.U.complement(), use_tail=self.use_tail)
+        if denom <= 0.0:
+            raise ValueError("tr(Q (I - P_U)) is zero; the variance is not identifiable")
+        return denom
+
+    @cached_property
+    def complement_params(self) -> tuple:
+        return ci_params_unknown(self.model, self.U, use_tail=self.use_tail)
+
+    def functional(self, y: np.ndarray) -> np.ndarray:
+        """The functional estimator <b, P_U y>."""
+        if self.b is None:
+            raise ValueError("the functional estimator needs a vector b")
+        return row_inner(self.b.coeffs, project(y, self.U))
+
+    def variance(self, y: np.ndarray) -> np.ndarray:
+        """The variance estimator ||y - P_U y||^2 / tr(Q (I - P_U))."""
+        denom = self.variance_denominator
+        residual = y - project(y, self.U)
+        return row_inner(residual, residual) / denom
+
+    def ci_known(self, y: np.ndarray, sigma: float, alpha: float) -> tuple:
+        """(centers, half-width) of the exact known-sigma interval."""
+        sigma = float(sigma)
+        if sigma <= 0.0:
+            raise ValueError("sigma must be positive")
+        alpha = _check_alpha(alpha)
+        v = self.variance_factor
+        z = norm_quantile(1.0 - alpha / 2.0)
+        return self.functional(y), z * sigma * float(np.sqrt(v))
+
+    def ci_unknown(self, y: np.ndarray, alpha: float) -> tuple:
+        """(centers, half-widths) of the conservative unknown-sigma interval."""
+        alpha = _check_alpha(alpha)
+        v = self.variance_factor
+        tau, lam, n = self.complement_params
+        s2 = self.variance(y)
+        t = t_quantile(float(n), 1.0 - alpha / 2.0)
+        half_width = np.sqrt(tau / (lam * n)) * t * np.sqrt(s2) * np.sqrt(v)
+        return self.functional(y), half_width
+
+
+def ci_known(b: HVector, y: HVector, model: SpectralModel, U: Subspace, sigma: float, alpha: float) -> Interval:
+    """Exact-coverage interval for <b, zeta> with known sigma.
+
+    Center <b, P_U y>, half-width z_{1 - alpha/2} sigma sqrt(<Q b, P_U b>).
+    """
+    center, half_width = FunctionalPlan(model, U, b).ci_known(y.coeffs, sigma, alpha)
+    return Interval(center=float(center), half_width=half_width, level=1.0 - float(alpha))
+
+
 def ci_unknown(
     b: HVector,
     y: HVector,
@@ -156,13 +214,8 @@ def ci_unknown(
     where s(y)^2 is the variance estimator.  Coverage is at least 1 - alpha.
     A zero residual yields a degenerate zero-width interval.
     """
-    alpha = _check_alpha(alpha)
-    v = _checked_variance_factor(b, model, U)
-    tau, lam, n = ci_params_unknown(model, U, use_tail=use_tail)
-    s2 = est_variance(y, model, U, use_tail=use_tail)
-    t = t_quantile(float(n), 1.0 - alpha / 2.0)
-    half_width = float(np.sqrt(tau / (lam * n)) * t * np.sqrt(s2) * np.sqrt(v))
-    return Interval(center=est_functional(b, y, U), half_width=half_width, level=1.0 - alpha)
+    center, half_width = FunctionalPlan(model, U, b, use_tail).ci_unknown(y.coeffs, alpha)
+    return Interval(center=float(center), half_width=float(half_width), level=1.0 - float(alpha))
 
 
 def test_params(model: SpectralModel, U: Subspace, U0: Subspace):
@@ -175,6 +228,37 @@ def test_params(model: SpectralModel, U: Subspace, U0: Subspace):
     return dec.lam, dec.mu, dec.n, dec.m
 
 
+class SubspaceTestPlan:
+    """Replicate-invariant constants of the test of zeta in U0 against U,
+    and the test statistic on a batch of observations of shape (rows, dim)
+    or (dim,)."""
+
+    def __init__(self, model: SpectralModel, U: Subspace, U0: Subspace):
+        self.U = U
+        self.U0 = U0
+        self.lam, self.mu, self.n, self.m = test_params(model, U, U0)
+
+    @property
+    def params(self) -> dict:
+        return {"lam": self.lam, "mu": self.mu, "n": self.n, "m": self.m}
+
+    def threshold(self, alpha: float) -> float:
+        """The Fisher quantile F_{m, n, 1 - alpha}."""
+        return f_quantile(float(self.m), float(self.n), 1.0 - _check_alpha(alpha))
+
+    def statistic(self, y: np.ndarray) -> np.ndarray:
+        """(n lam / (m mu)) ||P_U y - P_U0 y||^2 / ||y - P_U y||^2 per row."""
+        pu = project(y, self.U)
+        residual = y - pu
+        denom = row_inner(residual, residual)
+        if np.any(denom <= 0.0):
+            raise ZeroResidualError(
+                "observation has no component outside U; the test statistic is undefined"
+            )
+        shift = pu - project(y, self.U0)
+        return (self.n * self.lam) / (self.m * self.mu) * row_inner(shift, shift) / denom
+
+
 def test_subspace(y: HVector, model: SpectralModel, U: Subspace, U0: Subspace, alpha: float) -> TestResult:
     """Level-alpha test of the hypothesis that the mean lies in U0.
 
@@ -185,21 +269,8 @@ def test_subspace(y: HVector, model: SpectralModel, U: Subspace, U0: Subspace, a
     raises ZeroResidualError.
     """
     alpha = _check_alpha(alpha)
-    lam, mu, n, m = test_params(model, U, U0)
-    residual = y - project(y, U)
-    denom = residual.norm_sq()
-    if denom <= 0.0:
-        raise ZeroResidualError(
-            "observation has no component outside U; the test statistic is undefined"
-        )
-    shift = project(y, U) - project(y, U0)
-    statistic = (n * lam) / (m * mu) * shift.norm_sq() / denom
-    threshold = f_quantile(float(m), float(n), 1.0 - alpha)
-    return TestResult.from_statistic(
-        statistic,
-        threshold,
-        params={"lam": lam, "mu": mu, "n": n, "m": m},
-    )
+    plan = SubspaceTestPlan(model, U, U0)
+    return TestResult.from_statistic(plan.statistic(y.coeffs), plan.threshold(alpha), params=plan.params)
 
 
 def _check_alpha(alpha: float) -> float:

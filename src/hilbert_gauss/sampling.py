@@ -13,6 +13,7 @@ convention it used.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -25,6 +26,7 @@ from .spectral import (
     difference_subspace,
     project,
     restricted_eigenvalues,
+    row_inner,
     sup_eig_on,
     top_eigenspace,
     top_multiplicity,
@@ -62,27 +64,17 @@ class GaussianLaw:
     def __repr__(self) -> str:
         return f"GaussianLaw(dim={self.model.dim}, sigma={self.sigma!r})"
 
-
-class FixedNormalsRng:
-    """Stand-in generator with preset normal draws, for deterministic tests."""
-
-    def __init__(self, values):
-        self._values = np.atleast_1d(np.asarray(values, dtype=float))
-        self._cursor = 0
-
-    def standard_normal(self, size=None):
-        count = 1 if size is None else int(size)
-        if self._cursor + count > self._values.size:
-            raise ValueError("stub generator exhausted")
-        out = self._values[self._cursor : self._cursor + count]
-        self._cursor += count
-        return float(out[0]) if size is None else out.copy()
+    def from_normals(self, beta: np.ndarray) -> np.ndarray:
+        """Turn standard normal coefficients, one draw per row, into draws
+        zeta + sigma sqrt(lambda) beta from the law, in place."""
+        beta *= self._sigma_sqrt_lam
+        beta += self.mean.coeffs
+        return beta
 
 
 def sample_coeffs(law: GaussianLaw, rng) -> np.ndarray:
     """Raw coefficient array of one draw from the law."""
-    beta = rng.standard_normal(law.model.dim)
-    return law.mean.coeffs + law._sigma_sqrt_lam * beta
+    return law.from_normals(rng.standard_normal(law.model.dim))
 
 
 def sample(law: GaussianLaw, rng) -> HVector:
@@ -209,6 +201,51 @@ def noise_decomposition(model: SpectralModel, U: Subspace, U0: Subspace | None =
     return NoiseDecomposition(lam=lam, n=n, mu=mu, m=m)
 
 
+class NoisePlan:
+    """Replicate-invariant parts of the noise statistics attached to U (and U0).
+
+    Each part is built on first use: the leading eigenspace of Q on the
+    complement of U, and the whitening weights of Q on U minus U0.  The
+    statistics are evaluated on a coefficient array of shape (rows, dim) or
+    (dim,), one value per row.  Index-set subspaces only.
+    """
+
+    def __init__(self, model: SpectralModel, U: Subspace, U0: Subspace | None = None):
+        self.model = model
+        self.U = U
+        self.U0 = U0
+
+    @cached_property
+    def leading(self) -> Subspace:
+        return top_eigenspace(self.model, self.U.complement())
+
+    @cached_property
+    def whitening(self) -> tuple:
+        """(coordinates, eigenvalues, mu) of the nonzero spectrum on U minus U0."""
+        if self.U0 is None:
+            raise ValueError("the whitened statistic needs the hypothesis subspace U0")
+        diff = difference_subspace(self.model, self.U, self.U0)
+        if diff.kind != "indices":
+            raise ValueError("whitening requires index-set subspaces")
+        coords = np.flatnonzero(diff.index_mask())
+        lam = self.model.eigenvalues[coords]
+        keep = lam > 0.0
+        if not keep.any():
+            raise ValueError("Q vanishes on the difference of U and U0")
+        return coords[keep], lam[keep], float(lam.max())
+
+    def leading_norm_sq(self, y: np.ndarray, sigma: float) -> np.ndarray:
+        """||S(Y / sigma)||^2 per row, S the projection onto `leading`."""
+        r = project(y, self.leading)
+        return row_inner(r, r) / float(sigma) ** 2
+
+    def whitened_norm_sq(self, y: np.ndarray, sigma: float) -> np.ndarray:
+        """||T(Y / sigma)||^2 per row, T the sqrt(mu)-scaled whitening on U minus U0."""
+        coords, lam, mu = self.whitening
+        c = y[..., coords]
+        return mu * np.sum(c * c / lam, axis=-1) / float(sigma) ** 2
+
+
 def leading_complement_norm_sq(model: SpectralModel, U: Subspace, y: HVector, sigma: float) -> float:
     """||S(Y / sigma)||^2 for S the projection onto the leading eigenspace
     of Q on the complement of U; its law is exactly Gamma(n/2, 1/(2 lam)).
@@ -216,9 +253,7 @@ def leading_complement_norm_sq(model: SpectralModel, U: Subspace, y: HVector, si
     Index-set subspaces only: the leading eigenspace is read off the
     truncated spectrum.
     """
-    V = top_eigenspace(model, U.complement())
-    r = project(y, V)
-    return r.norm_sq() / float(sigma) ** 2
+    return float(NoisePlan(model, U).leading_norm_sq(y.coeffs, sigma))
 
 
 def whitened_difference_norm_sq(
@@ -230,14 +265,4 @@ def whitened_difference_norm_sq(
 
     Index-set subspaces only.
     """
-    diff = difference_subspace(model, U, U0)
-    if diff.kind != "indices":
-        raise ValueError("whitening requires index-set subspaces")
-    mask = diff.index_mask()
-    lam = model.eigenvalues[mask]
-    keep = lam > 0.0
-    if not keep.any():
-        raise ValueError("Q vanishes on the difference of U and U0")
-    mu = float(lam.max())
-    coords = y.coeffs[mask][keep]
-    return mu * float(np.sum(coords * coords / lam[keep])) / float(sigma) ** 2
+    return float(NoisePlan(model, U, U0).whitened_norm_sq(y.coeffs, sigma))

@@ -371,19 +371,35 @@ def inner(u: HVector, v: HVector) -> float:
     return float(u.coeffs @ v.coeffs)
 
 
-def project(y: HVector, S: Subspace) -> HVector:
+def row_inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Inner products of matching rows of two coefficient arrays.
+
+    Either argument may be a single (dim,) row, which is paired with every
+    row of the other.  Each product is a 1 x dim by dim x 1 matrix product,
+    which runs the same dot kernel as `u @ v` on two vectors, so a row gives
+    bit for bit the value a single-vector inner product gives.
+    """
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+
+
+def project(y, S: Subspace):
     """Orthogonal projection of y onto S.
 
     Idempotent and self-adjoint.  Index-set subspaces zero the complementary
     coefficients; frame subspaces return sum_j <y, f_j> f_j; complement
-    variants return the residual y minus the base projection.
+    variants return the residual y minus the base projection.  An HVector
+    gives an HVector; a coefficient array of shape (rows, dim) or (dim,)
+    gives an array of the same shape, projected row by row.
     """
-    if y.dim != S.dim:
-        raise ValueError(f"dimension mismatch: vector {y.dim} vs subspace {S.dim}")
+    coeffs = y.coeffs if isinstance(y, HVector) else y
+    if coeffs.shape[-1] != S.dim:
+        raise ValueError(f"dimension mismatch: vector {coeffs.shape[-1]} vs subspace {S.dim}")
     if S.kind == "indices":
-        return HVector(np.where(S.index_mask(), y.coeffs, 0.0))
-    base = S.frame.T @ (S.frame @ y.coeffs)
-    return HVector(y.coeffs - base) if S.is_complement else HVector(base)
+        out = np.where(S.index_mask(), coeffs, 0.0)
+    else:
+        base = (S.frame.T @ (S.frame @ coeffs.T)).T
+        out = coeffs - base if S.is_complement else base
+    return HVector(out) if isinstance(y, HVector) else out
 
 
 def _check_model_subspace(model: SpectralModel, S: Subspace) -> None:

@@ -1,0 +1,207 @@
+"""The batched chunk runner against a per-replicate reference loop.
+
+The reference draws replicate i as `sample(law, derive_stream(seed, i))`
+and evaluates the public single-observation functions on it; the runner's
+per-replicate values, read back from its `--stream` CSV, must agree: flags
+exactly, floats to 1e-12 relative.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from hilbert_gauss import inference
+from hilbert_gauss.estimators import est_functional, est_mean, est_variance
+from hilbert_gauss.harness import ExperimentConfig, block_rows, derive_stream, run_experiment
+from hilbert_gauss.processes import custom_model, wiener_model
+from hilbert_gauss.sampling import GaussianLaw, leading_complement_norm_sq, sample, whitened_difference_norm_sq
+from hilbert_gauss.spectral import HVector, Subspace, default_use_tail, inner
+
+REL_TOL = 1e-12
+STREAM_KINDS = (
+    "coverage_known",
+    "coverage_unknown",
+    "level",
+    "unbiasedness",
+    "moments",
+    "independence",
+    "noise_law",
+    "risk",
+)
+
+
+def read_stream(path) -> dict:
+    lines = path.read_text().strip().splitlines()
+    keys = lines[0].split(",")[1:]
+    rows = np.array([[float(v) for v in line.split(",")[1:]] for line in lines[1:]])
+    return {key: rows[:, j] for j, key in enumerate(keys)}
+
+
+def reference(config: ExperimentConfig) -> dict:
+    """Per-replicate values of one config from the public scalar functions."""
+    model, U, U0, b = config.model, config.subspace, config.subspace0, config.b
+    zeta = config.zeta if config.zeta is not None else HVector.zero(model.dim)
+    law = GaussianLaw(model, zeta, config.sigma)
+    use_tail = False if config.kind == "risk" else (
+        default_use_tail(model) if config.use_tail is None else config.use_tail
+    )
+    out = {}
+
+    def put(key, value):
+        out.setdefault(key, []).append(float(value))
+
+    for i in range(config.replicates):
+        y = sample(law, derive_stream(config.master_seed, i))
+        kind = config.kind
+        if kind == "coverage_known":
+            put("covered", inference.ci_known(b, y, model, U, config.sigma, config.alpha).covers(inner(b, zeta)))
+        elif kind == "coverage_unknown":
+            interval = inference.ci_unknown(b, y, model, U, config.alpha, use_tail=use_tail)
+            put("covered", interval.covers(inner(b, zeta)))
+        elif kind == "level":
+            put("rejects", inference.test_subspace(y, model, U, U0, config.alpha).reject)
+        elif kind == "unbiasedness":
+            put("s2", est_variance(y, model, U, use_tail=use_tail))
+        elif kind == "moments":
+            put("norm_sq", y.norm_sq())
+        elif kind == "independence":
+            put("functional", est_functional(b, y, U))
+            put("s2", est_variance(y, model, U, use_tail=use_tail))
+        elif kind == "noise_law":
+            put("s_stat", leading_complement_norm_sq(model, U, y, config.sigma))
+            if U0 is not None:
+                put("t_stat", whitened_difference_norm_sq(model, U, U0, y, config.sigma))
+        elif kind == "risk":
+            put("mean_err", (est_mean(y, U) - zeta).norm_sq())
+            put("s2_err", (est_variance(y, model, U, use_tail=False) - config.sigma**2) ** 2)
+    return {key: np.array(values) for key, values in out.items()}
+
+
+def assert_stream_matches(config: ExperimentConfig, path) -> None:
+    run_experiment(config, stream_path=path)
+    got = read_stream(path)
+    want = reference(config)
+    assert sorted(got) == sorted(want)
+    for key, values in want.items():
+        if key in ("covered", "rejects"):
+            assert np.array_equal(got[key], values), key
+        else:
+            np.testing.assert_allclose(got[key], values, rtol=REL_TOL, atol=0.0, err_msg=key)
+
+
+@st.composite
+def index_configs(draw, kind):
+    dim = draw(st.integers(4, 20))
+    if draw(st.booleans()):
+        model = wiener_model(dim)
+    else:
+        eig = draw(st.lists(st.floats(0.05, 2.0), min_size=dim, max_size=dim, unique=True))
+        model = custom_model(eig)
+    nested = kind in ("level", "noise_law")
+    modes = draw(st.permutations(range(1, dim + 1)))
+    size = draw(st.integers(2 if nested else 1, dim - 1))
+    U_idx = sorted(modes[:size])
+    U0_idx = sorted(modes[: draw(st.integers(1, size - 1))]) if nested else None
+    coeff = st.floats(-2.0, 2.0, allow_nan=False).filter(lambda v: abs(v) > 1e-3)
+
+    def vector_on(indices):
+        coeffs = np.zeros(dim)
+        for k in indices:
+            coeffs[k - 1] = draw(coeff)
+        return HVector(coeffs)
+
+    return ExperimentConfig(
+        kind=kind,
+        model=model,
+        subspace=Subspace.from_indices(dim, U_idx),
+        subspace0=Subspace.from_indices(dim, U0_idx) if nested else None,
+        zeta=vector_on(U0_idx if kind == "level" else U_idx),
+        b=vector_on(U_idx),
+        sigma=draw(st.floats(0.3, 2.0)),
+        alpha=draw(st.floats(0.01, 0.3)),
+        replicates=draw(st.integers(1, 40)),
+        master_seed=draw(st.integers(0, 2**64 - 1)),
+    )
+
+
+@pytest.mark.parametrize("kind", STREAM_KINDS)
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_stream_matches_scalar_loop(kind, data, tmp_path):
+    config = data.draw(index_configs(kind))
+    assert_stream_matches(config, tmp_path / "stream.csv")
+
+
+def frame_config(kind: str) -> ExperimentConfig:
+    """A frame subspace U = span{(e1 + e2)/sqrt(2), e3} inside the doubled
+    leading eigenvalue, with U0 the first frame vector."""
+    model = custom_model([2.0, 2.0, 1.0, 0.5, 0.25, 0.125])
+    f1 = np.array([1.0, 1.0, 0.0, 0.0, 0.0, 0.0]) / np.sqrt(2.0)
+    e3 = np.array([0.0, 0.0, 1.0, 0.0, 0.0, 0.0])
+    U = Subspace.from_frame(model, [f1, e3])
+    U0 = Subspace.from_frame(model, [f1])
+    zeta = 0.7 * f1 if kind == "level" else 0.7 * f1 - 0.4 * e3
+    return ExperimentConfig(
+        kind=kind,
+        model=model,
+        subspace=U,
+        subspace0=U0 if kind == "level" else None,
+        zeta=HVector(zeta),
+        b=HVector(np.array([1.0, 0.5, 0.3, 0.0, 0.0, 0.0])),
+        sigma=0.8,
+        replicates=60,
+        master_seed=2**63 + 5,
+    )
+
+
+@pytest.mark.parametrize(
+    "kind", ("coverage_known", "coverage_unknown", "level", "unbiasedness", "independence", "risk")
+)
+def test_frame_stream_matches_scalar_loop(kind, tmp_path):
+    assert_stream_matches(frame_config(kind), tmp_path / "stream.csv")
+
+
+@pytest.mark.parametrize("kind", STREAM_KINDS)
+def test_stream_across_row_blocks(kind, tmp_path):
+    # Three rows fit in no block at this dimension, so seven replicates
+    # span four blocks, the last one partial.
+    dim = 16384 // 3 + 1
+    assert block_rows(dim) < 3
+    nested = kind in ("level", "noise_law")
+    config = ExperimentConfig(
+        kind=kind,
+        model=wiener_model(dim),
+        subspace=Subspace.from_indices(dim, [4, 5, 6] if nested else [4]),
+        subspace0=Subspace.from_indices(dim, [4]) if nested else None,
+        zeta=HVector.basis_vector(dim, 4, scale=0.7),
+        b=HVector.basis_vector(dim, 4, scale=np.sqrt(2.0)),
+        replicates=7,
+        master_seed=11,
+    )
+    assert_stream_matches(config, tmp_path / "stream.csv")
+
+
+def test_learning_curve_matches_scalar_loop():
+    dim = 12
+    model = wiener_model(dim)
+    order = [3, 1, 7, 2]
+    zeta = np.zeros(dim)
+    zeta[[2, 0, 6]] = [0.9, -0.4, 0.3]
+    config = ExperimentConfig(
+        kind="learning_curve",
+        model=model,
+        subspace=Subspace.from_indices(dim, order),
+        zeta=HVector(zeta),
+        sigma=1.2,
+        replicates=300,
+        master_seed=4,
+    )
+    report = run_experiment(config)
+    law = GaussianLaw(model, HVector(zeta), config.sigma)
+    indices = config.subspace.indices
+    draws = [sample(law, derive_stream(config.master_seed, i)) for i in range(config.replicates)]
+    for c in range(1, len(indices) + 1):
+        head = Subspace.from_indices(dim, indices[:c])
+        errs = [(est_mean(y, head) - HVector(zeta)).norm_sq() for y in draws]
+        assert report.estimates[f"risk_cutoff_{c}"] == pytest.approx(np.mean(errs), rel=REL_TOL)

@@ -324,3 +324,68 @@ def test_bad_model_spec_exits_two(runner, tmp_path):
     res = runner.invoke(main, ["estimate", "--model", "ou:8", "--obs", obs, "--subspace", "1"])
     assert res.exit_code == 2
     assert "unknown model family" in res.stderr
+
+
+def write_json(tmp_path, name, data):
+    path = tmp_path / name
+    path.write_text(json.dumps(data) if not isinstance(data, str) else data)
+    return str(path)
+
+
+def assert_one_line_error(res):
+    assert res.exit_code == 2, res.output
+    assert res.exception is None or isinstance(res.exception, SystemExit)
+    lines = res.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "vector",
+    (
+        {"coords": {"0": 1.0}},
+        {"coords": {"99": 1.0}},
+        {"coeffs": [1.0, 2.0, 3.0]},
+        [1.0, 2.0],
+        {"coords": [1.0]},
+        {"other": 1.0},
+    ),
+)
+def test_ci_rejects_bad_vector_file(runner, tmp_path, vector):
+    obs = write_obs(tmp_path, 16, {4: 0.7, 1: 0.3})
+    b = write_json(tmp_path, "b.json", vector)
+    res = runner.invoke(main, ["ci", "--model", "wiener:16", "--obs", obs, "--subspace", "16", "--b", b])
+    assert_one_line_error(res)
+
+
+def test_vector_file_coords_are_one_based(runner, tmp_path):
+    obs = write_obs(tmp_path, 16, {4: 0.7, 1: 0.3})
+    b = write_json(tmp_path, "b.json", {"coords": {"4": float(SQRT2)}})
+    res = runner.invoke(main, ["ci", "--model", "wiener:16", "--obs", obs, "--subspace", "4", "--b", b])
+    assert res.exit_code == 0
+    assert json.loads(res.output)["center"] == pytest.approx(0.7 * np.sqrt(2.0), rel=1e-15)
+
+
+def test_malformed_obs_json_exits_two(runner, tmp_path):
+    obs = write_json(tmp_path, "obs.json", "{not json")
+    res = runner.invoke(main, ["estimate", "--model", "wiener:8", "--obs", obs, "--subspace", "1"])
+    assert_one_line_error(res)
+
+
+def test_missing_obs_file_exits_two(runner, tmp_path):
+    res = runner.invoke(
+        main, ["estimate", "--model", "wiener:8", "--obs", str(tmp_path / "nope.json"), "--subspace", "1"]
+    )
+    assert_one_line_error(res)
+
+
+def test_bad_trajectory_values_exit_two(runner, tmp_path):
+    traj = write_json(tmp_path, "traj.csv", "t,y\n0.0,zero\n")
+    res = runner.invoke(main, ["estimate", "--model", "wiener:8", "--obs", traj, "--subspace", "1"])
+    assert_one_line_error(res)
+
+
+@pytest.mark.parametrize("spec", ("wiener:-3", "bridge:0"))
+def test_bad_mode_count_exits_two(runner, tmp_path, spec):
+    obs = write_obs(tmp_path, 8, {1: 1.0})
+    res = runner.invoke(main, ["estimate", "--model", spec, "--obs", obs, "--subspace", "1"])
+    assert_one_line_error(res)

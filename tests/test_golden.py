@@ -1,0 +1,92 @@
+"""Golden-report pins: every experiment kind at small replicate counts must
+reproduce the recorded check outcomes and estimates.
+
+The fixture `golden_reports.json` was recorded from the per-replicate
+loops that preceded the batched chunk runner; it holds, per kind, the
+check names, sidedness and pass flags, the estimates, and the sha256 of
+the report's `comparable_json`.  The batched runner reproduces every
+report byte for byte, so the hash is pinned too; the outcome and estimate
+checks say what moved should it ever fail.  Regenerate the fixture with
+
+    PYTHONPATH=src python tests/test_golden.py
+
+only when a change is meant to move report bytes, and say so in CHANGES.md.
+"""
+
+import hashlib
+import json
+import os
+
+import pytest
+
+from hilbert_gauss.harness import CHUNK_SIZE, EXPERIMENT_KINDS, ExperimentConfig, run_experiment
+
+FIXTURE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_reports.json")
+DIM = 64
+# More than two chunks and a partial one.
+REPLICATES = 2 * CHUNK_SIZE + 17
+MASTER_SEED = 7
+REL_TOL = 1e-12
+
+
+def golden_config(kind: str) -> ExperimentConfig:
+    """The acceptance suite's configuration of one kind, at DIM modes."""
+    data = {
+        "kind": kind,
+        "model": {"basis_id": "wiener", "dim": DIM},
+        "subspace": [4],
+        "b": {"coords": {"4": 2.0**0.5}},
+        "zeta": {"coords": {"4": 0.7}},
+        "sigma": 1.0,
+        "alpha": 0.05,
+        "replicates": REPLICATES,
+        "master_seed": MASTER_SEED,
+    }
+    if kind == "moments":
+        data.update(subspace=None, b=None, zeta=None)
+    elif kind == "level":
+        data.update(subspace=[4, 5, 6], subspace0=[4], b=None)
+    elif kind == "noise_law":
+        data.update(subspace=[4, 5, 6], subspace0=[4], sigma=1.7, b=None)
+    elif kind == "risk":
+        data.update(sigma=1.3)
+    elif kind == "learning_curve":
+        data.update(subspace=list(range(1, 9)), b=None)
+    data = {k: v for k, v in data.items() if v is not None}
+    return ExperimentConfig.from_dict(data)
+
+
+def digest(report) -> dict:
+    return {
+        "passed": report.passed,
+        "checks": [[c["name"], c["sided"], c["passed"]] for c in report.checks],
+        "estimates": dict(report.estimates),
+        "sha256": hashlib.sha256(report.comparable_json().encode()).hexdigest(),
+    }
+
+
+def load_fixture() -> dict:
+    with open(FIXTURE, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+@pytest.mark.parametrize("kind", EXPERIMENT_KINDS)
+def test_golden_report(kind):
+    want = load_fixture()[kind]
+    serial = run_experiment(golden_config(kind), workers=1)
+    got = digest(serial)
+    assert got["passed"] == want["passed"]
+    assert got["checks"] == want["checks"]
+    assert sorted(got["estimates"]) == sorted(want["estimates"])
+    for name, value in want["estimates"].items():
+        assert got["estimates"][name] == pytest.approx(value, rel=REL_TOL, abs=0.0), name
+    assert got["sha256"] == want["sha256"]
+    parallel = run_experiment(golden_config(kind), workers=3)
+    assert parallel.comparable_json() == serial.comparable_json()
+
+
+if __name__ == "__main__":
+    fixture = {kind: digest(run_experiment(golden_config(kind), workers=1)) for kind in EXPERIMENT_KINDS}
+    with open(FIXTURE, "w", encoding="utf-8") as fh:
+        json.dump(fixture, fh, indent=2, sort_keys=True)
+        fh.write("\n")

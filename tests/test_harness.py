@@ -7,6 +7,8 @@ from hilbert_gauss.harness import (
     CHUNK_SIZE,
     EXPERIMENT_KINDS,
     ExperimentConfig,
+    ReplicateStreams,
+    block_rows,
     derive_stream,
     run_experiment,
     _check,
@@ -51,6 +53,37 @@ def test_derive_stream_validation():
         derive_stream(-1, 0)
     with pytest.raises(ValueError):
         derive_stream(0, -1)
+
+
+STREAM_REPLICATES = (0, 1, 4095, 4096, 2**40, 2**64 - 1)
+
+
+@pytest.mark.parametrize("master_seed", (0, 2**64 - 1))
+@pytest.mark.parametrize("dim", (1, 3, 256))
+def test_replicate_streams_match_derive_stream(master_seed, dim):
+    # The rows are drawn one after another through one re-keyed generator,
+    # so each row also checks that nothing of the previous stream leaks in.
+    streams = ReplicateStreams(master_seed)
+    rows = streams.standard_normal_rows(STREAM_REPLICATES, np.empty((len(STREAM_REPLICATES), dim)))
+    for replicate, row in zip(STREAM_REPLICATES, rows):
+        want = derive_stream(master_seed, replicate).standard_normal(dim)
+        assert row.tobytes() == want.tobytes(), replicate
+    # Drawing again in reverse order gives the same rows.
+    again = streams.standard_normal_rows(STREAM_REPLICATES[::-1], np.empty_like(rows))
+    assert again[::-1].tobytes() == rows.tobytes()
+
+
+def test_replicate_streams_validation():
+    with pytest.raises(ValueError):
+        ReplicateStreams(-1)
+    with pytest.raises(ValueError):
+        ReplicateStreams(2**64)
+
+
+def test_block_rows():
+    assert block_rows(1) * 8 <= 2**20
+    assert block_rows(256) * 256 * 8 <= 2**20
+    assert block_rows(2**30) == 1
 
 
 def smoke_config(**overrides):

@@ -5,7 +5,6 @@ from hilbert_gauss.distributions import gamma_cdf, ks_critical_value, ks_statist
 from hilbert_gauss.harness import derive_stream
 from hilbert_gauss.processes import wiener_model
 from hilbert_gauss.sampling import (
-    FixedNormalsRng,
     GaussianLaw,
     NoiseDecomposition,
     leading_complement_norm_sq,
@@ -16,6 +15,22 @@ from hilbert_gauss.sampling import (
     whitened_difference_norm_sq,
 )
 from hilbert_gauss.spectral import HVector, SpectralModel, Subspace
+
+
+class FixedNormalsRng:
+    """Stand-in generator with preset normal draws, for deterministic tests."""
+
+    def __init__(self, values):
+        self._values = np.atleast_1d(np.asarray(values, dtype=float))
+        self._cursor = 0
+
+    def standard_normal(self, size=None):
+        count = 1 if size is None else int(size)
+        if self._cursor + count > self._values.size:
+            raise ValueError("stub generator exhausted")
+        out = self._values[self._cursor : self._cursor + count]
+        self._cursor += count
+        return float(out[0]) if size is None else out.copy()
 
 
 def test_law_validation():
