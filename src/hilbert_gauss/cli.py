@@ -66,28 +66,26 @@ def _load_subspace(spec: str, model: SpectralModel) -> Subspace:
         _fail(f"bad subspace {spec!r}: {exc}")
 
 
+def _read_vector_file(path: str, dim: int) -> HVector:
+    """Vector from a JSON file in the config vector format (`_parse_vector`)."""
+    with open(path, "r", encoding="utf-8") as fh:
+        data = json.load(fh)
+    if data is None:
+        raise ValueError(f"vector file {path!r} holds null")
+    return _parse_vector(data, dim)
+
+
 def _load_vector(spec: str, dim: int) -> HVector:
     """Vector from a JSON file, sparse inline `k:v,...`, or dense floats."""
     if os.path.exists(spec):
         try:
-            with open(spec, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
+            return _read_vector_file(spec, dim)
         except OSError as exc:
             raise ValueError(f"cannot read vector file {spec!r}: {exc}") from exc
-        return _parse_vector(data, dim)
     if ":" in spec:
-        coeffs = np.zeros(dim)
-        for part in spec.split(","):
-            key, _, value = part.partition(":")
-            k = int(key)
-            if not 1 <= k <= dim:
-                raise ValueError(f"coordinate index {k} outside 1..{dim}")
-            coeffs[k - 1] = float(value)
-        return HVector(coeffs)
-    values = np.asarray([float(part) for part in spec.split(",")], dtype=float)
-    if values.shape != (dim,):
-        raise ValueError(f"dense vector must have length {dim}")
-    return HVector(values)
+        pairs = (part.partition(":") for part in spec.split(","))
+        return _parse_vector({"coords": {key: value for key, _, value in pairs}}, dim)
+    return _parse_vector(spec.split(","), dim)
 
 
 def _load_observation(path: str, model: SpectralModel) -> HVector:
@@ -105,14 +103,7 @@ def _load_observation(path: str, model: SpectralModel) -> HVector:
                     t_vals.append(float(t_str))
                     y_vals.append(float(y_str))
             return coeffs_from_trajectory(model, Grid(np.asarray(t_vals)), np.asarray(y_vals))
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        if isinstance(data, dict) and "coeffs" in data:
-            data = data["coeffs"]
-        arr = np.asarray(data, dtype=float)
-        if arr.shape != (model.dim,):
-            _fail(f"observation must have {model.dim} coefficients, got shape {arr.shape}")
-        return HVector(arr)
+        return _read_vector_file(path, model.dim)
     except (OSError, TypeError, ValueError) as exc:
         _fail(f"cannot load observation from {path!r}: {exc}")
 

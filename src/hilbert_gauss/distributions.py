@@ -1,19 +1,18 @@
-"""Quantiles, CDFs, and samplers for the normal, Student-t, Fisher, Gamma,
-and chi-square families, plus the scale-family reductions used to recognize
+"""CDFs, quantiles, and samplers for the normal, Student-t, Fisher, and Gamma
+families, plus the scale-family reductions used to recognize
 normal-over-root-Gamma and Gamma-over-Gamma ratios.
 
-Quantiles are computed by safeguarded Newton iteration (bisection fallback)
-on CDFs built from the regularized incomplete gamma and beta functions, so
-non-integer degrees of freedom work everywhere.  Gamma sampling uses a
-squeeze/rejection scheme for shapes at or above 1 and boosts smaller shapes
-from shape + 1; only uniform and normal draws from the supplied generator
-are consumed.
+CDFs are built from the regularized incomplete gamma and beta functions, and
+quantiles are their inverses in scipy.special (ndtri, stdtrit, fdtri,
+gammaincinv), so non-integer degrees of freedom work everywhere.  Gamma
+sampling uses a squeeze/rejection scheme for shapes at or above 1 and
+boosts smaller shapes from shape + 1; only uniform and normal draws from
+the supplied generator are consumed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy import special
@@ -40,27 +39,13 @@ def _maybe_scalar(x, out):
 
 
 # ---------------------------------------------------------------------------
-# densities and CDFs
-
-
-def norm_pdf(x):
-    x = np.asarray(x, dtype=float)
-    out = np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi)
-    return _maybe_scalar(x, out)
+# CDFs
 
 
 def norm_cdf(x):
     """Standard normal CDF, accurate in both tails via erfc."""
     x = np.asarray(x, dtype=float)
     out = 0.5 * special.erfc(-x / _SQRT2)
-    return _maybe_scalar(x, out)
-
-
-def t_pdf(x, dof):
-    dof = _check_positive(dof, "dof")
-    x = np.asarray(x, dtype=float)
-    logc = special.gammaln((dof + 1.0) / 2.0) - special.gammaln(dof / 2.0) - 0.5 * np.log(dof * np.pi)
-    out = np.exp(logc - 0.5 * (dof + 1.0) * np.log1p(x * x / dof))
     return _maybe_scalar(x, out)
 
 
@@ -74,22 +59,6 @@ def t_cdf(x, dof):
     return _maybe_scalar(x, out)
 
 
-def f_pdf(x, m, n):
-    m = _check_positive(m, "m")
-    n = _check_positive(n, "n")
-    x = np.asarray(x, dtype=float)
-    logbeta = special.gammaln(m / 2.0) + special.gammaln(n / 2.0) - special.gammaln((m + n) / 2.0)
-    with np.errstate(divide="ignore"):
-        logpdf = (
-            0.5 * m * np.log(m / n)
-            + (0.5 * m - 1.0) * np.log(x)
-            - 0.5 * (m + n) * np.log1p(m * x / n)
-            - logbeta
-        )
-    out = np.where(x > 0.0, np.exp(logpdf), 0.0)
-    return _maybe_scalar(x, out)
-
-
 def f_cdf(x, m, n):
     """Fisher F CDF for real degrees of freedom via the incomplete beta."""
     m = _check_positive(m, "m")
@@ -97,17 +66,6 @@ def f_cdf(x, m, n):
     x = np.asarray(x, dtype=float)
     xc = np.clip(x, 0.0, None)
     out = special.betainc(m / 2.0, n / 2.0, m * xc / (m * xc + n))
-    return _maybe_scalar(x, out)
-
-
-def gamma_pdf(x, alpha, beta):
-    """Gamma density with shape alpha and rate beta (mean alpha / beta)."""
-    alpha = _check_positive(alpha, "alpha")
-    beta = _check_positive(beta, "beta")
-    x = np.asarray(x, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logpdf = alpha * np.log(beta) + (alpha - 1.0) * np.log(x) - beta * x - special.gammaln(alpha)
-    out = np.where(x > 0.0, np.exp(logpdf), 0.0)
     return _maybe_scalar(x, out)
 
 
@@ -120,109 +78,37 @@ def gamma_cdf(x, alpha, beta):
     return _maybe_scalar(x, out)
 
 
-def chi2_cdf(x, dof):
-    return gamma_cdf(x, _check_positive(dof, "dof") / 2.0, 0.5)
-
-
 # ---------------------------------------------------------------------------
 # quantiles
 
 
-def _invert_cdf(cdf, pdf, a, lo, hi, ftol):
-    """Solve cdf(x) = a on a monotone bracket by Newton with bisection guard."""
-    flo = cdf(lo) - a
-    fhi = cdf(hi) - a
-    if flo > 0.0 or fhi < 0.0:
-        raise ValueError("quantile bracket does not straddle the target")
-    x = 0.5 * (lo + hi)
-    for _ in range(200):
-        f = cdf(x) - a
-        if f > 0.0:
-            hi = x
-        elif f < 0.0:
-            lo = x
-        prev = x
-        step_ok = False
-        d = pdf(x)
-        if d > 0.0:
-            xn = x - f / d
-            if lo < xn < hi:
-                x = xn
-                step_ok = True
-        if not step_ok:
-            x = 0.5 * (lo + hi)
-        # Converge in both function value and argument: flat tails (small
-        # density) would otherwise stall far from the true quantile.
-        if abs(f) <= ftol and abs(x - prev) <= 1e-12 * max(1.0, abs(prev)):
-            return prev
-        if hi - lo <= 1e-15 * max(1.0, abs(x)):
-            return x
-    return x
-
-
-def _expand_symmetric(cdf, a):
-    lo, hi = -1.0, 1.0
-    while cdf(lo) > a:
-        lo *= 2.0
-        if lo < -1e10:
-            break
-    while cdf(hi) < a:
-        hi *= 2.0
-        if hi > 1e10:
-            break
-    return lo, hi
-
-
-def _expand_positive(cdf, a):
-    hi = 1.0
-    while cdf(hi) < a:
-        hi *= 2.0
-        if hi > 1e300:
-            raise ValueError("quantile bracket expansion failed")
-    return 0.0, hi
-
-
-@lru_cache(maxsize=512)
 def norm_quantile(a: float) -> float:
     """Standard normal a-quantile, |CDF(result) - a| below 1e-12."""
     a = _check_prob(a)
-    if a == 0.5:
-        return 0.0
-    lo, hi = _expand_symmetric(norm_cdf, a)
-    return _invert_cdf(norm_cdf, norm_pdf, a, lo, hi, ftol=1e-13)
+    return float(special.ndtri(a))
 
 
-@lru_cache(maxsize=512)
 def t_quantile(dof: float, a: float) -> float:
     """Student-t a-quantile for real dof >= 1, |CDF(result) - a| below 1e-10."""
     dof = _check_positive(dof, "dof")
     a = _check_prob(a)
-    if a == 0.5:
-        return 0.0
-    lo, hi = _expand_symmetric(lambda x: t_cdf(x, dof), a)
-    return _invert_cdf(lambda x: t_cdf(x, dof), lambda x: t_pdf(x, dof), a, lo, hi, ftol=1e-11)
+    return float(special.stdtrit(dof, a))
 
 
-@lru_cache(maxsize=512)
 def f_quantile(m: float, n: float, a: float) -> float:
     """Fisher F a-quantile for real dofs, |CDF(result) - a| below 1e-9."""
     m = _check_positive(m, "m")
     n = _check_positive(n, "n")
     a = _check_prob(a)
-    lo, hi = _expand_positive(lambda x: f_cdf(x, m, n), a)
-    return _invert_cdf(lambda x: f_cdf(x, m, n), lambda x: f_pdf(x, m, n), a, lo, hi, ftol=1e-10)
+    return float(special.fdtri(m, n, a))
 
 
-@lru_cache(maxsize=512)
 def gamma_quantile(alpha: float, beta: float, a: float) -> float:
     """Gamma a-quantile with shape alpha and rate beta."""
     alpha = _check_positive(alpha, "alpha")
     beta = _check_positive(beta, "beta")
     a = _check_prob(a)
-    lo, hi = _expand_positive(lambda x: gamma_cdf(x, alpha, beta), a)
-    return _invert_cdf(
-        lambda x: gamma_cdf(x, alpha, beta), lambda x: gamma_pdf(x, alpha, beta), a, lo, hi, ftol=1e-11
-    )
+    return float(special.gammaincinv(alpha, a) / beta)
 
 
 # ---------------------------------------------------------------------------

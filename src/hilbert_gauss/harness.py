@@ -13,9 +13,11 @@ field.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -107,13 +109,11 @@ class ExperimentConfig:
         subspace0 = _parse_subspace(data.pop("subspace0", None), model)
         zeta = _parse_vector(data.pop("zeta", None), model.dim)
         b = _parse_vector(data.pop("b", None), model.dim)
-        cutoffs = data.pop("cutoffs", None)
-        if cutoffs is not None:
-            cutoffs = tuple(int(c) for c in cutoffs)
-        known = {"sigma", "alpha", "replicates", "master_seed", "use_tail", "workers"}
+        known = {"sigma", "alpha", "replicates", "master_seed", "use_tail", "cutoffs", "workers"}
         unknown = set(data) - known
         if unknown:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")
+        cutoffs = _field(data, "cutoffs", None, _is_int_list, "a list of integers")
         return cls(
             kind=kind,
             model=model,
@@ -121,19 +121,44 @@ class ExperimentConfig:
             subspace0=subspace0,
             zeta=zeta,
             b=b,
-            sigma=float(data.get("sigma", 1.0)),
-            alpha=float(data.get("alpha", 0.05)),
-            replicates=int(data.get("replicates", DEFAULT_REPLICATES)),
-            master_seed=int(data.get("master_seed", 0)),
-            use_tail=data.get("use_tail", None),
-            cutoffs=cutoffs,
-            workers=int(data.get("workers", 1)),
+            sigma=float(_field(data, "sigma", 1.0, _is_number, "a finite number")),
+            alpha=float(_field(data, "alpha", 0.05, _is_number, "a finite number")),
+            replicates=int(_field(data, "replicates", DEFAULT_REPLICATES, _is_int, "an integer")),
+            master_seed=int(_field(data, "master_seed", 0, _is_int, "an integer")),
+            use_tail=_field(data, "use_tail", None, _is_optional_bool, "true, false or null"),
+            cutoffs=None if cutoffs is None else tuple(int(c) for c in cutoffs),
+            workers=int(_field(data, "workers", 1, _is_int, "an integer")),
         )
 
     @classmethod
     def load(cls, path) -> "ExperimentConfig":
         with open(path, "r", encoding="utf-8") as fh:
             return cls.from_dict(json.load(fh))
+
+
+def _is_int(value) -> bool:
+    """A JSON integer: floats are refused, not truncated, and so is bool (an int subclass)."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def _is_optional_bool(value) -> bool:
+    return value is None or isinstance(value, bool)
+
+
+def _is_int_list(value) -> bool:
+    return value is None or (isinstance(value, (list, tuple)) and all(_is_int(v) for v in value))
+
+
+def _field(data: dict, key: str, default, accepts, expected: str):
+    """data[key] (or default when absent) if `accepts` it, else a ValueError."""
+    value = data.get(key, default)
+    if not accepts(value):
+        raise ValueError(f"config field {key!r} must be {expected}, got {value!r}")
+    return value
 
 
 def _parse_model(spec) -> SpectralModel:
@@ -144,7 +169,7 @@ def _parse_model(spec) -> SpectralModel:
     if isinstance(spec, dict):
         basis_id = spec.get("basis_id", "abstract")
         if "eigenvalues" not in spec:
-            dim = int(spec.get("dim", DEFAULT_MODEL_DIM))
+            dim = int(_field(spec, "dim", DEFAULT_MODEL_DIM, _is_int, "an integer"))
             if basis_id == "wiener":
                 return wiener_model(dim)
             if basis_id == "bridge":
@@ -215,19 +240,7 @@ class Report:
     runtime_seconds: float = field(default=0.0)
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "passed": self.passed,
-            "estimates": self.estimates,
-            "standard_errors": self.standard_errors,
-            "targets": self.targets,
-            "checks": self.checks,
-            "replicates": self.replicates,
-            "master_seed": self.master_seed,
-            "use_tail": self.use_tail,
-            "config_summary": self.config_summary,
-            "runtime_seconds": self.runtime_seconds,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"

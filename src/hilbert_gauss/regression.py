@@ -87,11 +87,6 @@ def _range_subspace(model: SpectralModel, mat: np.ndarray) -> Subspace:
     return Subspace.from_frame(model, q[:, :rank].T)
 
 
-def range_subspace(A: DesignOperator) -> Subspace:
-    """The range of A as a validated Q-invariant subspace."""
-    return A.range
-
-
 def lse(A: DesignOperator, y: HVector) -> np.ndarray:
     """Unique least-squares estimate solving Gram beta = (<A g_j, y>)_j.
 

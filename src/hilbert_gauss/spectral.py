@@ -347,7 +347,7 @@ def _check_q_invariance(model: SpectralModel, frame: np.ndarray) -> None:
     # projection back onto the span.  Rows outside the frame support vanish.
     g = lam[:, None] * frame.T
     h = g - frame.T @ (frame @ g)
-    support = np.flatnonzero(np.abs(frame).max(axis=0) > 0.0)
+    support = _frame_support(frame)
     defect = np.linalg.svd(h[support, :], compute_uv=False)[0] if support.size else 0.0
     if defect > FRAME_INVARIANCE_TOL * max(model.max_eigenvalue(), 0.0):
         raise ValueError(

@@ -319,6 +319,19 @@ def test_mc_bad_config_exits_two(runner, tmp_path):
     assert "unknown config fields" in res.stderr
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    (
+        {"replicates": None},
+        {"use_tail": "false"},
+        {"kind": "learning_curve", "subspace": [1, 2], "b": None, "cutoffs": 5},
+    ),
+)
+def test_mc_config_of_wrong_json_type_exits_two(runner, tmp_path, overrides):
+    path = write_mc_config(tmp_path, **overrides)
+    assert_one_line_error(runner.invoke(main, ["mc", "--config", path]))
+
+
 def test_bad_model_spec_exits_two(runner, tmp_path):
     obs = write_obs(tmp_path, 8, {1: 1.0})
     res = runner.invoke(main, ["estimate", "--model", "ou:8", "--obs", obs, "--subspace", "1"])
@@ -348,6 +361,7 @@ def assert_one_line_error(res):
         [1.0, 2.0],
         {"coords": [1.0]},
         {"other": 1.0},
+        None,
     ),
 )
 def test_ci_rejects_bad_vector_file(runner, tmp_path, vector):
@@ -357,12 +371,26 @@ def test_ci_rejects_bad_vector_file(runner, tmp_path, vector):
     assert_one_line_error(res)
 
 
+@pytest.mark.parametrize("spec", ("99:1", "0:1", "1,2,3"))
+def test_ci_rejects_bad_inline_vector(runner, tmp_path, spec):
+    obs = write_obs(tmp_path, 16, {4: 0.7, 1: 0.3})
+    res = runner.invoke(main, ["ci", "--model", "wiener:16", "--obs", obs, "--subspace", "16", "--b", spec])
+    assert_one_line_error(res)
+
+
 def test_vector_file_coords_are_one_based(runner, tmp_path):
     obs = write_obs(tmp_path, 16, {4: 0.7, 1: 0.3})
     b = write_json(tmp_path, "b.json", {"coords": {"4": float(SQRT2)}})
     res = runner.invoke(main, ["ci", "--model", "wiener:16", "--obs", obs, "--subspace", "4", "--b", b])
     assert res.exit_code == 0
     assert json.loads(res.output)["center"] == pytest.approx(0.7 * np.sqrt(2.0), rel=1e-15)
+
+
+def test_observation_file_uses_vector_format(runner, tmp_path):
+    obs = write_json(tmp_path, "obs.json", {"coords": {"4": 0.7}})
+    res = runner.invoke(main, ["estimate", "--model", "wiener:8", "--obs", obs, "--subspace", "4"])
+    assert res.exit_code == 0
+    assert json.loads(res.output)["mean_coeffs"][3] == 0.7
 
 
 def test_malformed_obs_json_exits_two(runner, tmp_path):

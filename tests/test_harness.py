@@ -120,6 +120,23 @@ def test_config_rejects_unknown_kind():
         smoke_config(kind="coverage")
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    (
+        {"replicates": None},
+        {"replicates": 2.7},
+        {"replicates": True},
+        {"use_tail": "false"},
+        {"sigma": float("nan")},
+        {"model": {"basis_id": "wiener", "dim": None}},
+        {"kind": "learning_curve", "subspace": [1, 2], "b": None, "cutoffs": 5},
+    ),
+)
+def test_config_rejects_wrong_json_types(overrides):
+    with pytest.raises(ValueError, match="config field"):
+        smoke_config(**overrides)
+
+
 def test_config_validation_per_kind():
     # kind-specific requirements are enforced when the experiment starts
     with pytest.raises(ValueError, match="functional vector b"):

@@ -10,7 +10,6 @@ from hilbert_gauss.regression import (
     ci_beta_unknown,
     lse,
     pullback_functional,
-    range_subspace,
 )
 from hilbert_gauss.spectral import HVector, SpectralModel, Subspace, project
 
@@ -27,7 +26,7 @@ def coordinate_design(dim=16, scale=(2.0, -1.0)):
 def test_design_basics():
     m, a = coordinate_design()
     assert a.n_params == 2
-    assert range_subspace(a).indices == (2, 5)
+    assert a.range.indices == (2, 5)
     fitted = a.apply([3.0, 4.0])
     assert fitted.coeffs[1] == 6.0
     assert fitted.coeffs[4] == -4.0
@@ -38,7 +37,7 @@ def test_design_basics():
 def test_design_frame_path():
     m = SpectralModel([1.0, 1.0, 0.5])
     a = DesignOperator(m, [np.array([1.0, 1.0, 0.0]), np.array([1.0, -1.0, 0.0])])
-    u = range_subspace(a)
+    u = a.range
     v = HVector(np.array([0.3, -0.7, 2.0]))
     direct = project(v, Subspace.from_indices(3, [1, 2]))
     assert np.allclose(project(v, u).coeffs, direct.coeffs, atol=1e-12)
