@@ -84,8 +84,8 @@ def _load_vector(spec: str, dim: int) -> HVector:
             raise ValueError(f"cannot read vector file {spec!r}: {exc}") from exc
     if ":" in spec:
         pairs = (part.partition(":") for part in spec.split(","))
-        return _parse_vector({"coords": {key: value for key, _, value in pairs}}, dim)
-    return _parse_vector(spec.split(","), dim)
+        return _parse_vector({"coords": {key: float(value) for key, _, value in pairs}}, dim)
+    return _parse_vector([float(part) for part in spec.split(",")], dim)
 
 
 def _load_observation(path: str, model: SpectralModel) -> HVector:

@@ -24,7 +24,7 @@ import numpy as np
 from .estimators import risk_mean, risk_partial, variance_est_risk
 from .distributions import gamma_cdf, ks_critical_value, ks_statistic
 from .inference import FunctionalPlan, SubspaceTestPlan, ci_params_unknown
-from .processes import bridge_model, custom_model, wiener_model
+from .processes import bridge_model, wiener_model
 from .sampling import GaussianLaw, NoisePlan, noise_decomposition, norm_sq_moments
 from .spectral import HVector, SpectralModel, Subspace, default_use_tail, inner, project, row_inner
 
@@ -105,10 +105,10 @@ class ExperimentConfig:
         if kind is None:
             raise ValueError("experiment config needs a 'kind'")
         model = _parse_model(data.pop("model", None))
-        subspace = _parse_subspace(data.pop("subspace", None), model)
-        subspace0 = _parse_subspace(data.pop("subspace0", None), model)
-        zeta = _parse_vector(data.pop("zeta", None), model.dim)
-        b = _parse_vector(data.pop("b", None), model.dim)
+        subspace = _spec_field(data, "subspace", _parse_subspace, model)
+        subspace0 = _spec_field(data, "subspace0", _parse_subspace, model)
+        zeta = _spec_field(data, "zeta", _parse_vector, model.dim)
+        b = _spec_field(data, "b", _parse_vector, model.dim)
         known = {"sigma", "alpha", "replicates", "master_seed", "use_tail", "cutoffs", "workers"}
         unknown = set(data) - known
         if unknown:
@@ -153,12 +153,24 @@ def _is_int_list(value) -> bool:
     return value is None or (isinstance(value, (list, tuple)) and all(_is_int(v) for v in value))
 
 
+def _is_number_list(value) -> bool:
+    return isinstance(value, (list, tuple)) and all(_is_number(v) for v in value)
+
+
 def _field(data: dict, key: str, default, accepts, expected: str):
     """data[key] (or default when absent) if `accepts` it, else a ValueError."""
     value = data.get(key, default)
     if not accepts(value):
         raise ValueError(f"config field {key!r} must be {expected}, got {value!r}")
     return value
+
+
+def _spec_field(data: dict, key: str, parse, arg):
+    """parse(data.pop(key), arg), with the field named in its ValueError."""
+    try:
+        return parse(data.pop(key, None), arg)
+    except ValueError as exc:
+        raise ValueError(f"config field {key!r}: {exc}") from exc
 
 
 def _parse_model(spec) -> SpectralModel:
@@ -175,8 +187,8 @@ def _parse_model(spec) -> SpectralModel:
             if basis_id == "bridge":
                 return bridge_model(dim)
             raise ValueError("abstract models need explicit eigenvalues")
-        if basis_id == "abstract":
-            return custom_model(spec["eigenvalues"], tail_trace=spec.get("tail_trace", 0.0))
+        _field(spec, "eigenvalues", None, _is_number_list, "a list of finite numbers")
+        _field(spec, "tail_trace", 0.0, _is_number, "a finite number")
         return SpectralModel.from_dict(spec)
     raise ValueError("model spec must be a path or a mapping")
 
@@ -195,28 +207,29 @@ def _parse_subspace(spec, model: SpectralModel) -> Subspace | None:
 
 def _parse_vector(spec, dim: int) -> HVector | None:
     """Vector from `{"coords": {k: v}}` (1-based modes), `{"coeffs": [...]}`
-    or a plain list of `dim` coefficients; anything else is a ValueError."""
+    or a plain list of `dim` coefficients.  Values must be numbers (not
+    bools or strings); anything else is a ValueError."""
     if spec is None:
         return None
-    try:
-        if isinstance(spec, dict) and "coords" in spec:
-            if not isinstance(spec["coords"], dict):
-                raise ValueError("'coords' must map 1-based mode indices to values")
-            coeffs = np.zeros(dim)
-            for key, value in spec["coords"].items():
-                k = int(key)
-                if not 1 <= k <= dim:
-                    raise ValueError(f"coordinate index {k} outside 1..{dim}")
-                coeffs[k - 1] = float(value)
-            return HVector(coeffs)
-        if isinstance(spec, dict) and "coeffs" in spec:
-            spec = spec["coeffs"]
-        arr = np.asarray(spec, dtype=float)
-    except TypeError as exc:
-        raise ValueError(f"malformed vector: {exc}") from exc
-    if arr.shape != (dim,):
+    if isinstance(spec, dict) and "coords" in spec:
+        if not isinstance(spec["coords"], dict):
+            raise ValueError("'coords' must map 1-based mode indices to values")
+        coeffs = np.zeros(dim)
+        for key, value in spec["coords"].items():
+            k = int(key)
+            if not 1 <= k <= dim:
+                raise ValueError(f"coordinate index {k} outside 1..{dim}")
+            if not _is_number(value):
+                raise ValueError(f"coordinate {key} must be a finite number, got {value!r}")
+            coeffs[k - 1] = value
+        return HVector(coeffs)
+    if isinstance(spec, dict) and "coeffs" in spec:
+        spec = spec["coeffs"]
+    if not _is_number_list(spec):
+        raise ValueError(f"coefficient vector must be a list of {dim} finite numbers")
+    if len(spec) != dim:
         raise ValueError(f"coefficient vector must have length {dim}")
-    return HVector(arr)
+    return HVector(spec)
 
 
 # ---------------------------------------------------------------------------

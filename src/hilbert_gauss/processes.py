@@ -11,9 +11,11 @@ user-supplied spectra are supported without pointwise evaluation.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
-from .spectral import HVector, SpectralModel
+from .spectral import HVector, SpectralModel, _readonly
 
 WIENER_TOTAL_TRACE = 0.5
 BRIDGE_TOTAL_TRACE = 1.0 / 6.0
@@ -86,14 +88,30 @@ def _check_analytic(model: SpectralModel) -> None:
         raise ValueError("model has an abstract basis; pointwise evaluation unavailable")
 
 
+def _freq(basis_id: str, k):
+    """Frequency of mode k (1-based, scalar or array) in units of pi:
+    k - 1/2 for the Wiener basis, k for the bridge."""
+    return (k - 0.5) if basis_id == "wiener" else k
+
+
+@functools.lru_cache(maxsize=1)
+def _basis_matrix(basis_id: str, dim: int, points: bytes) -> np.ndarray:
+    """Read-only (dim, grid points) matrix of e_k(t_j), keyed on the raw
+    grid bytes.  One entry is kept, so at most one basis stays alive;
+    repeated calls on one (model, grid) pair reuse it."""
+    k = np.arange(1, dim + 1, dtype=float)
+    t = np.frombuffer(points, dtype=float)
+    # rows: modes, columns: grid points
+    return _readonly(np.sqrt(2.0) * np.sin(np.outer(_freq(basis_id, k), np.pi * t)))
+
+
 def eval_basis(model: SpectralModel, k: int, t):
     """Eigenfunction e_k evaluated at t (scalar or array), 1-based index k."""
     _check_analytic(model)
     if not 1 <= k <= model.dim:
         raise ValueError(f"mode index {k} outside 1..{model.dim}")
     t = np.asarray(t, dtype=float)
-    freq = (k - 0.5) if model.basis_id == "wiener" else float(k)
-    out = np.sqrt(2.0) * np.sin(freq * np.pi * t)
+    out = np.sqrt(2.0) * np.sin(_freq(model.basis_id, float(k)) * np.pi * t)
     return float(out) if out.ndim == 0 else out
 
 
@@ -106,11 +124,7 @@ def eval_vector(model: SpectralModel, y: HVector, grid: Grid) -> np.ndarray:
     _check_analytic(model)
     if y.dim != model.dim:
         raise ValueError(f"dimension mismatch: vector {y.dim} vs model {model.dim}")
-    k = np.arange(1, model.dim + 1, dtype=float)
-    freq = (k - 0.5) if model.basis_id == "wiener" else k
-    # rows: modes, columns: grid points
-    basis = np.sqrt(2.0) * np.sin(np.outer(freq, np.pi * grid.points))
-    return y.coeffs @ basis
+    return y.coeffs @ _basis_matrix(model.basis_id, model.dim, grid.points.tobytes())
 
 
 def coeffs_from_trajectory(model: SpectralModel, grid: Grid, values) -> HVector:
@@ -118,17 +132,21 @@ def coeffs_from_trajectory(model: SpectralModel, grid: Grid, values) -> HVector:
 
     Trapezoidal quadrature of <y, e_k> over the grid.  This is the inverse
     of eval_vector up to quadrature error and is meant for round-tripping
-    simulated trajectories, not for high-accuracy analysis.
+    simulated trajectories, not for high-accuracy analysis.  The basis
+    matrix is built once per (basis, modes, grid) and reused.
     """
     _check_analytic(model)
     vals = np.asarray(values, dtype=float)
     if vals.shape != grid.points.shape:
         raise ValueError("trajectory values must match the grid size")
-    k = np.arange(1, model.dim + 1, dtype=float)
-    freq = (k - 0.5) if model.basis_id == "wiener" else k
-    basis = np.sqrt(2.0) * np.sin(np.outer(freq, np.pi * grid.points))
-    coeffs = np.trapezoid(basis * vals[None, :], grid.points, axis=1)
-    return HVector(coeffs)
+    # Trapezoid weights: half of each interval goes to both of its ends; a
+    # one-point grid has weight 0, so its coefficients are 0.
+    half = np.diff(grid.points) / 2.0
+    weights = np.zeros(grid.size)
+    weights[:-1] += half
+    weights[1:] += half
+    basis = _basis_matrix(model.basis_id, model.dim, grid.points.tobytes())
+    return HVector(basis @ (weights * vals))
 
 
 def kernel(model: SpectralModel, s: float, t: float) -> float:
@@ -136,8 +154,7 @@ def kernel(model: SpectralModel, s: float, t: float) -> float:
     _check_analytic(model)
     s = float(s)
     t = float(t)
-    k = np.arange(1, model.dim + 1, dtype=float)
-    freq = (k - 0.5) if model.basis_id == "wiener" else k
+    freq = _freq(model.basis_id, np.arange(1, model.dim + 1, dtype=float))
     es = np.sqrt(2.0) * np.sin(freq * np.pi * s)
     et = np.sqrt(2.0) * np.sin(freq * np.pi * t)
     return float(np.sum(model.eigenvalues * es * et))

@@ -13,6 +13,7 @@ construction).
 from __future__ import annotations
 
 import json
+import operator
 
 import numpy as np
 import scipy.linalg
@@ -110,12 +111,13 @@ class SpectralModel:
     @classmethod
     def from_dict(cls, data: dict) -> "SpectralModel":
         try:
-            eigenvalues = data["eigenvalues"]
-            tail_trace = data.get("tail_trace", 0.0)
-            basis_id = data.get("basis_id", "abstract")
+            model = cls(
+                data["eigenvalues"],
+                tail_trace=data.get("tail_trace", 0.0),
+                basis_id=data.get("basis_id", "abstract"),
+            )
         except (TypeError, KeyError) as exc:
             raise ValueError(f"invalid model data: {exc}") from exc
-        model = cls(eigenvalues, tail_trace=tail_trace, basis_id=basis_id)
         if "dim" in data and int(data["dim"]) != model.dim:
             raise ValueError("model dim does not match the eigenvalue count")
         return model
@@ -200,6 +202,17 @@ def _check_same_dim(u, v) -> None:
         raise ValueError(f"dimension mismatch: {u.dim} vs {v.dim}")
 
 
+def _mode_index(k) -> int:
+    """k as an int if it is a Python or numpy integer; anything else
+    (float, bool, string) is a ValueError, never truncated."""
+    if not isinstance(k, bool):
+        try:
+            return operator.index(k)
+        except TypeError:
+            pass
+    raise ValueError(f"subspace indices must be integers, got {k!r}")
+
+
 class Subspace:
     """Q-invariant closed subspace of H.
 
@@ -212,7 +225,9 @@ class Subspace:
     statistics of Q restricted to H minus U are requested.
     """
 
-    __slots__ = ("dim", "kind", "indices", "frame", "is_complement")
+    # _mask caches index_mask(); it is derived state, kept out of __eq__,
+    # __hash__ and to_dict.
+    __slots__ = ("dim", "kind", "indices", "frame", "is_complement", "_mask")
 
     def __init__(self, *, dim, kind, indices=None, frame=None, is_complement=False):
         # Private constructor; use from_indices / from_frame.
@@ -221,14 +236,19 @@ class Subspace:
         self.indices = indices
         self.frame = frame
         self.is_complement = bool(is_complement)
+        self._mask = None
 
     @classmethod
     def from_indices(cls, dim: int, indices) -> "Subspace":
-        """Subspace spanned by the eigenvectors e_k, k in `indices` (1-based)."""
+        """Subspace spanned by the eigenvectors e_k, k in `indices` (1-based).
+
+        Indices must be integers (Python or numpy); floats and bools are
+        refused rather than truncated.
+        """
         dim = int(dim)
         if dim < 1:
             raise ValueError("dim must be positive")
-        idx = tuple(sorted(int(k) for k in indices))
+        idx = tuple(sorted(_mode_index(k) for k in indices))
         if len(set(idx)) != len(idx):
             raise ValueError("duplicate indices")
         if idx and (idx[0] < 1 or idx[-1] > dim):
@@ -259,13 +279,16 @@ class Subspace:
 
     def complement(self) -> "Subspace":
         """The same span, reinterpreted as its orthogonal complement in H."""
-        return Subspace(
+        comp = Subspace(
             dim=self.dim,
             kind=self.kind,
             indices=self.indices,
             frame=self.frame,
             is_complement=not self.is_complement,
         )
+        if self._mask is not None:
+            comp._mask = _readonly(~self._mask)
+        return comp
 
     @property
     def rank(self):
@@ -277,13 +300,20 @@ class Subspace:
         return self.frame.shape[0]
 
     def index_mask(self) -> np.ndarray:
-        """Boolean membership mask over coordinates (index variant only)."""
+        """Read-only boolean membership mask over coordinates (index variant
+        only), built once per subspace."""
         if self.kind != "indices":
             raise ValueError("index_mask is defined for index-set subspaces only")
-        mask = np.zeros(self.dim, dtype=bool)
-        if self.indices:
-            mask[np.array(self.indices) - 1] = True
-        return mask if not self.is_complement else ~mask
+        if self._mask is None:
+            mask = np.zeros(self.dim, dtype=bool)
+            if self.indices:
+                mask[np.array(self.indices) - 1] = True
+            self._mask = _readonly(mask if not self.is_complement else ~mask)
+        return self._mask
+
+    def __getstate__(self):
+        # Worker processes rebuild the mask on demand; it is not pickled.
+        return None, {**{name: getattr(self, name) for name in self.__slots__}, "_mask": None}
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Subspace):

@@ -325,6 +325,9 @@ def test_mc_bad_config_exits_two(runner, tmp_path):
         {"replicates": None},
         {"use_tail": "false"},
         {"kind": "learning_curve", "subspace": [1, 2], "b": None, "cutoffs": 5},
+        {"zeta": {"coords": {"4": "0.7"}}},
+        {"model": {"eigenvalues": [1.0, 0.5], "tail_trace": None}},
+        {"subspace": [4.7]},
     ),
 )
 def test_mc_config_of_wrong_json_type_exits_two(runner, tmp_path, overrides):
@@ -371,6 +374,16 @@ def test_ci_rejects_bad_vector_file(runner, tmp_path, vector):
     assert_one_line_error(res)
 
 
+@pytest.mark.parametrize("vector", ({"coords": {"4": "1.5"}}, {"coeffs": [0, 0, 0, True] + [0] * 12}))
+def test_ci_rejects_non_numeric_vector_values(runner, tmp_path, vector):
+    # b lies in the subspace, so the value type is the only fault
+    obs = write_obs(tmp_path, 16, {4: 0.7, 1: 0.3})
+    b = write_json(tmp_path, "b.json", vector)
+    res = runner.invoke(main, ["ci", "--model", "wiener:16", "--obs", obs, "--subspace", "4", "--b", b])
+    assert_one_line_error(res)
+    assert "finite number" in res.stderr
+
+
 @pytest.mark.parametrize("spec", ("99:1", "0:1", "1,2,3"))
 def test_ci_rejects_bad_inline_vector(runner, tmp_path, spec):
     obs = write_obs(tmp_path, 16, {4: 0.7, 1: 0.3})
@@ -409,6 +422,13 @@ def test_missing_obs_file_exits_two(runner, tmp_path):
 def test_bad_trajectory_values_exit_two(runner, tmp_path):
     traj = write_json(tmp_path, "traj.csv", "t,y\n0.0,zero\n")
     res = runner.invoke(main, ["estimate", "--model", "wiener:8", "--obs", traj, "--subspace", "1"])
+    assert_one_line_error(res)
+
+
+def test_model_file_with_null_tail_exits_two(runner, tmp_path):
+    obs = write_obs(tmp_path, 2, {1: 1.0})
+    model = write_json(tmp_path, "model.json", {"eigenvalues": [1.0, 0.5], "tail_trace": None})
+    res = runner.invoke(main, ["estimate", "--model", model, "--obs", obs, "--subspace", "1"])
     assert_one_line_error(res)
 
 

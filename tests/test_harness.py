@@ -130,6 +130,12 @@ def test_config_rejects_unknown_kind():
         {"sigma": float("nan")},
         {"model": {"basis_id": "wiener", "dim": None}},
         {"kind": "learning_curve", "subspace": [1, 2], "b": None, "cutoffs": 5},
+        {"zeta": {"coords": {"4": "0.7"}}},
+        {"b": {"coords": {"4": True}}},
+        {"zeta": {"coeffs": [True] + [0] * 63}},
+        {"model": {"eigenvalues": [1.0, 0.5], "tail_trace": None}},
+        {"model": {"eigenvalues": [1.0, "0.5"]}},
+        {"subspace": [4.7]},
     ),
 )
 def test_config_rejects_wrong_json_types(overrides):

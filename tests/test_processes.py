@@ -4,6 +4,7 @@ from scipy.integrate import quad
 
 from hilbert_gauss.processes import (
     Grid,
+    _basis_matrix,
     bridge_model,
     coeffs_from_trajectory,
     custom_model,
@@ -107,6 +108,52 @@ def test_trajectory_roundtrip():
     values = eval_vector(m, y, grid)
     back = coeffs_from_trajectory(m, grid, values)
     np.testing.assert_allclose(back.coeffs, coeffs, atol=1e-4)
+
+
+def explicit_coeffs(model, grid, values):
+    """Reference quadrature: np.trapezoid over the explicitly built basis."""
+    basis = np.array([eval_basis(model, k, grid.points) for k in range(1, model.dim + 1)])
+    return np.trapezoid(basis * values[None, :], grid.points, axis=1)
+
+
+@pytest.mark.parametrize("family", [wiener_model, bridge_model])
+def test_trajectory_quadrature_matches_trapezoid_on_nonuniform_grid(family):
+    m = family(32)
+    rng = np.random.default_rng(11)
+    grid = Grid(np.sort(rng.uniform(0.0, 1.0, 300)))
+    values = rng.normal(size=grid.size)
+    got = coeffs_from_trajectory(m, grid, values).coeffs
+    want = explicit_coeffs(m, grid, values)
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12 * np.max(np.abs(want)))
+
+
+def test_trajectory_basis_cache_is_keyed_on_basis_modes_and_grid():
+    rng = np.random.default_rng(12)
+    grids = [Grid.uniform(50), Grid(np.sort(rng.uniform(0.0, 1.0, 50)))]
+    models = [family(dim) for family in (wiener_model, bridge_model) for dim in (8, 12)]
+    cases = [(m, g, rng.normal(size=g.size)) for m in models for g in grids]
+    expected = [explicit_coeffs(m, g, v) for m, g, v in cases]
+    for _ in range(2):
+        for (m, g, v), want in zip(cases, expected):
+            got = coeffs_from_trajectory(m, g, v).coeffs
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12 * np.max(np.abs(want)))
+
+
+def test_cached_basis_is_read_only_and_not_aliased():
+    m = wiener_model(8)
+    grid = Grid.uniform(20)
+    basis = _basis_matrix(m.basis_id, m.dim, grid.points.tobytes())
+    assert basis.shape == (8, 20) and not basis.flags.writeable
+    with pytest.raises(ValueError):
+        basis[0, 0] = 1.0
+    y = coeffs_from_trajectory(m, grid, np.ones(grid.size))
+    assert not np.shares_memory(y.coeffs, basis)
+    assert _basis_matrix(m.basis_id, m.dim, grid.points.tobytes()) is basis
+
+
+def test_one_point_grid_gives_zero_coefficients():
+    y = coeffs_from_trajectory(bridge_model(6), Grid([0.4]), [2.5])
+    assert np.array_equal(y.coeffs, np.zeros(6))
 
 
 def test_grid_validation():

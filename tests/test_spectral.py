@@ -1,4 +1,5 @@
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -104,6 +105,10 @@ def test_from_indices_validation():
         Subspace.from_indices(DIM, [0])
     with pytest.raises(ValueError):
         Subspace.from_indices(DIM, [DIM + 1])
+    for bad in ([4.7], [2.0], [True], ["3"]):
+        with pytest.raises(ValueError, match="must be integers"):
+            Subspace.from_indices(DIM, bad)
+    assert Subspace.from_indices(DIM, np.array([3, 1])).indices == (1, 3)
 
 
 def test_complement_flag_and_mask():
@@ -112,6 +117,17 @@ def test_complement_flag_and_mask():
     assert comp.is_complement and comp.complement() == s
     assert list(s.index_mask()) == [True, False, False, True, False, False]
     assert list(comp.index_mask()) == [False, True, True, False, True, True]
+
+
+def test_index_mask_is_cached_read_only_and_derived():
+    s = Subspace.from_indices(6, [1, 4])
+    mask = s.index_mask()
+    assert s.index_mask() is mask and not mask.flags.writeable
+    comp = s.complement()
+    assert comp._mask is not None and list(comp._mask) == list(~mask)
+    fresh = Subspace.from_indices(6, [4, 1])
+    assert fresh == s and hash(fresh) == hash(s) and fresh.to_dict() == s.to_dict()
+    assert pickle.loads(pickle.dumps(s))._mask is None
 
 
 def test_frame_requires_orthonormality():
