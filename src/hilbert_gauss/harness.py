@@ -17,28 +17,16 @@ import math
 import numbers
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .estimators import risk_mean, risk_partial, variance_est_risk
 from .distributions import gamma_cdf, ks_critical_value, ks_statistic
-from .inference import FunctionalPlan, SubspaceTestPlan, ci_params_unknown
+from .inference import FunctionalPlan, SubspaceTestPlan
 from .processes import bridge_model, wiener_model
 from .sampling import GaussianLaw, NoisePlan, noise_decomposition, norm_sq_moments
 from .spectral import HVector, SpectralModel, Subspace, default_use_tail, inner, project, row_inner
-
-EXPERIMENT_KINDS = (
-    "coverage_known",
-    "coverage_unknown",
-    "level",
-    "unbiasedness",
-    "moments",
-    "independence",
-    "noise_law",
-    "risk",
-    "learning_curve",
-)
 
 # Replicates per work unit; chunk boundaries are fixed by the replicate
 # count alone so serial and concurrent runs reduce identically.
@@ -180,8 +168,8 @@ def _parse_model(spec) -> SpectralModel:
         return SpectralModel.load(spec)
     if isinstance(spec, dict):
         basis_id = spec.get("basis_id", "abstract")
+        dim = int(_field(spec, "dim", DEFAULT_MODEL_DIM, _is_int, "an integer"))
         if "eigenvalues" not in spec:
-            dim = int(_field(spec, "dim", DEFAULT_MODEL_DIM, _is_int, "an integer"))
             if basis_id == "wiener":
                 return wiener_model(dim)
             if basis_id == "bridge":
@@ -308,6 +296,16 @@ def _target(value, provenance, note=None) -> dict:
     return out
 
 
+def _record(report: Report, name, estimate, se, target, provenance, note, tolerance=None, sided="two") -> None:
+    """Write an estimate, its standard error and its target to the report,
+    and check the estimate against the target within `tolerance` (three
+    standard errors when omitted)."""
+    report.estimates[name] = float(estimate)
+    report.standard_errors[name] = float(se)
+    report.targets[name] = _target(target, provenance, note)
+    report.checks.append(_check(name, estimate, target, 3.0 * se if tolerance is None else tolerance, sided))
+
+
 def _mean_se(values: np.ndarray):
     m = values.size
     mean = float(values.sum() / m)
@@ -318,12 +316,30 @@ def _mean_se(values: np.ndarray):
     return mean, float(np.sqrt(var / m))
 
 
+def _summed_mean_se(total: np.ndarray, total_sq: np.ndarray, m: int):
+    """Per-entry mean and standard error from sums and sums of squares over
+    m replicates."""
+    mean = total / m
+    var = np.maximum(total_sq / m - mean**2, 0.0) * m / max(m - 1, 1)
+    return mean, np.sqrt(var / m)
+
+
+def _rate(flags: np.ndarray, m: int):
+    """Share of true flags among m replicates and its binomial standard error."""
+    rate = float(flags.sum()) / m
+    return rate, float(np.sqrt(max(rate * (1.0 - rate), 0.0) / m))
+
+
+def _binomial_tolerance(alpha: float, m: int) -> float:
+    return 3.0 * float(np.sqrt(alpha * (1.0 - alpha) / m))
+
+
 # ---------------------------------------------------------------------------
 # chunk runner
 #
-# A chunk handles replicates [start, start + count).  It builds the kind's
-# plan once, draws the replicates in row blocks, and applies the plan to
-# each block; the result is a dict of per-replicate arrays and of sums over
+# A chunk handles replicates [start, start + count).  It draws the
+# replicates in row blocks and applies the kind's block evaluator to each
+# block; the result is a dict of per-replicate arrays and of sums over
 # replicates.  Chunk boundaries and the reduction order are fixed by the
 # replicate count alone, so the outcome is independent of how chunks are
 # scheduled.
@@ -372,65 +388,149 @@ def block_rows(dim: int) -> int:
     return max(1, BLOCK_DOUBLES // dim)
 
 
-def _resolved_use_tail(config: ExperimentConfig) -> bool:
-    if config.kind == "risk":
-        return False
-    if config.use_tail is None:
-        return default_use_tail(config.model)
-    return bool(config.use_tail)
+# ---------------------------------------------------------------------------
+# experiment kinds
+#
+# Each kind is one builder and one _KINDS line.  The builder checks the
+# config, so every ValueError comes before any replicate is drawn, builds
+# the kind's replicate-invariant constants once, and returns
+# (apply, aggregate): apply maps a block of draws to per-replicate outputs,
+# and aggregate(report, arrays, sums) writes the report's estimates,
+# standard errors, targets and checks from the reduced outputs.  The _KINDS
+# line also names the outputs summed over replicates instead of kept per
+# replicate.
 
 
-def _law(config: ExperimentConfig, attach: Subspace | None) -> GaussianLaw:
+def _law(config: ExperimentConfig, attach: Subspace | None = None) -> GaussianLaw:
+    """The sampled law; attaching a subspace checks that the mean lies in it."""
     zeta = config.zeta if config.zeta is not None else HVector.zero(config.model.dim)
     return GaussianLaw(config.model, zeta, config.sigma, subspace=attach)
 
 
-# Per kind: a builder that takes the config and returns the function
-# evaluating one block of draws, and the names of the outputs that are
-# summed over replicates instead of kept per replicate.
+def _use_tail(config: ExperimentConfig) -> bool:
+    return default_use_tail(config.model) if config.use_tail is None else bool(config.use_tail)
+
+
+_NEEDS = {"subspace": "a subspace", "b": "a functional vector b"}
+
+
+def _require(config: ExperimentConfig, *names: str) -> None:
+    for name in names:
+        if getattr(config, name) is None:
+            raise ValueError(f"experiment {config.kind!r} needs {_NEEDS[name]}")
 
 
 def _coverage(config):
-    plan = FunctionalPlan(config.model, config.subspace, config.b, _resolved_use_tail(config))
-    truth = inner(config.b, _law(config, None).mean)
+    _require(config, "subspace", "b")
+    truth = inner(config.b, _law(config, config.subspace).mean)
+    plan = FunctionalPlan(config.model, config.subspace, config.b, _use_tail(config))
+    if config.kind == "coverage_known":
+        note, sided = "exact-coverage construction", "two"
+        interval = lambda y: plan.ci_known(y, config.sigma, config.alpha)
+    else:
+        plan.complement_params  # (tau, lam, n) must exist before any replicate
+        note, sided = "conservative construction, coverage at least the level", "lower"
+        interval = lambda y: plan.ci_unknown(y, config.alpha)
 
     def apply(y):
-        if config.kind == "coverage_known":
-            centers, half_widths = plan.ci_known(y, config.sigma, config.alpha)
-        else:
-            centers, half_widths = plan.ci_unknown(y, config.alpha)
+        centers, half_widths = interval(y)
         return {"covered": np.abs(truth - centers) <= half_widths}
 
-    return apply
+    def aggregate(report, arrays, sums):
+        rate, se = _rate(arrays["covered"], config.replicates)
+        tol = _binomial_tolerance(config.alpha, config.replicates)
+        _record(report, "coverage", rate, se, 1.0 - config.alpha, "analytic", note, tol, sided)
+
+    return apply, aggregate
 
 
 def _level(config):
+    _require(config, "subspace")
+    if config.subspace0 is None:
+        raise ValueError("the level experiment needs the hypothesis subspace subspace0")
+    _law(config, config.subspace0)
     plan = SubspaceTestPlan(config.model, config.subspace, config.subspace0)
     threshold = plan.threshold(config.alpha)
-    return lambda y: {"rejects": plan.statistic(y) >= threshold}
+
+    def aggregate(report, arrays, sums):
+        rate, se = _rate(arrays["rejects"], config.replicates)
+        tol = _binomial_tolerance(config.alpha, config.replicates)
+        note = "conservative test, level at most alpha"
+        _record(report, "rejection_rate", rate, se, config.alpha, "analytic", note, tol, "upper")
+
+    return (lambda y: {"rejects": plan.statistic(y) >= threshold}), aggregate
 
 
 def _unbiasedness(config):
-    plan = FunctionalPlan(config.model, config.subspace, use_tail=_resolved_use_tail(config))
+    _require(config, "subspace")
+    zeta = _law(config, config.subspace).mean.coeffs
+    plan = FunctionalPlan(config.model, config.subspace, use_tail=_use_tail(config))
+    plan.complement_params  # (tau, lam, n) must exist before any replicate
 
     def apply(y):
         zhat = project(y, config.subspace)
         return {"coord_sum": zhat, "coord_sumsq": zhat * zhat, "s2": plan.variance(y)}
 
-    return apply
+    def aggregate(report, arrays, sums):
+        mean, se = _summed_mean_se(sums["coord_sum"], sums["coord_sumsq"], config.replicates)
+        dev = np.abs(mean - zeta)
+        # Worst coordinate relative to its own standard error decides the check.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.where(se > 0.0, dev / se, np.where(dev > 0.0, np.inf, 0.0))
+        k = int(np.argmax(ratio))
+        note = f"unbiased mean estimator, coordinate {k + 1}"
+        _record(report, "mean_coord_worst", mean[k], se[k], zeta[k], "analytic", note)
+        s2_mean, s2_se = _mean_se(arrays["s2"])
+        _record(report, "s2_mean", s2_mean, s2_se, config.sigma**2, "analytic", "unbiased variance estimator")
+
+    return apply, aggregate
 
 
 def _moments(config):
-    return lambda y: {"norm_sq": row_inner(y, y)}
+    def aggregate(report, arrays, sums):
+        vals = arrays["norm_sq"]
+        m = config.replicates
+        mean, mean_se = _mean_se(vals)
+        centered = vals - mean
+        var = float(np.sum(centered**2) / (m - 1)) if m > 1 else 0.0
+        mu4 = float(np.mean(centered**4))
+        var_se = float(np.sqrt(max(mu4 - var**2, 0.0) / m))
+        target_mean, target_var = norm_sq_moments(_law(config), use_tail=_use_tail(config))
+        _record(report, "norm_sq_mean", mean, mean_se, target_mean, "closed-form", "trace plus squared mean norm")
+        _record(report, "norm_sq_var", var, var_se, target_var, "closed-form", "weighted chi-square variance")
+
+    return (lambda y: {"norm_sq": row_inner(y, y)}), aggregate
 
 
 def _independence(config):
-    plan = FunctionalPlan(config.model, config.subspace, config.b, _resolved_use_tail(config))
-    return lambda y: {"functional": plan.functional(y), "s2": plan.variance(y)}
+    _require(config, "subspace", "b")
+    _law(config, config.subspace)
+    plan = FunctionalPlan(config.model, config.subspace, config.b, _use_tail(config))
+    plan.complement_params  # (tau, lam, n) must exist before any replicate
+
+    def aggregate(report, arrays, sums):
+        m = config.replicates
+        fa_c = arrays["functional"] - arrays["functional"].sum() / m
+        s2_c = arrays["s2"] - arrays["s2"].sum() / m
+        denom = float(np.sqrt(np.sum(fa_c**2) * np.sum(s2_c**2)))
+        corr = float(np.sum(fa_c * s2_c) / denom) if denom > 0.0 else 0.0
+        # The check bounds |corr|, so it records |corr| as its estimate.
+        report.estimates["correlation"] = corr
+        report.standard_errors["correlation"] = 1.0 / float(np.sqrt(m))
+        report.targets["correlation"] = _target(0.0, "analytic", "independence of the two estimators")
+        report.checks.append(_check("correlation", abs(corr), 0.0, 3.0 / float(np.sqrt(m)), "upper"))
+
+    return (lambda y: {"functional": plan.functional(y), "s2": plan.variance(y)}), aggregate
 
 
 def _noise_law(config):
+    _require(config, "subspace")
+    _law(config, config.subspace)
+    dec = noise_decomposition(config.model, config.subspace, config.subspace0)
     plan = NoisePlan(config.model, config.subspace, config.subspace0)
+    laws = [("ks_s", "s_stat", dec.s_shape, dec.s_rate)]
+    if config.subspace0 is not None:
+        laws.append(("ks_t", "t_stat", dec.t_shape, dec.t_rate))
 
     def apply(y):
         out = {"s_stat": plan.leading_norm_sq(y, config.sigma)}
@@ -438,26 +538,63 @@ def _noise_law(config):
             out["t_stat"] = plan.whitened_norm_sq(y, config.sigma)
         return out
 
-    return apply
+    def aggregate(report, arrays, sums):
+        crit = ks_critical_value(config.replicates, alpha=0.05)
+        for name, key, shape, rate in laws:
+            d = ks_statistic(arrays[key], lambda x: gamma_cdf(x, shape, rate))
+            note = f"KS distance to Gamma({shape:g}, rate {rate:g})"
+            _record(report, name, d, 0.0, 0.0, "closed-form", note, crit, "upper")
+
+    return apply, aggregate
 
 
 def _risk(config):
-    plan = FunctionalPlan(config.model, config.subspace, use_tail=_resolved_use_tail(config))
-    zeta = _law(config, None).mean.coeffs
+    _require(config, "subspace")
+    zeta = _law(config, config.subspace).mean.coeffs
+    if config.use_tail:
+        # The variance-estimator risk formula is exact for the truncated
+        # denominator only; a tail denominator would shift the target.
+        raise ValueError("the risk experiment requires use_tail false or omitted")
+    plan = FunctionalPlan(config.model, config.subspace, use_tail=False)
+    plan.complement_params  # (tau, lam, n) must exist before any replicate
     sigma_sq = config.sigma**2
 
     def apply(y):
         diff = project(y, config.subspace) - zeta
         return {"mean_err": row_inner(diff, diff), "s2_err": (plan.variance(y) - sigma_sq) ** 2}
 
-    return apply
+    def aggregate(report, arrays, sums):
+        report.use_tail = False  # truncated whatever the model's default convention
+        mean_risk, mean_risk_se = _mean_se(arrays["mean_err"])
+        target = risk_mean(config.model, config.subspace, config.sigma)
+        _record(report, "mean_risk", mean_risk, mean_risk_se, target, "closed-form", "sigma^2 tr(Q P_U)")
+        s2_risk, s2_risk_se = _mean_se(arrays["s2_err"])
+        target = variance_est_risk(config.model, config.subspace, config.sigma)
+        _record(report, "s2_risk", s2_risk, s2_risk_se, target, "closed-form", "variance estimator risk, truncated")
+        bound = 2.0 * config.sigma**4
+        report.targets["s2_risk_bound"] = _target(bound, "closed-form", "universal cap 2 sigma^4")
+        report.checks.append(_check("s2_risk_bound", s2_risk, bound, 3.0 * s2_risk_se, "upper"))
+
+    return apply, aggregate
 
 
 def _learning_curve(config):
+    _require(config, "subspace")
+    if config.subspace.kind != "indices" or config.subspace.is_complement:
+        raise ValueError("learning_curve needs a plain index-set subspace")
+    if config.zeta is None:
+        raise ValueError("learning_curve needs an explicit mean")
+    _law(config, config.subspace)
+    indices = list(config.subspace.indices)
+    size = len(indices)
+    cutoffs = config.cutoffs if config.cutoffs is not None else range(1, size + 1)
+    for c in cutoffs:
+        if not 0 <= c <= size:
+            raise ValueError(f"cutoff {c} outside 0..{size}")
+    cutoffs = [int(c) for c in cutoffs]
     # Prefix noise residual plus suffix bias over the ordered modes of U.
-    order = np.array(config.subspace.indices, dtype=int) - 1
-    zeta = _law(config, None).mean.coeffs[order]
-    cutoffs = list(config.cutoffs)
+    order = np.array(indices, dtype=int) - 1
+    zeta = config.zeta.coeffs[order]
     bias_sq = zeta**2
     suffix = np.concatenate([np.cumsum(bias_sq[::-1])[::-1], [0.0]])[cutoffs]
 
@@ -467,7 +604,15 @@ def _learning_curve(config):
         errs = prefix[:, cutoffs] + suffix
         return {"risk_sum": errs, "risk_sumsq": errs * errs}
 
-    return apply
+    def aggregate(report, arrays, sums):
+        report.config_summary["cutoffs"] = cutoffs or None  # the defaults filled in
+        mean, se = _summed_mean_se(sums["risk_sum"], sums["risk_sumsq"], config.replicates)
+        for j, c in enumerate(cutoffs):
+            head = Subspace.from_indices(config.model.dim, indices[:c])
+            analytic = risk_partial(config.model, head, config.zeta, config.sigma).risk
+            _record(report, f"risk_cutoff_{c}", mean[j], se[j], analytic, "closed-form", "partial-observation risk")
+
+    return apply, aggregate
 
 
 _KINDS = {
@@ -482,11 +627,16 @@ _KINDS = {
     "learning_curve": (_learning_curve, ("risk_sum", "risk_sumsq")),
 }
 
+EXPERIMENT_KINDS = tuple(_KINDS)
 
-def _run_chunk(config: ExperimentConfig, start: int, count: int) -> dict:
+
+def _run_chunk(config: ExperimentConfig, start: int, count: int, apply=None) -> dict:
+    """Replicates [start, start + count) through the kind's block evaluator
+    `apply`, which a pool worker, passing none, builds for itself."""
     build, summed = _KINDS[config.kind]
-    apply = build(config)
-    law = _law(config, None)
+    if apply is None:
+        apply = build(config)[0]
+    law = _law(config)
     streams = ReplicateStreams(config.master_seed)
     rows = block_rows(config.model.dim)
     buffer = np.empty((min(rows, count), config.model.dim))
@@ -507,208 +657,6 @@ def _run_chunk(config: ExperimentConfig, start: int, count: int) -> dict:
         "arrays": {key: np.concatenate(parts) for key, parts in arrays.items()},
         "sums": sums,
     }
-
-
-# ---------------------------------------------------------------------------
-# validation and aggregation per kind
-
-
-def _validate_config(config: ExperimentConfig) -> None:
-    needs_subspace = config.kind in {
-        "coverage_known",
-        "coverage_unknown",
-        "level",
-        "unbiasedness",
-        "independence",
-        "noise_law",
-        "risk",
-        "learning_curve",
-    }
-    if needs_subspace and config.subspace is None:
-        raise ValueError(f"experiment {config.kind!r} needs a subspace")
-    if config.kind in {"coverage_known", "coverage_unknown", "independence"} and config.b is None:
-        raise ValueError(f"experiment {config.kind!r} needs a functional vector b")
-    if config.kind == "level" and config.subspace0 is None:
-        raise ValueError("the level experiment needs the hypothesis subspace subspace0")
-    if config.kind == "learning_curve":
-        if config.subspace.kind != "indices" or config.subspace.is_complement:
-            raise ValueError("learning_curve needs a plain index-set subspace")
-        if config.zeta is None:
-            raise ValueError("learning_curve needs an explicit mean")
-    # Building the law validates that the mean lies where it must.
-    attach = config.subspace0 if config.kind == "level" else config.subspace
-    if config.kind != "moments":
-        _law(config, attach)
-    if config.kind == "risk" and config.use_tail:
-        # The variance-estimator risk formula is exact for the truncated
-        # denominator only; a tail denominator would shift the target.
-        raise ValueError("the risk experiment requires use_tail false or omitted")
-    # Parameter quantities must exist up front, not at replicate time.
-    if config.kind in {"coverage_unknown", "unbiasedness", "independence", "risk"}:
-        ci_params_unknown(config.model, config.subspace, use_tail=_resolved_use_tail(config))
-    if config.kind in ("level", "noise_law"):
-        noise_decomposition(config.model, config.subspace, config.subspace0)
-
-
-def _resolve_cutoffs(config: ExperimentConfig) -> "ExperimentConfig":
-    if config.kind != "learning_curve":
-        return config
-    size = len(config.subspace.indices)
-    cutoffs = config.cutoffs if config.cutoffs is not None else tuple(range(1, size + 1))
-    for c in cutoffs:
-        if not 0 <= c <= size:
-            raise ValueError(f"cutoff {c} outside 0..{size}")
-    return replace(config, cutoffs=tuple(int(c) for c in cutoffs))
-
-
-def _binomial_tolerance(alpha: float, m: int) -> float:
-    return 3.0 * float(np.sqrt(alpha * (1.0 - alpha) / m))
-
-
-def _aggregate(config: ExperimentConfig, arrays: dict, sums: dict) -> tuple:
-    """Build (estimates, standard_errors, targets, checks) for the report."""
-    m = config.replicates
-    use_tail = _resolved_use_tail(config)
-    kind = config.kind
-    estimates, ses, targets, checks = {}, {}, {}, []
-
-    if kind in ("coverage_known", "coverage_unknown"):
-        rate = float(arrays["covered"].sum()) / m
-        estimates["coverage"] = rate
-        ses["coverage"] = float(np.sqrt(max(rate * (1.0 - rate), 0.0) / m))
-        level = 1.0 - config.alpha
-        tol = _binomial_tolerance(config.alpha, m)
-        if kind == "coverage_known":
-            targets["coverage"] = _target(level, "analytic", "exact-coverage construction")
-            checks.append(_check("coverage", rate, level, tol, "two"))
-        else:
-            targets["coverage"] = _target(level, "analytic", "conservative construction, coverage at least the level")
-            checks.append(_check("coverage", rate, level, tol, "lower"))
-
-    elif kind == "level":
-        rate = float(arrays["rejects"].sum()) / m
-        estimates["rejection_rate"] = rate
-        ses["rejection_rate"] = float(np.sqrt(max(rate * (1.0 - rate), 0.0) / m))
-        tol = _binomial_tolerance(config.alpha, m)
-        targets["rejection_rate"] = _target(config.alpha, "analytic", "conservative test, level at most alpha")
-        checks.append(_check("rejection_rate", rate, config.alpha, tol, "upper"))
-
-    elif kind == "unbiasedness":
-        zeta = (config.zeta if config.zeta is not None else HVector.zero(config.model.dim)).coeffs
-        mean_coords = sums["coord_sum"] / m
-        var_coords = np.maximum(sums["coord_sumsq"] / m - mean_coords**2, 0.0) * m / max(m - 1, 1)
-        se_coords = np.sqrt(var_coords / m)
-        dev = np.abs(mean_coords - zeta)
-        # Worst coordinate relative to its own standard error decides the check.
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(se_coords > 0.0, dev / se_coords, np.where(dev > 0.0, np.inf, 0.0))
-        worst = int(np.argmax(ratio))
-        estimates["mean_coord_worst"] = float(mean_coords[worst])
-        ses["mean_coord_worst"] = float(se_coords[worst])
-        targets["mean_coord_worst"] = _target(
-            zeta[worst], "analytic", f"unbiased mean estimator, coordinate {worst + 1}"
-        )
-        checks.append(
-            _check(
-                "mean_coord_worst",
-                mean_coords[worst],
-                zeta[worst],
-                3.0 * max(se_coords[worst], 0.0),
-                "two",
-            )
-        )
-        s2_mean, s2_se = _mean_se(arrays["s2"])
-        estimates["s2_mean"] = s2_mean
-        ses["s2_mean"] = s2_se
-        targets["s2_mean"] = _target(config.sigma**2, "analytic", "unbiased variance estimator")
-        checks.append(_check("s2_mean", s2_mean, config.sigma**2, 3.0 * s2_se, "two"))
-
-    elif kind == "moments":
-        vals = arrays["norm_sq"]
-        mean, mean_se = _mean_se(vals)
-        m1 = mean
-        centered = vals - m1
-        var = float(np.sum(centered**2) / (m - 1)) if m > 1 else 0.0
-        mu4 = float(np.mean(centered**4))
-        var_se = float(np.sqrt(max(mu4 - var**2, 0.0) / m))
-        target_mean, target_var = norm_sq_moments(_law(config, None), use_tail=use_tail)
-        estimates["norm_sq_mean"] = mean
-        ses["norm_sq_mean"] = mean_se
-        targets["norm_sq_mean"] = _target(target_mean, "closed-form", "trace plus squared mean norm")
-        checks.append(_check("norm_sq_mean", mean, target_mean, 3.0 * mean_se, "two"))
-        estimates["norm_sq_var"] = var
-        ses["norm_sq_var"] = var_se
-        targets["norm_sq_var"] = _target(target_var, "closed-form", "weighted chi-square variance")
-        checks.append(_check("norm_sq_var", var, target_var, 3.0 * var_se, "two"))
-
-    elif kind == "independence":
-        fa = arrays["functional"]
-        s2 = arrays["s2"]
-        fa_c = fa - fa.sum() / m
-        s2_c = s2 - s2.sum() / m
-        denom = float(np.sqrt(np.sum(fa_c**2) * np.sum(s2_c**2)))
-        corr = float(np.sum(fa_c * s2_c) / denom) if denom > 0.0 else 0.0
-        tol = 3.0 / float(np.sqrt(m))
-        estimates["correlation"] = corr
-        ses["correlation"] = 1.0 / float(np.sqrt(m))
-        targets["correlation"] = _target(0.0, "analytic", "independence of the two estimators")
-        checks.append(_check("correlation", abs(corr), 0.0, tol, "upper"))
-
-    elif kind == "noise_law":
-        dec = noise_decomposition(config.model, config.subspace, config.subspace0)
-        crit = ks_critical_value(m, alpha=0.05)
-        d_s = ks_statistic(arrays["s_stat"], lambda x: gamma_cdf(x, dec.s_shape, dec.s_rate))
-        estimates["ks_s"] = d_s
-        ses["ks_s"] = 0.0
-        targets["ks_s"] = _target(
-            0.0, "closed-form", f"KS distance to Gamma({dec.s_shape:g}, rate {dec.s_rate:g})"
-        )
-        checks.append(_check("ks_s", d_s, 0.0, crit, "upper"))
-        if "t_stat" in arrays:
-            d_t = ks_statistic(arrays["t_stat"], lambda x: gamma_cdf(x, dec.t_shape, dec.t_rate))
-            estimates["ks_t"] = d_t
-            ses["ks_t"] = 0.0
-            targets["ks_t"] = _target(
-                0.0, "closed-form", f"KS distance to Gamma({dec.t_shape:g}, rate {dec.t_rate:g})"
-            )
-            checks.append(_check("ks_t", d_t, 0.0, crit, "upper"))
-
-    elif kind == "risk":
-        mean_risk, mean_risk_se = _mean_se(arrays["mean_err"])
-        target_mean_risk = risk_mean(config.model, config.subspace, config.sigma)
-        estimates["mean_risk"] = mean_risk
-        ses["mean_risk"] = mean_risk_se
-        targets["mean_risk"] = _target(target_mean_risk, "closed-form", "sigma^2 tr(Q P_U)")
-        checks.append(_check("mean_risk", mean_risk, target_mean_risk, 3.0 * mean_risk_se, "two"))
-        s2_risk, s2_risk_se = _mean_se(arrays["s2_err"])
-        target_s2_risk = variance_est_risk(config.model, config.subspace, config.sigma)
-        bound = 2.0 * config.sigma**4
-        estimates["s2_risk"] = s2_risk
-        ses["s2_risk"] = s2_risk_se
-        targets["s2_risk"] = _target(target_s2_risk, "closed-form", "variance estimator risk, truncated")
-        checks.append(_check("s2_risk", s2_risk, target_s2_risk, 3.0 * s2_risk_se, "two"))
-        targets["s2_risk_bound"] = _target(bound, "closed-form", "universal cap 2 sigma^4")
-        checks.append(_check("s2_risk_bound", s2_risk, bound, 3.0 * s2_risk_se, "upper"))
-
-    elif kind == "learning_curve":
-        cutoffs = config.cutoffs
-        order = np.array(config.subspace.indices, dtype=int)
-        mc_mean = sums["risk_sum"] / m
-        mc_var = np.maximum(sums["risk_sumsq"] / m - mc_mean**2, 0.0) * m / max(m - 1, 1)
-        mc_se = np.sqrt(mc_var / m)
-        for j, c in enumerate(cutoffs):
-            head = Subspace.from_indices(config.model.dim, order[:c].tolist())
-            analytic = risk_partial(config.model, head, config.zeta, config.sigma).risk
-            name = f"risk_cutoff_{c}"
-            estimates[name] = float(mc_mean[j])
-            ses[name] = float(mc_se[j])
-            targets[name] = _target(analytic, "closed-form", "partial-observation risk")
-            checks.append(_check(name, mc_mean[j], analytic, 3.0 * mc_se[j], "two"))
-
-    else:  # pragma: no cover - kinds are validated up front
-        raise ValueError(f"unknown experiment kind {kind!r}")
-
-    return estimates, ses, targets, checks
 
 
 def _config_summary(config: ExperimentConfig) -> dict:
@@ -743,8 +691,8 @@ def run_experiment(config: ExperimentConfig, workers: int | None = None, stream_
     per-replicate arrays as CSV for external plotting.
     """
     start_time = time.perf_counter()
-    _validate_config(config)
-    config = _resolve_cutoffs(config)
+    # Building the kind validates the config before any replicate is drawn.
+    apply, aggregate = _KINDS[config.kind][0](config)
     workers = config.workers if workers is None else int(workers)
     if workers < 1:
         raise ValueError("workers must be at least 1")
@@ -754,7 +702,7 @@ def run_experiment(config: ExperimentConfig, workers: int | None = None, stream_
         for start in range(0, config.replicates, CHUNK_SIZE)
     ]
     if workers == 1:
-        partials = [_run_chunk(config, start, count) for start, count in chunks]
+        partials = [_run_chunk(config, start, count, apply) for start, count in chunks]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_run_chunk, config, start, count) for start, count in chunks]
@@ -773,20 +721,20 @@ def run_experiment(config: ExperimentConfig, workers: int | None = None, stream_
     if stream_path is not None and arrays:
         _write_stream(stream_path, arrays)
 
-    estimates, ses, targets, checks = _aggregate(config, arrays, sums)
     report = Report(
         kind=config.kind,
-        passed=all(c["passed"] for c in checks),
-        estimates=estimates,
-        standard_errors=ses,
-        targets=targets,
-        checks=checks,
+        passed=False,
+        estimates={},
+        standard_errors={},
+        targets={},
+        checks=[],
         replicates=config.replicates,
         master_seed=config.master_seed,
-        use_tail=_resolved_use_tail(config),
+        use_tail=_use_tail(config),
         config_summary=_config_summary(config),
-        runtime_seconds=0.0,
     )
+    aggregate(report, arrays, sums)
+    report.passed = all(c["passed"] for c in report.checks)
     report.runtime_seconds = time.perf_counter() - start_time
     return report
 

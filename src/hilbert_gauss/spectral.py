@@ -118,7 +118,7 @@ class SpectralModel:
             )
         except (TypeError, KeyError) as exc:
             raise ValueError(f"invalid model data: {exc}") from exc
-        if "dim" in data and int(data["dim"]) != model.dim:
+        if "dim" in data and _integer(data["dim"], "model dim must be an integer") != model.dim:
             raise ValueError("model dim does not match the eigenvalue count")
         return model
 
@@ -202,15 +202,15 @@ def _check_same_dim(u, v) -> None:
         raise ValueError(f"dimension mismatch: {u.dim} vs {v.dim}")
 
 
-def _mode_index(k) -> int:
-    """k as an int if it is a Python or numpy integer; anything else
-    (float, bool, string) is a ValueError, never truncated."""
-    if not isinstance(k, bool):
+def _integer(value, message: str) -> int:
+    """value as an int if it is a Python or numpy integer; anything else
+    (float, bool, string) is a ValueError with `message`, never truncated."""
+    if not isinstance(value, bool):
         try:
-            return operator.index(k)
+            return operator.index(value)
         except TypeError:
             pass
-    raise ValueError(f"subspace indices must be integers, got {k!r}")
+    raise ValueError(f"{message}, got {value!r}")
 
 
 class Subspace:
@@ -242,13 +242,16 @@ class Subspace:
     def from_indices(cls, dim: int, indices) -> "Subspace":
         """Subspace spanned by the eigenvectors e_k, k in `indices` (1-based).
 
-        Indices must be integers (Python or numpy); floats and bools are
-        refused rather than truncated.
+        Indices and dim must be integers (Python or numpy); floats and
+        bools are refused rather than truncated.
         """
-        dim = int(dim)
+        dim = _integer(dim, "subspace dim must be an integer")
         if dim < 1:
             raise ValueError("dim must be positive")
-        idx = tuple(sorted(_mode_index(k) for k in indices))
+        try:
+            idx = tuple(sorted(_integer(k, "subspace indices must be integers") for k in indices))
+        except TypeError:  # indices is not iterable
+            raise ValueError(f"subspace indices must be a list of integers, got {indices!r}") from None
         if len(set(idx)) != len(idx):
             raise ValueError("duplicate indices")
         if idx and (idx[0] < 1 or idx[-1] > dim):

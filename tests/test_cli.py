@@ -328,6 +328,8 @@ def test_mc_bad_config_exits_two(runner, tmp_path):
         {"zeta": {"coords": {"4": "0.7"}}},
         {"model": {"eigenvalues": [1.0, 0.5], "tail_trace": None}},
         {"subspace": [4.7]},
+        {"subspace": {"indices": 5}},
+        {"model": {"eigenvalues": [1.0, 0.5], "dim": 2.7}, "subspace": [1], "b": [1.0, 0.0], "zeta": [0.7, 0.0]},
     ),
 )
 def test_mc_config_of_wrong_json_type_exits_two(runner, tmp_path, overrides):
@@ -429,6 +431,23 @@ def test_model_file_with_null_tail_exits_two(runner, tmp_path):
     obs = write_obs(tmp_path, 2, {1: 1.0})
     model = write_json(tmp_path, "model.json", {"eigenvalues": [1.0, 0.5], "tail_trace": None})
     res = runner.invoke(main, ["estimate", "--model", model, "--obs", obs, "--subspace", "1"])
+    assert_one_line_error(res)
+
+
+@pytest.mark.parametrize("dim", (2.7, True))
+def test_model_file_with_non_integral_dim_exits_two(runner, tmp_path, dim):
+    obs = write_obs(tmp_path, 2, {1: 1.0})
+    model = write_json(tmp_path, "model.json", {"eigenvalues": [1.0, 0.5], "dim": dim})
+    res = runner.invoke(main, ["estimate", "--model", model, "--obs", obs, "--subspace", "1"])
+    assert_one_line_error(res)
+
+
+@pytest.mark.parametrize("subspace", ({"indices": 5}, {"indices": [1], "dim": 2.7}))
+def test_bad_subspace_file_exits_two(runner, tmp_path, subspace):
+    obs = write_obs(tmp_path, 2, {1: 1.0})
+    model = write_json(tmp_path, "model.json", {"eigenvalues": [1.0, 0.5]})
+    path = write_json(tmp_path, "subspace.json", subspace)
+    res = runner.invoke(main, ["estimate", "--model", model, "--obs", obs, "--subspace", path])
     assert_one_line_error(res)
 
 

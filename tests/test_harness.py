@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from hilbert_gauss import harness
 from hilbert_gauss.harness import (
     CHUNK_SIZE,
     EXPERIMENT_KINDS,
@@ -136,6 +137,9 @@ def test_config_rejects_unknown_kind():
         {"model": {"eigenvalues": [1.0, 0.5], "tail_trace": None}},
         {"model": {"eigenvalues": [1.0, "0.5"]}},
         {"subspace": [4.7]},
+        {"subspace": {"indices": 5}},
+        {"model": {"eigenvalues": [1.0, 0.5], "dim": 2.7}, "subspace": [1], "b": [1.0, 0.0], "zeta": [0.7, 0.0]},
+        {"model": {"eigenvalues": [1.0, 0.5], "dim": True}},
     ),
 )
 def test_config_rejects_wrong_json_types(overrides):
@@ -188,6 +192,31 @@ def test_config_validation_per_kind():
                 }
             )
         )
+
+
+FRAME_E4 = {"frame": [[0.0] * 3 + [1.0] + [0.0] * 60]}
+
+
+@pytest.mark.parametrize(
+    "kind, overrides, message",
+    (
+        *((kind, {"subspace": None}, "needs a subspace") for kind in EXPERIMENT_KINDS if kind != "moments"),
+        ("coverage_unknown", {"b": None}, "functional vector b"),
+        ("independence", {"b": None}, "functional vector b"),
+        ("learning_curve", {"subspace": {"indices": [1, 2], "complement": True}}, "plain index-set"),
+        ("learning_curve", {"subspace": FRAME_E4}, "plain index-set"),
+        ("learning_curve", {"zeta": None}, "explicit mean"),
+    ),
+)
+def test_config_validation_messages_per_kind(monkeypatch, kind, overrides, message):
+    # Each message comes before any replicate is drawn or any pool starts.
+    def refuse(*args, **kwargs):
+        raise AssertionError("validation must come before drawing or pooling")
+
+    monkeypatch.setattr(harness, "ReplicateStreams", refuse)
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", refuse)
+    with pytest.raises(ValueError, match=message):
+        run_experiment(smoke_config(kind=kind, **overrides), workers=2)
 
 
 def test_learning_curve_default_cutoffs():

@@ -69,6 +69,12 @@ def test_model_roundtrip(tmp_path):
     assert raw["basis_id"] == "abstract"
 
 
+@pytest.mark.parametrize("dim", (2.7, 2.0, True, "2", None))
+def test_model_from_dict_refuses_non_integral_dim(dim):
+    with pytest.raises(ValueError, match="model dim must be an integer"):
+        SpectralModel.from_dict({"eigenvalues": [1.0, 0.5], "dim": dim})
+
+
 def test_hvector_basics():
     v = HVector.basis_vector(5, 3, scale=2.0)
     assert v.coeffs[2] == 2.0 and v.norm() == 2.0
@@ -108,6 +114,12 @@ def test_from_indices_validation():
     for bad in ([4.7], [2.0], [True], ["3"]):
         with pytest.raises(ValueError, match="must be integers"):
             Subspace.from_indices(DIM, bad)
+    for bad in (5, None, 2.5):
+        with pytest.raises(ValueError, match="list of integers"):
+            Subspace.from_indices(DIM, bad)
+    for bad in (2.7, True):
+        with pytest.raises(ValueError, match="subspace dim must be an integer"):
+            Subspace.from_dict({"indices": [1], "dim": bad})
     assert Subspace.from_indices(DIM, np.array([3, 1])).indices == (1, 3)
 
 
