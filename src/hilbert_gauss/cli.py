@@ -88,6 +88,16 @@ def _load_vector(spec: str, dim: int) -> HVector:
     return _parse_vector([float(part) for part in spec.split(",")], dim)
 
 
+def _read_columns(path: str, dim: int) -> list:
+    """The 'columns' of a design file, each column in the vector format (`_parse_vector`)."""
+    with open(path, "r", encoding="utf-8") as fh:
+        data = json.load(fh)
+    columns = data.get("columns") if isinstance(data, dict) else None
+    if not isinstance(columns, list) or any(col is None for col in columns):
+        raise ValueError(f"design file {path!r} needs a 'columns' list of vectors")
+    return [_parse_vector(col, dim) for col in columns]
+
+
 def _load_observation(path: str, model: SpectralModel) -> HVector:
     try:
         if path.endswith(".csv"):
@@ -117,7 +127,11 @@ def _emit(text: str, out: str) -> None:
 
 
 def _emit_json(obj, out: str) -> None:
-    _emit(json.dumps(obj, indent=2, sort_keys=True) + "\n", out)
+    try:
+        text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        _fail(f"result is not finite: {exc}")
+    _emit(text + "\n", out)
 
 
 @click.group()
@@ -248,9 +262,7 @@ def regress(model_spec, obs_path, design_path, c_spec, null_path, alpha, sigma, 
     model = _load_model(model_spec)
     y = _load_observation(obs_path, model)
     try:
-        with open(design_path, "r", encoding="utf-8") as fh:
-            design_data = json.load(fh)
-        design = DesignOperator(model, np.asarray(design_data["columns"], dtype=float))
+        design = DesignOperator(model, _read_columns(design_path, model.dim))
         beta = lse(design, y)
         result = {"beta": [float(v) for v in beta]}
         if c_spec:
@@ -261,11 +273,9 @@ def regress(model_spec, obs_path, design_path, c_spec, null_path, alpha, sigma, 
                 interval = ci_beta_unknown(c, design, y, alpha, use_tail=use_tail)
             result["interval"] = interval.to_dict()
         if null_path:
-            with open(null_path, "r", encoding="utf-8") as fh:
-                null_data = json.load(fh)
-            g0 = [np.asarray(col, dtype=float) for col in null_data["columns"]]
+            g0 = [col.coeffs for col in _read_columns(null_path, design.n_params)]
             result["test"] = test_beta(y, design, g0, alpha).to_dict()
-    except (OSError, json.JSONDecodeError, KeyError) as exc:
+    except (OSError, json.JSONDecodeError) as exc:
         _fail(f"bad design input: {exc}")
     except (ValueError, ZeroResidualError) as exc:
         _fail(str(exc))

@@ -4,10 +4,10 @@ normal-over-root-Gamma and Gamma-over-Gamma ratios.
 
 CDFs are built from the regularized incomplete gamma and beta functions, and
 quantiles are their inverses in scipy.special (ndtri, stdtrit, fdtri,
-gammaincinv), so non-integer degrees of freedom work everywhere.  Gamma
-sampling uses a squeeze/rejection scheme for shapes at or above 1 and
-boosts smaller shapes from shape + 1; only uniform and normal draws from
-the supplied generator are consumed.
+gammaincinv), so non-integer degrees of freedom work everywhere.  The
+samplers are the generator's own methods behind argument checks:
+standard_gamma (Marsaglia and Tsang's method for shapes above 1) divided
+by the rate, standard_t and f.
 """
 
 from __future__ import annotations
@@ -20,11 +20,11 @@ from scipy import special
 _SQRT2 = np.sqrt(2.0)
 
 
-def _check_prob(a: float) -> float:
-    a = float(a)
-    if not 0.0 < a < 1.0:
-        raise ValueError(f"probability must lie strictly between 0 and 1, got {a}")
-    return a
+def _check_prob(value: float, name: str) -> float:
+    value = float(value)
+    if not 0.0 < value < 1.0:
+        raise ValueError(f"{name} must lie strictly between 0 and 1, got {value}")
+    return value
 
 
 def _check_positive(value: float, name: str) -> float:
@@ -84,14 +84,14 @@ def gamma_cdf(x, alpha, beta):
 
 def norm_quantile(a: float) -> float:
     """Standard normal a-quantile, |CDF(result) - a| below 1e-12."""
-    a = _check_prob(a)
+    a = _check_prob(a, "probability")
     return float(special.ndtri(a))
 
 
 def t_quantile(dof: float, a: float) -> float:
     """Student-t a-quantile for real dof >= 1, |CDF(result) - a| below 1e-10."""
     dof = _check_positive(dof, "dof")
-    a = _check_prob(a)
+    a = _check_prob(a, "probability")
     return float(special.stdtrit(dof, a))
 
 
@@ -99,7 +99,7 @@ def f_quantile(m: float, n: float, a: float) -> float:
     """Fisher F a-quantile for real dofs, |CDF(result) - a| below 1e-9."""
     m = _check_positive(m, "m")
     n = _check_positive(n, "n")
-    a = _check_prob(a)
+    a = _check_prob(a, "probability")
     return float(special.fdtri(m, n, a))
 
 
@@ -107,36 +107,12 @@ def gamma_quantile(alpha: float, beta: float, a: float) -> float:
     """Gamma a-quantile with shape alpha and rate beta."""
     alpha = _check_positive(alpha, "alpha")
     beta = _check_positive(beta, "beta")
-    a = _check_prob(a)
+    a = _check_prob(a, "probability")
     return float(special.gammaincinv(alpha, a) / beta)
 
 
 # ---------------------------------------------------------------------------
 # sampling
-
-
-def _gamma_shape_ge_one(rng, shape: float, count: int) -> np.ndarray:
-    # Squeeze/rejection sampler with cubed-normal proposals; acceptance is
-    # above 99 percent for every shape >= 1, and the squeeze avoids most
-    # logarithm evaluations.
-    d = shape - 1.0 / 3.0
-    c = 1.0 / np.sqrt(9.0 * d)
-    out = np.empty(count)
-    filled = 0
-    while filled < count:
-        need = count - filled
-        x = rng.standard_normal(need)
-        v = (1.0 + c * x) ** 3
-        u = rng.uniform(size=need)
-        pos = v > 0.0
-        x2 = x * x
-        squeeze = u < 1.0 - 0.0331 * x2 * x2
-        safe_v = np.where(pos, v, 1.0)
-        accept = pos & (squeeze | (np.log(u) < 0.5 * x2 + d * (1.0 - safe_v + np.log(safe_v))))
-        good = d * v[accept]
-        out[filled : filled + good.size] = good
-        filled += good.size
-    return out
 
 
 def gamma_sample(rng, alpha: float, beta: float, size=None):
@@ -145,7 +121,7 @@ def gamma_sample(rng, alpha: float, beta: float, size=None):
     Parameters
     ----------
     rng : numpy.random.Generator
-        Source of uniform and normal variates; nothing else is consumed.
+        Source of the draws, through its standard_gamma method.
     alpha, beta : float
         Shape and rate, both positive.  The mean is alpha / beta.
     size : int, optional
@@ -153,39 +129,17 @@ def gamma_sample(rng, alpha: float, beta: float, size=None):
     """
     alpha = _check_positive(alpha, "alpha")
     beta = _check_positive(beta, "beta")
-    count = 1 if size is None else int(size)
-    if count < 0:
-        raise ValueError("size must be nonnegative")
-    if alpha >= 1.0:
-        g = _gamma_shape_ge_one(rng, alpha, count)
-    else:
-        # Boost: X ~ Gamma(alpha + 1), U uniform; X * U^(1/alpha) ~ Gamma(alpha).
-        g = _gamma_shape_ge_one(rng, alpha + 1.0, count)
-        u = rng.uniform(size=count)
-        g = g * u ** (1.0 / alpha)
-    g = g / beta
-    return float(g[0]) if size is None else g
+    return rng.standard_gamma(alpha, size) / beta
 
 
 def t_sample(rng, dof: float, size=None):
-    """Draw from Student-t with real dof via normal over root chi-square."""
-    dof = _check_positive(dof, "dof")
-    count = 1 if size is None else int(size)
-    z = rng.standard_normal(count)
-    v = gamma_sample(rng, dof / 2.0, 0.5, size=count)
-    out = z / np.sqrt(v / dof)
-    return float(out[0]) if size is None else out
+    """Draw from Student-t with real dof through the generator's standard_t."""
+    return rng.standard_t(_check_positive(dof, "dof"), size)
 
 
 def f_sample(rng, m: float, n: float, size=None):
-    """Draw from Fisher F with real dofs via a ratio of chi-squares."""
-    m = _check_positive(m, "m")
-    n = _check_positive(n, "n")
-    count = 1 if size is None else int(size)
-    num = gamma_sample(rng, m / 2.0, 0.5, size=count) / m
-    den = gamma_sample(rng, n / 2.0, 0.5, size=count) / n
-    out = num / den
-    return float(out[0]) if size is None else out
+    """Draw from Fisher F with real dofs through the generator's f."""
+    return rng.f(_check_positive(m, "m"), _check_positive(n, "n"), size)
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +247,7 @@ def ks_critical_value(n: int, m: int | None = None, alpha: float = 0.05) -> floa
     c(alpha) = sqrt(-log(alpha / 2) / 2); two-sample otherwise with the
     usual sqrt((n + m) / (n * m)) scaling.
     """
-    alpha = _check_prob(alpha)
+    alpha = _check_prob(alpha, "alpha")
     c = float(np.sqrt(-0.5 * np.log(alpha / 2.0)))
     if m is None:
         return c / float(np.sqrt(n))

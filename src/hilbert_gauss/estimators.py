@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .distributions import _check_positive
 from .inference import FunctionalPlan
 from .spectral import (
     HVector,
@@ -79,9 +80,7 @@ def risk_mean(model: SpectralModel, U: Subspace, sigma: float, use_tail: bool = 
     use_tail only matters when U is a complement variant; finite index sets
     and frames never include the tail.
     """
-    sigma = float(sigma)
-    if sigma <= 0.0:
-        raise ValueError("sigma must be positive")
+    sigma = _check_positive(sigma, "sigma")
     return sigma * sigma * trace_q_on(model, U, use_tail=use_tail)
 
 
@@ -91,9 +90,7 @@ def risk_partial(model: SpectralModel, V: Subspace, zeta: HVector, sigma: float)
     bias ||(I - P_V) zeta||, variance sigma^2 tr(Q P_V); the unobserved part
     of the mean enters as squared bias.
     """
-    sigma = float(sigma)
-    if sigma <= 0.0:
-        raise ValueError("sigma must be positive")
+    sigma = _check_positive(sigma, "sigma")
     missed = zeta - project(zeta, V)
     return RiskReport.from_parts(bias=missed.norm(), variance=sigma * sigma * trace_q_on(model, V))
 
@@ -119,9 +116,7 @@ def learning_gap(
         raise ValueError("learning_gap is defined for plain index-set subspaces")
     if not 0 <= cutoff <= len(U.indices):
         raise ValueError(f"cutoff must lie in 0..{len(U.indices)}")
-    sigma = float(sigma)
-    if sigma <= 0.0:
-        raise ValueError("sigma must be positive")
+    sigma = _check_positive(sigma, "sigma")
     if zeta.dim != model.dim:
         raise ValueError("zeta dimension does not match the model")
     skipped = np.array(U.indices[cutoff:], dtype=int) - 1
@@ -140,9 +135,7 @@ def variance_est_risk(model: SpectralModel, U: Subspace, sigma: float) -> float:
     The Cauchy-Schwarz bound caps this at 2 sigma^4, with equality exactly
     when the complement carries a single nonzero eigenvalue.
     """
-    sigma = float(sigma)
-    if sigma <= 0.0:
-        raise ValueError("sigma must be positive")
+    sigma = _check_positive(sigma, "sigma")
     eigs = restricted_eigenvalues(model, U.complement())
     l1 = float(eigs.sum())
     if l1 <= 0.0:
@@ -160,9 +153,7 @@ def gm_variances(b: HVector, c: HVector, model: SpectralModel, U: Subspace, sigm
     var_best = sigma^2 <Q P_U b, P_U b> <= var_c = sigma^2 <Q c, c>,
     with equality exactly when the orthogonal excess of c is Q-null.
     """
-    sigma = float(sigma)
-    if sigma <= 0.0:
-        raise ValueError("sigma must be positive")
+    sigma = _check_positive(sigma, "sigma")
     mismatch = project(c - b, U)
     if mismatch.norm() > GM_UNBIASED_TOL:
         raise ValueError(

@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .estimators import risk_mean, risk_partial, variance_est_risk
-from .distributions import gamma_cdf, ks_critical_value, ks_statistic
+from .distributions import _check_positive, _check_prob, gamma_cdf, ks_critical_value, ks_statistic
 from .inference import FunctionalPlan, SubspaceTestPlan
 from .processes import bridge_model, wiener_model
 from .sampling import GaussianLaw, NoisePlan, noise_decomposition, norm_sq_moments
@@ -79,10 +79,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
         if self.replicates < 1:
             raise ValueError("replicates must be at least 1")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError("alpha must lie strictly between 0 and 1")
-        if self.sigma <= 0.0:
-            raise ValueError("sigma must be positive")
+        _check_prob(self.alpha, "alpha")
+        _check_positive(self.sigma, "sigma")
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
 

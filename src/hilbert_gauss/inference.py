@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .distributions import f_quantile, norm_quantile, t_quantile
+from .distributions import _check_positive, _check_prob, f_quantile, norm_quantile, t_quantile
 from .sampling import noise_decomposition
 from .spectral import (
     HVector,
@@ -172,17 +172,15 @@ class FunctionalPlan:
 
     def ci_known(self, y: np.ndarray, sigma: float, alpha: float) -> tuple:
         """(centers, half-width) of the exact known-sigma interval."""
-        sigma = float(sigma)
-        if sigma <= 0.0:
-            raise ValueError("sigma must be positive")
-        alpha = _check_alpha(alpha)
+        sigma = _check_positive(sigma, "sigma")
+        alpha = _check_prob(alpha, "alpha")
         v = self.variance_factor
         z = norm_quantile(1.0 - alpha / 2.0)
         return self.functional(y), z * sigma * float(np.sqrt(v))
 
     def ci_unknown(self, y: np.ndarray, alpha: float) -> tuple:
         """(centers, half-widths) of the conservative unknown-sigma interval."""
-        alpha = _check_alpha(alpha)
+        alpha = _check_prob(alpha, "alpha")
         v = self.variance_factor
         tau, lam, n = self.complement_params
         s2 = self.variance(y)
@@ -244,7 +242,7 @@ class SubspaceTestPlan:
 
     def threshold(self, alpha: float) -> float:
         """The Fisher quantile F_{m, n, 1 - alpha}."""
-        return f_quantile(float(self.m), float(self.n), 1.0 - _check_alpha(alpha))
+        return f_quantile(float(self.m), float(self.n), 1.0 - _check_prob(alpha, "alpha"))
 
     def statistic(self, y: np.ndarray) -> np.ndarray:
         """(n lam / (m mu)) ||P_U y - P_U0 y||^2 / ||y - P_U y||^2 per row."""
@@ -268,13 +266,7 @@ def test_subspace(y: HVector, model: SpectralModel, U: Subspace, U0: Subspace, a
     alpha.  A zero residual outside U is a probability-zero event and
     raises ZeroResidualError.
     """
-    alpha = _check_alpha(alpha)
+    alpha = _check_prob(alpha, "alpha")
     plan = SubspaceTestPlan(model, U, U0)
     return TestResult.from_statistic(plan.statistic(y.coeffs), plan.threshold(alpha), params=plan.params)
 
-
-def _check_alpha(alpha: float) -> float:
-    alpha = float(alpha)
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie strictly between 0 and 1, got {alpha}")
-    return alpha

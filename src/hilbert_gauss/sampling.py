@@ -17,6 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .distributions import _check_positive
 from .spectral import (
     MEAN_IN_SUBSPACE_TOL,
     HVector,
@@ -44,9 +45,7 @@ class GaussianLaw:
     __slots__ = ("model", "mean", "sigma", "subspace", "_sigma_sqrt_lam")
 
     def __init__(self, model: SpectralModel, mean: HVector, sigma: float, subspace: Subspace | None = None):
-        sigma = float(sigma)
-        if not np.isfinite(sigma) or sigma <= 0.0:
-            raise ValueError(f"sigma must be a positive real, got {sigma}")
+        sigma = _check_positive(sigma, "sigma")
         if mean.dim != model.dim:
             raise ValueError(f"mean has dim {mean.dim}, model has {model.dim}")
         if subspace is not None:
@@ -72,14 +71,9 @@ class GaussianLaw:
         return beta
 
 
-def sample_coeffs(law: GaussianLaw, rng) -> np.ndarray:
-    """Raw coefficient array of one draw from the law."""
-    return law.from_normals(rng.standard_normal(law.model.dim))
-
-
 def sample(law: GaussianLaw, rng) -> HVector:
     """One draw y = zeta + sigma * sum_k sqrt(lambda_k) beta_k e_k."""
-    return HVector(sample_coeffs(law, rng))
+    return HVector(law.from_normals(rng.standard_normal(law.model.dim)))
 
 
 # ---------------------------------------------------------------------------
@@ -143,15 +137,13 @@ class NoiseDecomposition:
     m: int | None = None
 
     def __post_init__(self):
-        if not np.isfinite(self.lam) or self.lam <= 0.0:
-            raise ValueError("lam must be a positive real")
+        _check_positive(self.lam, "lam")
         if self.n < 1:
             raise ValueError("n must be at least 1")
         if (self.mu is None) != (self.m is None):
             raise ValueError("mu and m must be present together")
         if self.mu is not None:
-            if not np.isfinite(self.mu) or self.mu <= 0.0:
-                raise ValueError("mu must be a positive real")
+            _check_positive(self.mu, "mu")
             if self.m < 1:
                 raise ValueError("m must be at least 1")
 

@@ -554,6 +554,15 @@ def top_eigenspace(model: SpectralModel, S: Subspace, rel_tol: float = DEFAULT_R
     return Subspace.from_indices(model.dim, (np.flatnonzero(hit) + 1).tolist())
 
 
+def _frame_rows(S: Subspace) -> np.ndarray:
+    """Orthonormal rows spanning S: its frame, or the unit coordinate rows of its indices."""
+    if S.kind == "frame":
+        return S.frame
+    rows = np.zeros((len(S.indices), S.dim))
+    rows[np.arange(len(S.indices)), np.asarray(S.indices, dtype=int) - 1] = 1.0
+    return rows
+
+
 def difference_subspace(model: SpectralModel, V: Subspace, U0: Subspace) -> Subspace:
     """The subspace V intersect U0-perp, defined when U0 is contained in V.
 
@@ -573,8 +582,7 @@ def difference_subspace(model: SpectralModel, V: Subspace, U0: Subspace) -> Subs
         if not left:
             raise ValueError("difference subspace is zero-dimensional")
         return Subspace.from_indices(model.dim, left)
-    fv = V.frame if V.kind == "frame" else np.eye(model.dim)[np.array(V.indices) - 1]
-    f0 = U0.frame if U0.kind == "frame" else np.eye(model.dim)[np.array(U0.indices) - 1]
+    fv, f0 = _frame_rows(V), _frame_rows(U0)
     # Containment: every U0 direction must lie in V.
     resid = f0 - (f0 @ fv.T) @ fv
     if resid.size and np.linalg.norm(resid, ord=2) > FRAME_ORTHO_TOL:

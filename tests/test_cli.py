@@ -456,3 +456,92 @@ def test_bad_mode_count_exits_two(runner, tmp_path, spec):
     obs = write_obs(tmp_path, 8, {1: 1.0})
     res = runner.invoke(main, ["estimate", "--model", spec, "--obs", obs, "--subspace", "1"])
     assert_one_line_error(res)
+
+
+COORDINATE_DESIGN = ((4, 1.3), (5, -0.4))
+
+
+def write_design(tmp_path, dim, entries=COORDINATE_DESIGN, name="design.json"):
+    """Design file of coordinate columns, one (1-based mode, value) entry each."""
+    cols = []
+    for k, value in entries:
+        col = [0.0] * dim
+        col[k - 1] = value
+        cols.append(col)
+    return write_json(tmp_path, name, {"columns": cols})
+
+
+@pytest.mark.parametrize(
+    "design,null",
+    (
+        (((4, "1.0"), (5, -0.4)), None),
+        (((4, True), (5, -0.4)), None),
+        (COORDINATE_DESIGN, {"columns": [["0", 1.0]]}),
+        (COORDINATE_DESIGN, {"columns": [[False, 1.0]]}),
+        (COORDINATE_DESIGN, {"columns": [None]}),
+        (COORDINATE_DESIGN, [[0.0, 1.0]]),
+    ),
+)
+def test_regress_refuses_non_numeric_design_entries(runner, tmp_path, design, null):
+    obs = write_obs(tmp_path, 16, {4: 2.6, 5: -0.4, 1: 0.9})
+    args = ["regress", "--model", "wiener:16", "--obs", obs]
+    args += ["--design", write_design(tmp_path, 16, design)]
+    if null is not None:
+        args += ["--null-design", write_json(tmp_path, "null.json", null)]
+    assert_one_line_error(runner.invoke(main, args))
+
+
+@pytest.mark.parametrize("design", ({"columns": None}, {"rows": []}, [[1.0] * 16], {"columns": [None]}))
+def test_regress_refuses_malformed_design_file(runner, tmp_path, design):
+    obs = write_obs(tmp_path, 16, {4: 2.6, 1: 0.9})
+    args = ["regress", "--model", "wiener:16", "--obs", obs, "--design", write_json(tmp_path, "d.json", design)]
+    assert_one_line_error(runner.invoke(main, args))
+
+
+def test_regress_accepts_vector_format_columns(runner, tmp_path):
+    obs = write_obs(tmp_path, 16, {4: 2.6, 5: -0.4, 1: 0.9})
+    dense = write_design(tmp_path, 16)
+    sparse = write_json(tmp_path, "sparse.json", {"columns": [{"coords": {"4": 1.3}}, {"coords": {"5": -0.4}}]})
+    outputs = [
+        runner.invoke(main, ["regress", "--model", "wiener:16", "--obs", obs, "--design", path]).output
+        for path in (dense, sparse)
+    ]
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0])["beta"] == pytest.approx([2.0, 1.0], abs=1e-12)
+
+
+# Every entry 1e300: squared norms overflow to inf.
+HUGE = {k: 1e300 for k in range(1, 17)}
+
+
+@pytest.mark.parametrize(
+    "command",
+    (
+        ["estimate", "--subspace", "4"],
+        ["ci", "--subspace", "4", "--b", "4:1.0"],
+        ["regress", "--c", "1,0"],
+    ),
+)
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_overflowing_result_exits_two(runner, tmp_path, command):
+    obs = write_obs(tmp_path, 16, HUGE)
+    args = [command[0], "--model", "wiener:16", "--obs", obs, *command[1:]]
+    if command[0] == "regress":
+        args += ["--design", write_design(tmp_path, 16)]
+    res = runner.invoke(main, args)
+    assert_one_line_error(res)
+    assert res.stdout == ""
+
+
+@pytest.mark.parametrize("sigma", ("nan", "inf"))
+@pytest.mark.parametrize("command", ("ci", "regress"))
+def test_non_finite_sigma_exits_two(runner, tmp_path, sigma, command):
+    obs = write_obs(tmp_path, 16, {4: 2.6, 5: -0.4, 1: 0.9})
+    args = [command, "--model", "wiener:16", "--obs", obs, "--sigma", sigma]
+    if command == "ci":
+        args += ["--subspace", "4", "--b", "4:1.0"]
+    else:
+        args += ["--design", write_design(tmp_path, 16), "--c", "1,0"]
+    res = runner.invoke(main, args)
+    assert_one_line_error(res)
+    assert "sigma" in res.stderr

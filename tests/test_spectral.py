@@ -1,5 +1,6 @@
 import json
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -305,6 +306,50 @@ def test_difference_subspace_frames():
     # difference of projections equals projection onto the difference
     expect = project(y, v) - project(y, u0)
     assert np.allclose(project(y, d).coeffs, expect.coeffs, atol=1e-10)
+
+
+def test_difference_subspace_mixed_path_matches_coordinate_frame():
+    # An index set against a frame gives, bit for bit, what the same index
+    # set gives as a frame of unit coordinate vectors.
+    m = rotation_block_model()
+    rows = np.eye(m.dim)
+    plus, minus = (rows[0] + rows[1]) / np.sqrt(2.0), (rows[0] - rows[1]) / np.sqrt(2.0)
+    rotated = Subspace.from_frame(m, [plus, minus, rows[2]])
+    cases = [
+        (rotated, Subspace.from_indices(m.dim, [3]), rotated, Subspace.from_frame(m, [rows[2]])),
+        (
+            Subspace.from_indices(m.dim, [1, 2, 4]),
+            Subspace.from_frame(m, [plus]),
+            Subspace.from_frame(m, [rows[0], rows[1], rows[3]]),
+            Subspace.from_frame(m, [plus]),
+        ),
+    ]
+    y = HVector(np.array([1.0, -1.0, 0.3, 0.7, -0.2]))
+    for v, u0, v_frame, u0_frame in cases:
+        d = difference_subspace(m, v, u0)
+        assert d == difference_subspace(m, v_frame, u0_frame)
+        expect = project(y, v) - project(y, u0)
+        assert np.allclose(project(y, d).coeffs, expect.coeffs, atol=1e-10)
+    # An empty index set is an empty block of rows, not an indexing error.
+    d = difference_subspace(m, rotated, Subspace.from_indices(m.dim, []))
+    assert np.allclose(project(y, d).coeffs, project(y, rotated).coeffs, atol=1e-10)
+
+
+def test_difference_subspace_mixed_path_memory():
+    # At dim 8192 a dense identity would be 512 MiB; only the selected
+    # coordinate rows may be built.
+    dim = 8192
+    m = SpectralModel(1.0 / np.arange(1, dim + 1) ** 2)
+    v = Subspace.from_frame(m, [HVector.basis_vector(dim, 1), HVector.basis_vector(dim, 2, scale=-1.0)])
+    u0 = Subspace.from_indices(dim, [2])
+    tracemalloc.start()
+    try:
+        d = difference_subspace(m, v, u0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert d.rank == 1
+    assert peak < 64 * 2**20
 
 
 def test_default_use_tail():
