@@ -135,9 +135,13 @@ def _emit_json(obj, out: str) -> None:
 
 
 @click.group()
-def main():
+@click.pass_context
+def main(ctx):
     """Gaussian models with known covariance spectrum: simulation,
     estimation, confidence intervals, and hypothesis tests."""
+    # Overflow shows as a non-finite result, which _emit_json reports as one
+    # error line; numpy's floating-point warnings would only precede it.
+    ctx.with_resource(np.errstate(all="ignore"))
 
 
 @main.command()
@@ -303,7 +307,10 @@ def mc(config_path, seed, workers, out, fmt, stream_path):
     except (ValueError, ZeroResidualError) as exc:
         _fail(str(exc))
     if fmt == "json":
-        _emit(report.to_json(), out)
+        try:
+            _emit(report.to_json(), out)
+        except ValueError as exc:
+            _fail(f"result is not finite: {exc}")
     else:
         lines = ["name,estimate,target,tolerance,sided,passed"]
         for name, estimate, target, tolerance, sided, passed in report.check_rows():

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import _check_positive
-from .inference import FunctionalPlan
+from .inference import functional_plan
 from .spectral import (
     HVector,
     SpectralModel,
@@ -71,7 +71,7 @@ def est_variance(y: HVector, model: SpectralModel, U: Subspace, use_tail: bool |
     denominator follows the tail convention; it must be positive, otherwise
     Q vanishes on the complement of U and no variance information exists.
     """
-    return float(FunctionalPlan(model, U, use_tail=use_tail).variance(y.coeffs))
+    return float(functional_plan(model, U, use_tail=use_tail).variance(y.coeffs))
 
 
 def risk_mean(model: SpectralModel, U: Subspace, sigma: float, use_tail: bool = False) -> float:

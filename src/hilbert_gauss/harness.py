@@ -23,9 +23,9 @@ import numpy as np
 
 from .estimators import risk_mean, risk_partial, variance_est_risk
 from .distributions import _check_positive, _check_prob, gamma_cdf, ks_critical_value, ks_statistic
-from .inference import FunctionalPlan, SubspaceTestPlan
+from .inference import functional_plan, subspace_test_plan
 from .processes import bridge_model, wiener_model
-from .sampling import GaussianLaw, NoisePlan, noise_decomposition, norm_sq_moments
+from .sampling import GaussianLaw, noise_decomposition, noise_plan, norm_sq_moments
 from .spectral import HVector, SpectralModel, Subspace, default_use_tail, inner, project, row_inner
 
 # Replicates per work unit; chunk boundaries are fixed by the replicate
@@ -242,7 +242,7 @@ class Report:
         return asdict(self)
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -405,10 +405,6 @@ def _law(config: ExperimentConfig, attach: Subspace | None = None) -> GaussianLa
     return GaussianLaw(config.model, zeta, config.sigma, subspace=attach)
 
 
-def _use_tail(config: ExperimentConfig) -> bool:
-    return default_use_tail(config.model) if config.use_tail is None else bool(config.use_tail)
-
-
 _NEEDS = {"subspace": "a subspace", "b": "a functional vector b"}
 
 
@@ -421,7 +417,7 @@ def _require(config: ExperimentConfig, *names: str) -> None:
 def _coverage(config):
     _require(config, "subspace", "b")
     truth = inner(config.b, _law(config, config.subspace).mean)
-    plan = FunctionalPlan(config.model, config.subspace, config.b, _use_tail(config))
+    plan = functional_plan(config.model, config.subspace, config.b, config.use_tail)
     if config.kind == "coverage_known":
         note, sided = "exact-coverage construction", "two"
         interval = lambda y: plan.ci_known(y, config.sigma, config.alpha)
@@ -447,7 +443,7 @@ def _level(config):
     if config.subspace0 is None:
         raise ValueError("the level experiment needs the hypothesis subspace subspace0")
     _law(config, config.subspace0)
-    plan = SubspaceTestPlan(config.model, config.subspace, config.subspace0)
+    plan = subspace_test_plan(config.model, config.subspace, config.subspace0)
     threshold = plan.threshold(config.alpha)
 
     def aggregate(report, arrays, sums):
@@ -462,7 +458,7 @@ def _level(config):
 def _unbiasedness(config):
     _require(config, "subspace")
     zeta = _law(config, config.subspace).mean.coeffs
-    plan = FunctionalPlan(config.model, config.subspace, use_tail=_use_tail(config))
+    plan = functional_plan(config.model, config.subspace, use_tail=config.use_tail)
     plan.complement_params  # (tau, lam, n) must exist before any replicate
 
     def apply(y):
@@ -493,7 +489,7 @@ def _moments(config):
         var = float(np.sum(centered**2) / (m - 1)) if m > 1 else 0.0
         mu4 = float(np.mean(centered**4))
         var_se = float(np.sqrt(max(mu4 - var**2, 0.0) / m))
-        target_mean, target_var = norm_sq_moments(_law(config), use_tail=_use_tail(config))
+        target_mean, target_var = norm_sq_moments(_law(config), use_tail=config.use_tail)
         _record(report, "norm_sq_mean", mean, mean_se, target_mean, "closed-form", "trace plus squared mean norm")
         _record(report, "norm_sq_var", var, var_se, target_var, "closed-form", "weighted chi-square variance")
 
@@ -503,7 +499,7 @@ def _moments(config):
 def _independence(config):
     _require(config, "subspace", "b")
     _law(config, config.subspace)
-    plan = FunctionalPlan(config.model, config.subspace, config.b, _use_tail(config))
+    plan = functional_plan(config.model, config.subspace, config.b, config.use_tail)
     plan.complement_params  # (tau, lam, n) must exist before any replicate
 
     def aggregate(report, arrays, sums):
@@ -525,7 +521,7 @@ def _noise_law(config):
     _require(config, "subspace")
     _law(config, config.subspace)
     dec = noise_decomposition(config.model, config.subspace, config.subspace0)
-    plan = NoisePlan(config.model, config.subspace, config.subspace0)
+    plan = noise_plan(config.model, config.subspace, config.subspace0)
     laws = [("ks_s", "s_stat", dec.s_shape, dec.s_rate)]
     if config.subspace0 is not None:
         laws.append(("ks_t", "t_stat", dec.t_shape, dec.t_rate))
@@ -553,7 +549,7 @@ def _risk(config):
         # The variance-estimator risk formula is exact for the truncated
         # denominator only; a tail denominator would shift the target.
         raise ValueError("the risk experiment requires use_tail false or omitted")
-    plan = FunctionalPlan(config.model, config.subspace, use_tail=False)
+    plan = functional_plan(config.model, config.subspace, use_tail=False)
     plan.complement_params  # (tau, lam, n) must exist before any replicate
     sigma_sq = config.sigma**2
 
@@ -728,7 +724,7 @@ def run_experiment(config: ExperimentConfig, workers: int | None = None, stream_
         checks=[],
         replicates=config.replicates,
         master_seed=config.master_seed,
-        use_tail=_use_tail(config),
+        use_tail=default_use_tail(config.model, config.use_tail),
         config_summary=_config_summary(config),
     )
     aggregate(report, arrays, sums)

@@ -12,13 +12,14 @@ is conservative in the same sense.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .distributions import _check_positive, _check_prob, f_quantile, norm_quantile, t_quantile
 from .sampling import noise_decomposition
 from .spectral import (
+    PLAN_CACHE_SIZE,
     HVector,
     SpectralModel,
     Subspace,
@@ -105,8 +106,7 @@ def ci_params_unknown(model: SpectralModel, U: Subspace, use_tail: bool | None =
     tau is the complement trace (tail per convention), lam the largest
     complement eigenvalue, n its multiplicity.
     """
-    if use_tail is None:
-        use_tail = default_use_tail(model)
+    use_tail = default_use_tail(model, use_tail)
     comp = U.complement()
     tau = trace_q_on(model, comp, use_tail=use_tail)
     if tau <= 0.0:
@@ -126,17 +126,20 @@ class FunctionalPlan:
     shape (rows, dim), or (dim,) for a single observation; results come one
     per row.  Each constant is computed on first use, so a plan costs only
     what its procedures need: `variance_factor` <Q b, P_U b> (needs b),
-    `variance_denominator` tr(Q (I - P_U)) under the tail convention, and
-    `complement_params` (tau, lam, n) of ci_params_unknown.
+    `variance_denominator` tr(Q (I - P_U)) under the tail convention,
+    `complement_params` (tau, lam, n) of ci_params_unknown, and the interval
+    quantiles for the last alpha asked.  A constant that raises is not kept,
+    so it raises again on the next use.  Build plans with `functional_plan`.
     """
 
-    def __init__(self, model: SpectralModel, U: Subspace, b: HVector | None = None, use_tail: bool | None = None):
+    def __init__(self, model: SpectralModel, U: Subspace, b: HVector | None, use_tail: bool):
         if U.dim != model.dim:
             raise ValueError(f"dimension mismatch: model {model.dim} vs subspace {U.dim}")
         self.model = model
         self.U = U
         self.b = b
-        self.use_tail = default_use_tail(model) if use_tail is None else bool(use_tail)
+        self.use_tail = use_tail
+        self._quantiles = {}  # 'z' or 't' -> (alpha, quantile at 1 - alpha/2)
 
     @cached_property
     def variance_factor(self) -> float:
@@ -158,6 +161,15 @@ class FunctionalPlan:
     def complement_params(self) -> tuple:
         return ci_params_unknown(self.model, self.U, use_tail=self.use_tail)
 
+    def _quantile(self, kind: str, alpha: float) -> float:
+        """z_{1 - alpha/2} (kind 'z') or t_{n, 1 - alpha/2} (kind 't')."""
+        kept_alpha, q = self._quantiles.get(kind, (None, None))
+        if kept_alpha != alpha:
+            a = 1.0 - alpha / 2.0
+            q = norm_quantile(a) if kind == "z" else t_quantile(float(self.complement_params[2]), a)
+            self._quantiles[kind] = (alpha, q)
+        return q
+
     def functional(self, y: np.ndarray) -> np.ndarray:
         """The functional estimator <b, P_U y>."""
         if self.b is None:
@@ -175,7 +187,7 @@ class FunctionalPlan:
         sigma = _check_positive(sigma, "sigma")
         alpha = _check_prob(alpha, "alpha")
         v = self.variance_factor
-        z = norm_quantile(1.0 - alpha / 2.0)
+        z = self._quantile("z", alpha)
         return self.functional(y), z * sigma * float(np.sqrt(v))
 
     def ci_unknown(self, y: np.ndarray, alpha: float) -> tuple:
@@ -184,9 +196,20 @@ class FunctionalPlan:
         v = self.variance_factor
         tau, lam, n = self.complement_params
         s2 = self.variance(y)
-        t = t_quantile(float(n), 1.0 - alpha / 2.0)
+        t = self._quantile("t", alpha)
         half_width = np.sqrt(tau / (lam * n)) * t * np.sqrt(s2) * np.sqrt(v)
         return self.functional(y), half_width
+
+
+_functional_plan = lru_cache(maxsize=PLAN_CACHE_SIZE)(FunctionalPlan)
+
+
+def functional_plan(
+    model: SpectralModel, U: Subspace, b: HVector | None = None, use_tail: bool | None = None
+) -> FunctionalPlan:
+    """The FunctionalPlan of (model, U, b, use_tail) from a bounded cache keyed
+    by value; use_tail None is resolved to the model's default first."""
+    return _functional_plan(model, U, b, default_use_tail(model, use_tail))
 
 
 def ci_known(b: HVector, y: HVector, model: SpectralModel, U: Subspace, sigma: float, alpha: float) -> Interval:
@@ -194,7 +217,7 @@ def ci_known(b: HVector, y: HVector, model: SpectralModel, U: Subspace, sigma: f
 
     Center <b, P_U y>, half-width z_{1 - alpha/2} sigma sqrt(<Q b, P_U b>).
     """
-    center, half_width = FunctionalPlan(model, U, b).ci_known(y.coeffs, sigma, alpha)
+    center, half_width = functional_plan(model, U, b).ci_known(y.coeffs, sigma, alpha)
     return Interval(center=float(center), half_width=half_width, level=1.0 - float(alpha))
 
 
@@ -212,7 +235,7 @@ def ci_unknown(
     where s(y)^2 is the variance estimator.  Coverage is at least 1 - alpha.
     A zero residual yields a degenerate zero-width interval.
     """
-    center, half_width = FunctionalPlan(model, U, b, use_tail).ci_unknown(y.coeffs, alpha)
+    center, half_width = functional_plan(model, U, b, use_tail).ci_unknown(y.coeffs, alpha)
     return Interval(center=float(center), half_width=float(half_width), level=1.0 - float(alpha))
 
 
@@ -229,12 +252,13 @@ def test_params(model: SpectralModel, U: Subspace, U0: Subspace):
 class SubspaceTestPlan:
     """Replicate-invariant constants of the test of zeta in U0 against U,
     and the test statistic on a batch of observations of shape (rows, dim)
-    or (dim,)."""
+    or (dim,).  Build plans with `subspace_test_plan`."""
 
     def __init__(self, model: SpectralModel, U: Subspace, U0: Subspace):
         self.U = U
         self.U0 = U0
         self.lam, self.mu, self.n, self.m = test_params(model, U, U0)
+        self._threshold = (None, None)  # (alpha, F quantile) for the last alpha asked
 
     @property
     def params(self) -> dict:
@@ -242,7 +266,12 @@ class SubspaceTestPlan:
 
     def threshold(self, alpha: float) -> float:
         """The Fisher quantile F_{m, n, 1 - alpha}."""
-        return f_quantile(float(self.m), float(self.n), 1.0 - _check_prob(alpha, "alpha"))
+        alpha = _check_prob(alpha, "alpha")
+        kept_alpha, q = self._threshold
+        if kept_alpha != alpha:
+            q = f_quantile(float(self.m), float(self.n), 1.0 - alpha)
+            self._threshold = (alpha, q)
+        return q
 
     def statistic(self, y: np.ndarray) -> np.ndarray:
         """(n lam / (m mu)) ||P_U y - P_U0 y||^2 / ||y - P_U y||^2 per row."""
@@ -257,6 +286,9 @@ class SubspaceTestPlan:
         return (self.n * self.lam) / (self.m * self.mu) * row_inner(shift, shift) / denom
 
 
+subspace_test_plan = lru_cache(maxsize=PLAN_CACHE_SIZE)(SubspaceTestPlan)
+
+
 def test_subspace(y: HVector, model: SpectralModel, U: Subspace, U0: Subspace, alpha: float) -> TestResult:
     """Level-alpha test of the hypothesis that the mean lies in U0.
 
@@ -267,6 +299,6 @@ def test_subspace(y: HVector, model: SpectralModel, U: Subspace, U0: Subspace, a
     raises ZeroResidualError.
     """
     alpha = _check_prob(alpha, "alpha")
-    plan = SubspaceTestPlan(model, U, U0)
+    plan = subspace_test_plan(model, U, U0)
     return TestResult.from_statistic(plan.statistic(y.coeffs), plan.threshold(alpha), params=plan.params)
 

@@ -15,7 +15,7 @@ import functools
 
 import numpy as np
 
-from .spectral import HVector, SpectralModel, _readonly
+from .spectral import PLAN_CACHE_SIZE, HVector, SpectralModel, _readonly
 
 WIENER_TOTAL_TRACE = 0.5
 BRIDGE_TOTAL_TRACE = 1.0 / 6.0
@@ -48,11 +48,13 @@ class Grid:
         return int(self.points.size)
 
 
+@functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
 def wiener_model(n_modes: int) -> SpectralModel:
     """Truncated spectral model of the standard Wiener process on [0, 1].
 
     Eigenvalues 1 / ((k - 1/2)^2 pi^2); the tail trace is the closed-form
     total 1/2 minus the truncated sum, so trace() returns exactly 0.5.
+    Repeated calls share one (immutable) instance per mode count.
     """
     if n_modes < 1:
         raise ValueError("n_modes must be at least 1")
@@ -61,11 +63,12 @@ def wiener_model(n_modes: int) -> SpectralModel:
     return SpectralModel(lam, tail_trace=WIENER_TOTAL_TRACE - float(lam.sum()), basis_id="wiener")
 
 
+@functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
 def bridge_model(n_modes: int) -> SpectralModel:
     """Truncated spectral model of the Brownian bridge on [0, 1].
 
     Eigenvalues 1 / (k^2 pi^2); the tail trace tops the truncated sum up to
-    the closed-form total 1/6.
+    the closed-form total 1/6.  Repeated calls share one instance.
     """
     if n_modes < 1:
         raise ValueError("n_modes must be at least 1")

@@ -13,13 +13,14 @@ convention it used.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .distributions import _check_positive
 from .spectral import (
     MEAN_IN_SUBSPACE_TOL,
+    PLAN_CACHE_SIZE,
     HVector,
     SpectralModel,
     Subspace,
@@ -88,8 +89,7 @@ def norm_sq_moments(law: GaussianLaw, use_tail: bool | None = None):
     picks up the analytic tail under the tail convention; the squared sums
     are truncated, matching what the truncated sampler can realize.
     """
-    if use_tail is None:
-        use_tail = default_use_tail(law.model)
+    use_tail = default_use_tail(law.model, use_tail)
     lam = law.model.eigenvalues
     zeta = law.mean.coeffs
     s2 = law.sigma**2
@@ -105,8 +105,7 @@ def transformed_norm_sq_moments(law: GaussianLaw, T_subspace: Subspace, use_tail
     Mean sigma^2 tr(Q P_S) + ||P_S zeta||^2; variance
     2 sigma^4 ||P_S Q P_S||_HS^2 + 4 sigma^2 <Q P_S zeta, P_S zeta>.
     """
-    if use_tail is None:
-        use_tail = default_use_tail(law.model)
+    use_tail = default_use_tail(law.model, use_tail)
     lam = law.model.eigenvalues
     s2 = law.sigma**2
     proj_mean = project(law.mean, T_subspace).coeffs
@@ -199,10 +198,11 @@ class NoisePlan:
     Each part is built on first use: the leading eigenspace of Q on the
     complement of U, and the whitening weights of Q on U minus U0.  The
     statistics are evaluated on a coefficient array of shape (rows, dim) or
-    (dim,), one value per row.  Index-set subspaces only.
+    (dim,), one value per row.  Index-set subspaces only.  Build plans with
+    `noise_plan`.
     """
 
-    def __init__(self, model: SpectralModel, U: Subspace, U0: Subspace | None = None):
+    def __init__(self, model: SpectralModel, U: Subspace, U0: Subspace | None):
         self.model = model
         self.U = U
         self.U0 = U0
@@ -238,6 +238,9 @@ class NoisePlan:
         return mu * np.sum(c * c / lam, axis=-1) / float(sigma) ** 2
 
 
+noise_plan = lru_cache(maxsize=PLAN_CACHE_SIZE)(NoisePlan)
+
+
 def leading_complement_norm_sq(model: SpectralModel, U: Subspace, y: HVector, sigma: float) -> float:
     """||S(Y / sigma)||^2 for S the projection onto the leading eigenspace
     of Q on the complement of U; its law is exactly Gamma(n/2, 1/(2 lam)).
@@ -245,7 +248,7 @@ def leading_complement_norm_sq(model: SpectralModel, U: Subspace, y: HVector, si
     Index-set subspaces only: the leading eigenspace is read off the
     truncated spectrum.
     """
-    return float(NoisePlan(model, U).leading_norm_sq(y.coeffs, sigma))
+    return float(noise_plan(model, U, None).leading_norm_sq(y.coeffs, sigma))
 
 
 def whitened_difference_norm_sq(
@@ -257,4 +260,4 @@ def whitened_difference_norm_sq(
 
     Index-set subspaces only.
     """
-    return float(NoisePlan(model, U, U0).whitened_norm_sq(y.coeffs, sigma))
+    return float(noise_plan(model, U, U0).whitened_norm_sq(y.coeffs, sigma))

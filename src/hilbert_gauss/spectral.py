@@ -26,6 +26,10 @@ FRAME_ORTHO_TOL = 1e-10
 FRAME_INVARIANCE_TOL = 1e-10
 # Mean vectors attached to a law must satisfy ||zeta - P_U zeta|| <= this.
 MEAN_IN_SUBSPACE_TOL = 1e-10
+# Entries kept by each plan cache and by each built-in model cache: above the
+# 6 distinct keys per cache that the perfbench workloads use at most.  An
+# entry keeps its key arrays alive (a rank-r frame holds r * dim floats).
+PLAN_CACHE_SIZE = 8
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
@@ -33,7 +37,46 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-class SpectralModel:
+class _Frozen:
+    """Immutable value object, usable as a cache key.  Attributes are set once,
+    with _set in __init__.  The constructor arguments, _fields(), define
+    equality, the hash (computed on first use and kept) and pickling."""
+
+    __slots__ = ("_hash",)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        self.__setattr__(name, None)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        for a, b in zip(self._fields(), other._fields()):
+            if a is not b and not (
+                np.array_equal(a, b) if isinstance(a, np.ndarray) or isinstance(b, np.ndarray) else a == b
+            ):
+                return False
+        return True
+
+    def __hash__(self):
+        h = getattr(self, "_hash", None)
+        if h is None:
+            # + 0.0 turns -0.0 into 0.0: equal arrays (np.array_equal) hash equal.
+            h = hash(tuple([(f + 0.0).tobytes() if isinstance(f, np.ndarray) else f for f in self._fields()]))
+            _set(self, "_hash", h)
+        return h
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+
+# Sets an attribute of a _Frozen object past its refusing __setattr__.
+_set = object.__setattr__
+
+
+class SpectralModel(_Frozen):
     """Truncated eigen-system of a nonnegative trace-class operator Q.
 
     Parameters
@@ -47,6 +90,8 @@ class SpectralModel:
     basis_id : str, optional
         'wiener' or 'bridge' for the built-in analytic eigenfunctions,
         'abstract' when no pointwise basis is available.
+
+    Models are immutable, so they can key the plan caches.
     """
 
     __slots__ = ("dim", "eigenvalues", "tail_trace", "basis_id")
@@ -54,10 +99,10 @@ class SpectralModel:
     _BASIS_IDS = ("wiener", "bridge", "abstract")
 
     def __init__(self, eigenvalues, tail_trace: float = 0.0, basis_id: str = "abstract"):
-        lam = np.asarray(eigenvalues, dtype=float)
+        lam = np.array(eigenvalues, dtype=float)
         if lam.ndim != 1 or lam.size == 0:
             raise ValueError("eigenvalues must be a nonempty 1-d sequence")
-        if not np.all(np.isfinite(lam)):
+        if not np.isfinite(lam).all():
             raise ValueError("eigenvalues must be finite")
         if np.any(lam < 0):
             raise ValueError("eigenvalues must be nonnegative")
@@ -66,10 +111,10 @@ class SpectralModel:
             raise ValueError("tail_trace must be a finite nonnegative real")
         if basis_id not in self._BASIS_IDS:
             raise ValueError(f"unknown basis_id {basis_id!r}")
-        self.dim = int(lam.size)
-        self.eigenvalues = _readonly(lam)
-        self.tail_trace = tail
-        self.basis_id = basis_id
+        _set(self, "dim", int(lam.size))
+        _set(self, "eigenvalues", _readonly(lam))
+        _set(self, "tail_trace", tail)
+        _set(self, "basis_id", basis_id)
 
     @property
     def is_analytic(self) -> bool:
@@ -82,18 +127,8 @@ class SpectralModel:
     def max_eigenvalue(self) -> float:
         return float(self.eigenvalues.max())
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SpectralModel):
-            return NotImplemented
-        return (
-            self.dim == other.dim
-            and self.tail_trace == other.tail_trace
-            and self.basis_id == other.basis_id
-            and np.array_equal(self.eigenvalues, other.eigenvalues)
-        )
-
-    def __hash__(self):
-        return hash((self.dim, self.tail_trace, self.basis_id, self.eigenvalues.tobytes()))
+    def _fields(self) -> tuple:
+        return self.eigenvalues, self.tail_trace, self.basis_id
 
     def __repr__(self) -> str:
         return f"SpectralModel(dim={self.dim}, basis_id={self.basis_id!r}, tail_trace={self.tail_trace!r})"
@@ -133,8 +168,8 @@ class SpectralModel:
             return cls.from_dict(json.load(fh))
 
 
-class HVector:
-    """Element of H as coefficients with respect to the eigenbasis of Q."""
+class HVector(_Frozen):
+    """Immutable element of H as coefficients with respect to the eigenbasis of Q."""
 
     __slots__ = ("coeffs",)
 
@@ -143,9 +178,9 @@ class HVector:
         arr = np.array(coeffs, dtype=float)
         if arr.ndim != 1:
             raise ValueError("coefficients must be a 1-d sequence")
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise ValueError("coefficients must be finite")
-        self.coeffs = _readonly(arr)
+        _set(self, "coeffs", _readonly(arr))
 
     @property
     def dim(self) -> int:
@@ -185,13 +220,8 @@ class HVector:
     def __rmul__(self, scalar) -> "HVector":
         return HVector(float(scalar) * self.coeffs)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, HVector):
-            return NotImplemented
-        return np.array_equal(self.coeffs, other.coeffs)
-
-    def __hash__(self):
-        return hash(self.coeffs.tobytes())
+    def _fields(self) -> tuple:
+        return (self.coeffs,)
 
     def __repr__(self) -> str:
         return f"HVector(dim={self.dim})"
@@ -213,8 +243,8 @@ def _integer(value, message: str) -> int:
     raise ValueError(f"{message}, got {value!r}")
 
 
-class Subspace:
-    """Q-invariant closed subspace of H.
+class Subspace(_Frozen):
+    """Q-invariant closed subspace of H (immutable).
 
     Two variants exist.  An index-set subspace is spanned by eigenvectors
     e_k for k in a set of 1-based mode indices; it is Q-invariant by
@@ -226,17 +256,17 @@ class Subspace:
     """
 
     # _mask caches index_mask(); it is derived state, kept out of __eq__,
-    # __hash__ and to_dict.
+    # __hash__, to_dict and pickles.
     __slots__ = ("dim", "kind", "indices", "frame", "is_complement", "_mask")
 
-    def __init__(self, *, dim, kind, indices=None, frame=None, is_complement=False):
+    def __init__(self, dim, kind, indices=None, frame=None, is_complement=False):
         # Private constructor; use from_indices / from_frame.
-        self.dim = int(dim)
-        self.kind = kind
-        self.indices = indices
-        self.frame = frame
-        self.is_complement = bool(is_complement)
-        self._mask = None
+        _set(self, "dim", int(dim))
+        _set(self, "kind", kind)
+        _set(self, "indices", indices)
+        _set(self, "frame", None if frame is None else _readonly(frame))
+        _set(self, "is_complement", bool(is_complement))
+        _set(self, "_mask", None)
 
     @classmethod
     def from_indices(cls, dim: int, indices) -> "Subspace":
@@ -278,7 +308,7 @@ class Subspace:
         if np.max(np.abs(gram - np.eye(frame.shape[0]))) > FRAME_ORTHO_TOL:
             raise ValueError("frame vectors are not orthonormal")
         _check_q_invariance(model, frame)
-        return cls(dim=model.dim, kind="frame", frame=_readonly(frame))
+        return cls(dim=model.dim, kind="frame", frame=frame)
 
     def complement(self) -> "Subspace":
         """The same span, reinterpreted as its orthogonal complement in H."""
@@ -290,7 +320,7 @@ class Subspace:
             is_complement=not self.is_complement,
         )
         if self._mask is not None:
-            comp._mask = _readonly(~self._mask)
+            _set(comp, "_mask", _readonly(~self._mask))
         return comp
 
     @property
@@ -311,25 +341,11 @@ class Subspace:
             mask = np.zeros(self.dim, dtype=bool)
             if self.indices:
                 mask[np.array(self.indices) - 1] = True
-            self._mask = _readonly(mask if not self.is_complement else ~mask)
+            _set(self, "_mask", _readonly(mask if not self.is_complement else ~mask))
         return self._mask
 
-    def __getstate__(self):
-        # Worker processes rebuild the mask on demand; it is not pickled.
-        return None, {**{name: getattr(self, name) for name in self.__slots__}, "_mask": None}
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Subspace):
-            return NotImplemented
-        if (self.dim, self.kind, self.is_complement) != (other.dim, other.kind, other.is_complement):
-            return False
-        if self.kind == "indices":
-            return self.indices == other.indices
-        return np.array_equal(self.frame, other.frame)
-
-    def __hash__(self):
-        key = self.indices if self.kind == "indices" else self.frame.tobytes()
-        return hash((self.dim, self.kind, self.is_complement, key))
+    def _fields(self) -> tuple:
+        return self.dim, self.kind, self.indices, self.frame, self.is_complement
 
     def __repr__(self) -> str:
         inner = f"indices={self.indices}" if self.kind == "indices" else f"frame_rank={self.frame.shape[0]}"
@@ -389,9 +405,10 @@ def _check_q_invariance(model: SpectralModel, frame: np.ndarray) -> None:
         )
 
 
-def default_use_tail(model: SpectralModel) -> bool:
-    """Tail convention: analytic spectra include their tail, custom ones do not."""
-    return model.is_analytic
+def default_use_tail(model: SpectralModel, use_tail: bool | None = None) -> bool:
+    """The tail convention in force: use_tail when given, otherwise analytic
+    spectra include their tail and custom ones do not."""
+    return model.is_analytic if use_tail is None else bool(use_tail)
 
 
 # ---------------------------------------------------------------------------

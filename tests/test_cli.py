@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from hilbert_gauss import cli, harness
 from hilbert_gauss.cli import main
 from hilbert_gauss.spectral import SpectralModel
 
@@ -545,3 +549,37 @@ def test_non_finite_sigma_exits_two(runner, tmp_path, sigma, command):
     res = runner.invoke(main, args)
     assert_one_line_error(res)
     assert "sigma" in res.stderr
+
+
+@pytest.mark.parametrize("command", (["ci", "--b", "4:1.0"], ["estimate", "--b", "4:1.0"]))
+def test_overflow_is_one_stderr_line_outside_pytest(tmp_path, command):
+    # A subprocess, because pytest would capture numpy's RuntimeWarning lines.
+    obs = write_obs(tmp_path, 16, HUGE)
+    args = [command[0], "--model", "wiener:16", "--obs", obs, "--subspace", "4", *command[1:]]
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    res = subprocess.run(
+        [sys.executable, "-c", "from hilbert_gauss.cli import main; main()", *args],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert res.returncode == 2
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: result is not finite"), res.stderr
+    assert res.stdout == ""
+
+
+def test_mc_non_finite_report_exits_two(runner, tmp_path, monkeypatch):
+    real = harness.run_experiment
+
+    def nan_estimate(*args, **kwargs):
+        report = real(*args, **kwargs)
+        report.estimates["coverage"] = float("nan")
+        return report
+
+    monkeypatch.setattr(cli, "run_experiment", nan_estimate)
+    res = runner.invoke(main, ["mc", "--config", write_mc_config(tmp_path, replicates=50)])
+    assert_one_line_error(res)
+    assert "not finite" in res.stderr
+    assert res.stdout == ""

@@ -1,0 +1,264 @@
+"""The plan caches and their keys: immutable, once-hashed models, vectors and
+subspaces; bounded factories that never cache a failure; quantiles built once
+per plan and alpha."""
+
+import gc
+import pickle
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from hilbert_gauss import inference, processes
+from hilbert_gauss.distributions import f_quantile, norm_quantile, t_quantile
+from hilbert_gauss.estimators import est_variance
+from hilbert_gauss.harness import ExperimentConfig, run_experiment
+from hilbert_gauss.inference import ci_known, ci_unknown, functional_plan, subspace_test_plan
+from hilbert_gauss.processes import bridge_model, wiener_model
+from hilbert_gauss.sampling import leading_complement_norm_sq, noise_plan
+from hilbert_gauss.spectral import PLAN_CACHE_SIZE, HVector, SpectralModel, Subspace
+
+FACTORIES = (
+    inference._functional_plan,
+    subspace_test_plan,
+    noise_plan,
+    wiener_model,
+    bridge_model,
+)
+
+
+KEYS = ("model", "vector", "index_subspace", "frame_complement")
+
+
+def make_key(name):
+    """A fresh instance of one cache-key class."""
+    model = SpectralModel([1.0, 0.5, 0.5, 0.25], tail_trace=0.1)
+    if name == "model":
+        return model
+    if name == "vector":
+        return HVector([1.0, -2.0, 0.5])
+    if name == "index_subspace":
+        return Subspace.from_indices(6, [1, 4])
+    return Subspace.from_frame(model, [np.array([0.0, 0.6, 0.8, 0.0])]).complement()
+
+
+def slots(obj):
+    return [name for cls in type(obj).__mro__ for name in getattr(cls, "__slots__", ())]
+
+
+@pytest.fixture
+def cold_caches():
+    for factory in FACTORIES:
+        factory.cache_clear()
+    yield
+    for factory in FACTORIES:
+        factory.cache_clear()
+
+
+@pytest.mark.parametrize("name", KEYS)
+def test_keys_are_immutable(name):
+    obj = make_key(name)
+    before = hash(obj)
+    for name in slots(obj) + ["extra"]:
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(obj, name, 5.0)
+        with pytest.raises(AttributeError, match="immutable"):
+            delattr(obj, name)
+    assert hash(obj) == before
+
+
+def test_tail_trace_assignment_is_refused():
+    m = wiener_model(16)
+    with pytest.raises(AttributeError):
+        m.tail_trace = 5.0
+    assert m == wiener_model(16) and m.tail_trace == processes.WIENER_TOTAL_TRACE - float(m.eigenvalues.sum())
+
+
+@pytest.mark.parametrize("name", KEYS)
+def test_pickle_round_trip(name):
+    obj = make_key(name)
+    if isinstance(obj, Subspace) and obj.kind == "indices":
+        mask = obj.index_mask()
+    back = pickle.loads(pickle.dumps(obj))
+    assert back == obj and hash(back) == hash(obj) and type(back) is type(obj)
+    for name in slots(obj):
+        if name not in ("_hash", "_mask"):
+            assert np.array_equal(getattr(back, name), getattr(obj, name))
+    with pytest.raises(AttributeError):
+        back.dim = 3
+    if isinstance(obj, Subspace) and obj.kind == "indices":
+        assert back._mask is None  # not pickled ...
+        assert np.array_equal(back.index_mask(), mask)  # ... but rebuilt on demand
+        assert not back.index_mask().flags.writeable
+
+
+class CountingArray(np.ndarray):
+    calls = 0
+
+    def tobytes(self, *args, **kwargs):
+        CountingArray.calls += 1
+        return super().tobytes(*args, **kwargs)
+
+
+# An index subspace hashes its index tuple, without array bytes.
+@pytest.mark.parametrize("name", ("model", "vector", "frame_complement"))
+def test_hash_is_computed_once_per_instance(name):
+    obj = make_key(name)
+    field = {SpectralModel: "eigenvalues", HVector: "coeffs", Subspace: "frame"}[type(obj)]
+    object.__setattr__(obj, field, getattr(obj, field).view(CountingArray))
+    CountingArray.calls = 0
+    first = hash(obj)
+    assert all(hash(obj) == first for _ in range(5))
+    assert {obj: 1}[obj] == 1
+    assert CountingArray.calls == 1
+
+
+def test_signed_zeros_hash_equal():
+    a, b = HVector([0.0, 1.0]), HVector([-0.0, 1.0])
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    model = SpectralModel([1.0, 0.0, 0.5])
+    assert hash(model) == hash(SpectralModel([1.0, -0.0, 0.5]))
+
+
+def test_factories_are_bounded():
+    for factory in FACTORIES:
+        maxsize = factory.cache_info().maxsize
+        assert maxsize is not None and 0 < maxsize <= PLAN_CACHE_SIZE
+
+
+def test_models_and_plans_are_shared(cold_caches):
+    model = wiener_model(32)
+    assert wiener_model(32) is model and bridge_model(32) is bridge_model(32)
+    U = Subspace.from_indices(32, [4])
+    b = HVector.basis_vector(32, 4, 2.0**0.5)
+    plan = functional_plan(model, U, b)
+    # Equal keys built afresh hit the same plan; None resolves to the default.
+    assert functional_plan(wiener_model(32), Subspace.from_indices(32, [4]), HVector(b.coeffs), True) is plan
+    assert functional_plan(model, U, b, False) is not plan
+    y = HVector(np.linspace(-1.0, 1.0, 32))
+    ci_known(b, y, model, U, 1.0, 0.05)
+    ci_unknown(b, y, model, U, 0.05)
+    est_variance(y, model, U)
+    info = inference._functional_plan.cache_info()
+    assert info.currsize == 3 and info.hits == 3
+
+
+def test_failing_constant_is_not_cached(cold_caches):
+    model = wiener_model(16)
+    U = Subspace.from_indices(16, [4])
+    b = HVector.basis_vector(16, 5)  # orthogonal to U
+    y = HVector(np.ones(16))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="not positive"):
+            ci_known(b, y, model, U, 1.0, 0.05)
+    assert "variance_factor" not in vars(functional_plan(model, U, b))
+    # A constructor that raises leaves no entry at all.
+    U0 = Subspace.from_indices(16, [7])
+    for _ in range(2):
+        with pytest.raises(ValueError, match="not contained"):
+            subspace_test_plan(model, Subspace.from_indices(16, [4, 5]), U0)
+    assert subspace_test_plan.cache_info().currsize == 0
+    everything = Subspace.from_indices(16, range(1, 17))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="empty subspace"):
+            leading_complement_norm_sq(model, everything, y, 1.0)
+
+
+def count_calls(monkeypatch, module, name):
+    calls = []
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: calls.append(args) or real(*args))
+    return calls
+
+
+@pytest.mark.parametrize(
+    "kind, quantile",
+    (("coverage_known", "norm_quantile"), ("coverage_unknown", "t_quantile"), ("level", "f_quantile")),
+)
+def test_quantile_once_per_run(cold_caches, monkeypatch, kind, quantile):
+    calls = count_calls(monkeypatch, inference, quantile)
+    data = {
+        "kind": kind,
+        "model": {"basis_id": "wiener", "dim": 64},
+        "subspace": [4, 5, 6] if kind == "level" else [4],
+        "subspace0": [4] if kind == "level" else None,
+        "b": None if kind == "level" else {"coords": {"4": 1.0}},
+        "replicates": 4100,  # 17 row blocks at dim 64
+    }
+    config = ExperimentConfig.from_dict(data)
+    run_experiment(config)
+    assert len(calls) == 1
+    run_experiment(config)  # the cached plan keeps its quantile
+    assert len(calls) == 1
+
+
+def test_kept_quantile_follows_alpha(cold_caches):
+    model = wiener_model(32)
+    U, U3 = Subspace.from_indices(32, [4]), Subspace.from_indices(32, [4, 5, 6])
+    plan = functional_plan(model, U, HVector.basis_vector(32, 4))
+    test_plan = subspace_test_plan(model, U3, U)
+    n = float(plan.complement_params[2])
+    for alpha in (0.05, 0.1, 0.05, 0.01):
+        assert plan._quantile("z", alpha) == norm_quantile(1.0 - alpha / 2.0)
+        assert plan._quantile("t", alpha) == t_quantile(n, 1.0 - alpha / 2.0)
+        assert test_plan.threshold(alpha) == f_quantile(float(test_plan.m), float(test_plan.n), 1.0 - alpha)
+
+
+def footprint_of(burst) -> int:
+    """Bytes still allocated after burst() returns, as tracemalloc sees them."""
+
+    def allocated():
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0]
+
+    tracemalloc.start()
+    try:
+        start = allocated()
+        burst()
+        return allocated() - start
+    finally:
+        tracemalloc.stop()
+
+
+# The caches are bounded in entries, and each entry keeps its key alive: the
+# footprint is PLAN_CACHE_SIZE entries per cache times the size of the keys.
+def test_burst_of_distinct_index_subspaces_stays_bounded(cold_caches):
+    dim = 8192
+    model = wiener_model(dim)
+    y = HVector(np.linspace(-1.0, 1.0, dim))
+    U0 = Subspace.from_indices(dim, [1])
+
+    def burst():
+        for k in range(2, 8 * PLAN_CACHE_SIZE + 2):
+            U = Subspace.from_indices(dim, [1, k])
+            b = HVector.basis_vector(dim, k)
+            ci_unknown(b, y, model, U, 0.05)
+            inference.test_subspace(y, model, U, U0, 0.05)
+            leading_complement_norm_sq(model, U, y, 1.0)
+
+    used = footprint_of(burst)
+    for factory in (inference._functional_plan, subspace_test_plan, noise_plan):
+        assert factory.cache_info().currsize == PLAN_CACHE_SIZE
+    # Per key: one 64 KiB vector b and the 8 KiB mask of U, shared by the
+    # three caches; a burst kept unbounded would hold 8 times as much.
+    key_bytes = dim * 8 + dim
+    assert used < PLAN_CACHE_SIZE * key_bytes * 1.5, used
+
+
+def test_burst_of_distinct_frames_stays_bounded(cold_caches):
+    dim, rank = 8192, 16
+    model = wiener_model(dim)
+    y = HVector(np.linspace(-1.0, 1.0, dim))
+
+    def burst():
+        for j in range(4 * PLAN_CACHE_SIZE):
+            modes = range(rank * j + 1, rank * (j + 1) + 1)
+            U = Subspace.from_frame(model, [HVector.basis_vector(dim, k) for k in modes])
+            ci_known(HVector.basis_vector(dim, modes[0]), y, model, U, 1.0, 0.05)
+
+    used = footprint_of(burst)
+    assert inference._functional_plan.cache_info().currsize == PLAN_CACHE_SIZE
+    # Per key: the rank x dim frame (1 MiB) and the 64 KiB vector b; a burst
+    # kept unbounded would hold 4 times as much.
+    key_bytes = rank * dim * 8 + dim * 8
+    assert PLAN_CACHE_SIZE * key_bytes <= used < PLAN_CACHE_SIZE * key_bytes * 1.25, used
