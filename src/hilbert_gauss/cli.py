@@ -306,16 +306,16 @@ def mc(config_path, seed, workers, out, fmt, stream_path):
         _fail(f"cannot read config: {exc}")
     except (ValueError, ZeroResidualError) as exc:
         _fail(str(exc))
-    if fmt == "json":
-        try:
-            _emit(report.to_json(), out)
-        except ValueError as exc:
-            _fail(f"result is not finite: {exc}")
-    else:
+    try:
+        text = report.to_json()  # refuses a non-finite report, whatever the format
+    except ValueError as exc:
+        _fail(f"result is not finite: {exc}")
+    if fmt == "csv":
         lines = ["name,estimate,target,tolerance,sided,passed"]
         for name, estimate, target, tolerance, sided, passed in report.check_rows():
             lines.append(f"{name},{repr(estimate)},{repr(target)},{repr(tolerance)},{sided},{passed}")
-        _emit("\n".join(lines) + "\n", out)
+        text = "\n".join(lines) + "\n"
+    _emit(text, out)
     sys.exit(0 if report.passed else 1)
 
 

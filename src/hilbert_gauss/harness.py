@@ -13,7 +13,6 @@ field.
 from __future__ import annotations
 
 import json
-import math
 import numbers
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -23,10 +22,11 @@ import numpy as np
 
 from .estimators import risk_mean, risk_partial, variance_est_risk
 from .distributions import _check_positive, _check_prob, gamma_cdf, ks_critical_value, ks_statistic
-from .inference import functional_plan, subspace_test_plan
+from .inference import functional_plan
 from .processes import bridge_model, wiener_model
-from .sampling import GaussianLaw, noise_decomposition, noise_plan, norm_sq_moments
+from .sampling import GaussianLaw, noise_plan, norm_sq_moments
 from .spectral import HVector, SpectralModel, Subspace, default_use_tail, inner, project, row_inner
+from .spectral import _integer, _is_number, _is_number_list
 
 # Replicates per work unit; chunk boundaries are fixed by the replicate
 # count alone so serial and concurrent runs reduce identically.
@@ -90,7 +90,7 @@ class ExperimentConfig:
         kind = data.pop("kind", None)
         if kind is None:
             raise ValueError("experiment config needs a 'kind'")
-        model = _parse_model(data.pop("model", None))
+        model = _spec_field(data, "model", _parse_model, DEFAULT_MODEL_DIM)
         subspace = _spec_field(data, "subspace", _parse_subspace, model)
         subspace0 = _spec_field(data, "subspace0", _parse_subspace, model)
         zeta = _spec_field(data, "zeta", _parse_vector, model.dim)
@@ -127,20 +127,12 @@ def _is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
-
-
 def _is_optional_bool(value) -> bool:
     return value is None or isinstance(value, bool)
 
 
 def _is_int_list(value) -> bool:
     return value is None or (isinstance(value, (list, tuple)) and all(_is_int(v) for v in value))
-
-
-def _is_number_list(value) -> bool:
-    return isinstance(value, (list, tuple)) and all(_is_number(v) for v in value)
 
 
 def _field(data: dict, key: str, default, accepts, expected: str):
@@ -159,23 +151,21 @@ def _spec_field(data: dict, key: str, parse, arg):
         raise ValueError(f"config field {key!r}: {exc}") from exc
 
 
-def _parse_model(spec) -> SpectralModel:
+def _parse_model(spec, default_dim: int) -> SpectralModel:
     if spec is None:
-        return wiener_model(DEFAULT_MODEL_DIM)
+        return wiener_model(default_dim)
     if isinstance(spec, str):
         return SpectralModel.load(spec)
     if isinstance(spec, dict):
+        if "eigenvalues" in spec:
+            return SpectralModel.from_dict(spec)
         basis_id = spec.get("basis_id", "abstract")
-        dim = int(_field(spec, "dim", DEFAULT_MODEL_DIM, _is_int, "an integer"))
-        if "eigenvalues" not in spec:
-            if basis_id == "wiener":
-                return wiener_model(dim)
-            if basis_id == "bridge":
-                return bridge_model(dim)
-            raise ValueError("abstract models need explicit eigenvalues")
-        _field(spec, "eigenvalues", None, _is_number_list, "a list of finite numbers")
-        _field(spec, "tail_trace", 0.0, _is_number, "a finite number")
-        return SpectralModel.from_dict(spec)
+        dim = _integer(spec.get("dim", default_dim), "model dim must be an integer")
+        if basis_id == "wiener":
+            return wiener_model(dim)
+        if basis_id == "bridge":
+            return bridge_model(dim)
+        raise ValueError("abstract models need explicit eigenvalues")
     raise ValueError("model spec must be a path or a mapping")
 
 
@@ -443,7 +433,7 @@ def _level(config):
     if config.subspace0 is None:
         raise ValueError("the level experiment needs the hypothesis subspace subspace0")
     _law(config, config.subspace0)
-    plan = subspace_test_plan(config.model, config.subspace, config.subspace0)
+    plan = noise_plan(config.model, config.subspace, config.subspace0)
     threshold = plan.threshold(config.alpha)
 
     def aggregate(report, arrays, sums):
@@ -520,8 +510,8 @@ def _independence(config):
 def _noise_law(config):
     _require(config, "subspace")
     _law(config, config.subspace)
-    dec = noise_decomposition(config.model, config.subspace, config.subspace0)
     plan = noise_plan(config.model, config.subspace, config.subspace0)
+    dec = plan.decomposition
     laws = [("ks_s", "s_stat", dec.s_shape, dec.s_rate)]
     if config.subspace0 is not None:
         laws.append(("ks_t", "t_stat", dec.t_shape, dec.t_rate))

@@ -16,8 +16,8 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .distributions import _check_positive, _check_prob, f_quantile, norm_quantile, t_quantile
-from .sampling import noise_decomposition
+from .distributions import _check_positive, _check_prob, norm_quantile, t_quantile
+from .sampling import ZeroResidualError, noise_plan  # ZeroResidualError is re-exported
 from .spectral import (
     PLAN_CACHE_SIZE,
     HVector,
@@ -30,11 +30,6 @@ from .spectral import (
     top_multiplicity,
     trace_q_on,
 )
-
-
-class ZeroResidualError(ArithmeticError):
-    """Observation with no component outside U; a probability-zero event
-    under the model, reported distinctly instead of dividing by zero."""
 
 
 @dataclass(frozen=True)
@@ -245,48 +240,8 @@ def test_params(model: SpectralModel, U: Subspace, U0: Subspace):
     lam, n come from Q on the complement of U; mu, m from Q on U minus U0
     (largest eigenvalue and rank).  Both operators must be nonzero.
     """
-    dec = noise_decomposition(model, U, U0)
+    dec = noise_plan(model, U, U0).decomposition
     return dec.lam, dec.mu, dec.n, dec.m
-
-
-class SubspaceTestPlan:
-    """Replicate-invariant constants of the test of zeta in U0 against U,
-    and the test statistic on a batch of observations of shape (rows, dim)
-    or (dim,).  Build plans with `subspace_test_plan`."""
-
-    def __init__(self, model: SpectralModel, U: Subspace, U0: Subspace):
-        self.U = U
-        self.U0 = U0
-        self.lam, self.mu, self.n, self.m = test_params(model, U, U0)
-        self._threshold = (None, None)  # (alpha, F quantile) for the last alpha asked
-
-    @property
-    def params(self) -> dict:
-        return {"lam": self.lam, "mu": self.mu, "n": self.n, "m": self.m}
-
-    def threshold(self, alpha: float) -> float:
-        """The Fisher quantile F_{m, n, 1 - alpha}."""
-        alpha = _check_prob(alpha, "alpha")
-        kept_alpha, q = self._threshold
-        if kept_alpha != alpha:
-            q = f_quantile(float(self.m), float(self.n), 1.0 - alpha)
-            self._threshold = (alpha, q)
-        return q
-
-    def statistic(self, y: np.ndarray) -> np.ndarray:
-        """(n lam / (m mu)) ||P_U y - P_U0 y||^2 / ||y - P_U y||^2 per row."""
-        pu = project(y, self.U)
-        residual = y - pu
-        denom = row_inner(residual, residual)
-        if np.any(denom <= 0.0):
-            raise ZeroResidualError(
-                "observation has no component outside U; the test statistic is undefined"
-            )
-        shift = pu - project(y, self.U0)
-        return (self.n * self.lam) / (self.m * self.mu) * row_inner(shift, shift) / denom
-
-
-subspace_test_plan = lru_cache(maxsize=PLAN_CACHE_SIZE)(SubspaceTestPlan)
 
 
 def test_subspace(y: HVector, model: SpectralModel, U: Subspace, U0: Subspace, alpha: float) -> TestResult:
@@ -299,6 +254,8 @@ def test_subspace(y: HVector, model: SpectralModel, U: Subspace, U0: Subspace, a
     raises ZeroResidualError.
     """
     alpha = _check_prob(alpha, "alpha")
-    plan = subspace_test_plan(model, U, U0)
-    return TestResult.from_statistic(plan.statistic(y.coeffs), plan.threshold(alpha), params=plan.params)
+    plan = noise_plan(model, U, U0)
+    dec = plan.decomposition
+    params = {"lam": dec.lam, "mu": dec.mu, "n": dec.n, "m": dec.m}
+    return TestResult.from_statistic(plan.statistic(y.coeffs), plan.threshold(alpha), params=params)
 

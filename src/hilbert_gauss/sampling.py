@@ -17,7 +17,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .distributions import _check_positive
+from .distributions import _check_positive, _check_prob, f_quantile
 from .spectral import (
     MEAN_IN_SUBSPACE_TOL,
     PLAN_CACHE_SIZE,
@@ -173,39 +173,53 @@ def noise_decomposition(model: SpectralModel, U: Subspace, U0: Subspace | None =
     Requires Q nonzero on the complement of U; with U0 given, requires
     U0 inside U and Q nonzero on the difference.
     """
-    comp = U.complement()
-    if trace_q_on(model, comp, use_tail=False) <= 0.0:
-        # Even with a positive tail trace, lam and n are not readable from
-        # a scalar tail, so an empty or Q-null truncated complement is out.
-        raise ValueError("Q vanishes on the truncated complement of U")
-    lam = sup_eig_on(model, comp)
-    n = top_multiplicity(model, comp)
-    if U0 is None:
-        return NoiseDecomposition(lam=lam, n=n)
-    diff = difference_subspace(model, U, U0)
-    mu = sup_eig_on(model, diff)
-    if mu <= 0.0:
-        raise ValueError("Q vanishes on the difference of U and U0")
-    m = int(np.count_nonzero(restricted_eigenvalues(model, diff) > 0.0))
-    if m < 1:
-        raise ValueError("Q has rank zero on the difference of U and U0")
-    return NoiseDecomposition(lam=lam, n=n, mu=mu, m=m)
+    return noise_plan(model, U, U0).decomposition
+
+
+class ZeroResidualError(ArithmeticError):
+    """Observation with no component outside U; a probability-zero event
+    under the model, reported distinctly instead of dividing by zero."""
 
 
 class NoisePlan:
-    """Replicate-invariant parts of the noise statistics attached to U (and U0).
+    """Replicate-invariant constants of the two noise statistics attached to
+    U (and U0) and of the subspace test, which share (lam, n, mu, m), and the
+    statistics on coefficient arrays of shape (rows, dim) or (dim,).
 
-    Each part is built on first use: the leading eigenspace of Q on the
-    complement of U, and the whitening weights of Q on U minus U0.  The
-    statistics are evaluated on a coefficient array of shape (rows, dim) or
-    (dim,), one value per row.  Index-set subspaces only.  Build plans with
-    `noise_plan`.
+    Each constant is built on first use, so a statistic needs only its own;
+    one that raises is not kept.  The F quantile is kept for the last alpha
+    asked.  Build plans with `noise_plan`.
     """
 
     def __init__(self, model: SpectralModel, U: Subspace, U0: Subspace | None):
         self.model = model
         self.U = U
         self.U0 = U0
+        self._threshold = (None, None)  # (alpha, F quantile) for the last alpha asked
+
+    @cached_property
+    def difference(self) -> tuple:
+        if self.U0 is None:
+            raise ValueError("the whitened statistic needs the hypothesis subspace U0")
+        diff = difference_subspace(self.model, self.U, self.U0)
+        return diff, restricted_eigenvalues(self.model, diff)
+
+    @cached_property
+    def decomposition(self) -> NoiseDecomposition:
+        comp = self.U.complement()
+        if trace_q_on(self.model, comp, use_tail=False) <= 0.0:
+            # Even with a positive tail trace, lam and n are not readable from
+            # a scalar tail, so an empty or Q-null truncated complement is out.
+            raise ValueError("Q vanishes on the truncated complement of U")
+        lam = sup_eig_on(self.model, comp)
+        n = top_multiplicity(self.model, comp)
+        if self.U0 is None:
+            return NoiseDecomposition(lam=lam, n=n)
+        eigs = self.difference[1]
+        mu = float(eigs.max())
+        if mu <= 0.0:
+            raise ValueError("Q vanishes on the difference of U and U0")
+        return NoiseDecomposition(lam=lam, n=n, mu=mu, m=int(np.count_nonzero(eigs > 0.0)))
 
     @cached_property
     def leading(self) -> Subspace:
@@ -214,17 +228,13 @@ class NoisePlan:
     @cached_property
     def whitening(self) -> tuple:
         """(coordinates, eigenvalues, mu) of the nonzero spectrum on U minus U0."""
-        if self.U0 is None:
-            raise ValueError("the whitened statistic needs the hypothesis subspace U0")
-        diff = difference_subspace(self.model, self.U, self.U0)
+        diff, eigs = self.difference
         if diff.kind != "indices":
             raise ValueError("whitening requires index-set subspaces")
-        coords = np.flatnonzero(diff.index_mask())
-        lam = self.model.eigenvalues[coords]
-        keep = lam > 0.0
+        keep = eigs > 0.0
         if not keep.any():
             raise ValueError("Q vanishes on the difference of U and U0")
-        return coords[keep], lam[keep], float(lam.max())
+        return np.flatnonzero(diff.index_mask())[keep], eigs[keep], float(eigs.max())
 
     def leading_norm_sq(self, y: np.ndarray, sigma: float) -> np.ndarray:
         """||S(Y / sigma)||^2 per row, S the projection onto `leading`."""
@@ -236,6 +246,29 @@ class NoisePlan:
         coords, lam, mu = self.whitening
         c = y[..., coords]
         return mu * np.sum(c * c / lam, axis=-1) / float(sigma) ** 2
+
+    def threshold(self, alpha: float) -> float:
+        """The Fisher quantile F_{m, n, 1 - alpha} of the subspace test."""
+        dec = self.decomposition
+        alpha = _check_prob(alpha, "alpha")
+        kept_alpha, q = self._threshold
+        if kept_alpha != alpha:
+            q = f_quantile(float(dec.m), float(dec.n), 1.0 - alpha)
+            self._threshold = (alpha, q)
+        return q
+
+    def statistic(self, y: np.ndarray) -> np.ndarray:
+        """(n lam / (m mu)) ||P_U y - P_U0 y||^2 / ||y - P_U y||^2 per row."""
+        dec = self.decomposition
+        pu = project(y, self.U)
+        residual = y - pu
+        denom = row_inner(residual, residual)
+        if np.any(denom <= 0.0):
+            raise ZeroResidualError(
+                "observation has no component outside U; the test statistic is undefined"
+            )
+        shift = pu - project(y, self.U0)
+        return (dec.n * dec.lam) / (dec.m * dec.mu) * row_inner(shift, shift) / denom
 
 
 noise_plan = lru_cache(maxsize=PLAN_CACHE_SIZE)(NoisePlan)

@@ -13,6 +13,8 @@ construction).
 from __future__ import annotations
 
 import json
+import math
+import numbers
 import operator
 
 import numpy as np
@@ -145,14 +147,15 @@ class SpectralModel(_Frozen):
 
     @classmethod
     def from_dict(cls, data: dict) -> "SpectralModel":
-        try:
-            model = cls(
-                data["eigenvalues"],
-                tail_trace=data.get("tail_trace", 0.0),
-                basis_id=data.get("basis_id", "abstract"),
-            )
-        except (TypeError, KeyError) as exc:
-            raise ValueError(f"invalid model data: {exc}") from exc
+        """Model from its JSON mapping; bool or string numbers are refused."""
+        if not isinstance(data, dict):
+            raise ValueError("model data must be a mapping")
+        if not _is_number_list(data.get("eigenvalues")):
+            raise ValueError("model eigenvalues must be a list of finite numbers")
+        tail_trace = data.get("tail_trace", 0.0)
+        if not _is_number(tail_trace):
+            raise ValueError(f"model tail_trace must be a finite number, got {tail_trace!r}")
+        model = cls(data["eigenvalues"], tail_trace=tail_trace, basis_id=data.get("basis_id", "abstract"))
         if "dim" in data and _integer(data["dim"], "model dim must be an integer") != model.dim:
             raise ValueError("model dim does not match the eigenvalue count")
         return model
@@ -241,6 +244,15 @@ def _integer(value, message: str) -> int:
         except TypeError:
             pass
     raise ValueError(f"{message}, got {value!r}")
+
+
+def _is_number(value) -> bool:
+    """A finite JSON number: bools (an int subclass) and strings are refused."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def _is_number_list(value) -> bool:
+    return isinstance(value, (list, tuple)) and all(_is_number(v) for v in value)
 
 
 class Subspace(_Frozen):
@@ -364,6 +376,9 @@ class Subspace(_Frozen):
 
     @classmethod
     def from_dict(cls, data: dict, model: SpectralModel | None = None) -> "Subspace":
+        """Subspace from its JSON mapping; bool or string numbers are refused."""
+        if not isinstance(data, dict):
+            raise ValueError("subspace data must be a mapping")
         if "indices" in data:
             dim = data.get("dim", model.dim if model is not None else None)
             if dim is None:
@@ -372,12 +387,16 @@ class Subspace(_Frozen):
         elif "frame" in data:
             if model is None:
                 raise ValueError("frame subspace data needs a model for validation")
-            sub = cls.from_frame(model, np.asarray(data["frame"], dtype=float))
+            frame = data["frame"]
+            if not isinstance(frame, (list, tuple)) or not all(_is_number_list(row) for row in frame):
+                raise ValueError("subspace frame must be a list of rows of finite numbers")
+            sub = cls.from_frame(model, np.asarray(frame, dtype=float))
         else:
             raise ValueError("subspace data needs 'indices' or 'frame'")
-        if data.get("complement", False):
-            sub = sub.complement()
-        return sub
+        complement = data.get("complement", False)
+        if not isinstance(complement, bool):
+            raise ValueError(f"subspace complement must be true or false, got {complement!r}")
+        return sub.complement() if complement else sub
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:

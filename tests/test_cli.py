@@ -446,7 +446,33 @@ def test_model_file_with_non_integral_dim_exits_two(runner, tmp_path, dim):
     assert_one_line_error(res)
 
 
-@pytest.mark.parametrize("subspace", ({"indices": 5}, {"indices": [1], "dim": 2.7}))
+@pytest.mark.parametrize(
+    "model",
+    (
+        {"eigenvalues": [True, 0.5, 0.5, 0.25]},
+        {"eigenvalues": ["1.0", 0.5, 0.5, 0.25]},
+        {"eigenvalues": [1.0, 0.5, 0.5, 0.25], "tail_trace": "0.5"},
+    ),
+)
+def test_model_file_with_non_numeric_values_exits_two(runner, tmp_path, model):
+    # Read from a --model file and from a config "model" path alike.
+    path = write_json(tmp_path, "model.json", model)
+    obs = write_obs(tmp_path, 4, {1: 1.0})
+    assert_one_line_error(runner.invoke(main, ["estimate", "--model", path, "--obs", obs, "--subspace", "1"]))
+    assert_one_line_error(runner.invoke(main, ["mc", "--config", write_mc_config(tmp_path, model=path)]))
+
+
+@pytest.mark.parametrize(
+    "subspace",
+    (
+        {"indices": 5},
+        {"indices": [1], "dim": 2.7},
+        {"indices": [1], "complement": "false"},
+        {"frame": [["1.0", 0.0]]},
+        {"frame": [[True, 0.0]]},
+        5,
+    ),
+)
 def test_bad_subspace_file_exits_two(runner, tmp_path, subspace):
     obs = write_obs(tmp_path, 2, {1: 1.0})
     model = write_json(tmp_path, "model.json", {"eigenvalues": [1.0, 0.5]})
@@ -570,16 +596,18 @@ def test_overflow_is_one_stderr_line_outside_pytest(tmp_path, command):
     assert res.stdout == ""
 
 
-def test_mc_non_finite_report_exits_two(runner, tmp_path, monkeypatch):
+@pytest.mark.parametrize("fmt", ("json", "csv"))
+def test_mc_non_finite_report_exits_two(runner, tmp_path, monkeypatch, fmt):
     real = harness.run_experiment
 
     def nan_estimate(*args, **kwargs):
         report = real(*args, **kwargs)
         report.estimates["coverage"] = float("nan")
+        report.checks[0]["estimate"] = float("nan")  # what the CSV rows print
         return report
 
     monkeypatch.setattr(cli, "run_experiment", nan_estimate)
-    res = runner.invoke(main, ["mc", "--config", write_mc_config(tmp_path, replicates=50)])
+    res = runner.invoke(main, ["mc", "--config", write_mc_config(tmp_path, replicates=50), "--format", fmt])
     assert_one_line_error(res)
     assert "not finite" in res.stderr
     assert res.stdout == ""

@@ -9,18 +9,17 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hilbert_gauss import inference, processes
+from hilbert_gauss import inference, processes, sampling
 from hilbert_gauss.distributions import f_quantile, norm_quantile, t_quantile
 from hilbert_gauss.estimators import est_variance
 from hilbert_gauss.harness import ExperimentConfig, run_experiment
-from hilbert_gauss.inference import ci_known, ci_unknown, functional_plan, subspace_test_plan
+from hilbert_gauss.inference import ci_known, ci_unknown, functional_plan
 from hilbert_gauss.processes import bridge_model, wiener_model
 from hilbert_gauss.sampling import leading_complement_norm_sq, noise_plan
 from hilbert_gauss.spectral import PLAN_CACHE_SIZE, HVector, SpectralModel, Subspace
 
 FACTORIES = (
     inference._functional_plan,
-    subspace_test_plan,
     noise_plan,
     wiener_model,
     bridge_model,
@@ -152,12 +151,12 @@ def test_failing_constant_is_not_cached(cold_caches):
         with pytest.raises(ValueError, match="not positive"):
             ci_known(b, y, model, U, 1.0, 0.05)
     assert "variance_factor" not in vars(functional_plan(model, U, b))
-    # A constructor that raises leaves no entry at all.
-    U0 = Subspace.from_indices(16, [7])
+    # A failing constant of the noise plan is not kept and raises again.
+    U2, U0 = Subspace.from_indices(16, [4, 5]), Subspace.from_indices(16, [7])
     for _ in range(2):
         with pytest.raises(ValueError, match="not contained"):
-            subspace_test_plan(model, Subspace.from_indices(16, [4, 5]), U0)
-    assert subspace_test_plan.cache_info().currsize == 0
+            inference.test_subspace(y, model, U2, U0, 0.05)
+    assert not {"difference", "decomposition"} & set(vars(noise_plan(model, U2, U0)))
     everything = Subspace.from_indices(16, range(1, 17))
     for _ in range(2):
         with pytest.raises(ValueError, match="empty subspace"):
@@ -176,7 +175,7 @@ def count_calls(monkeypatch, module, name):
     (("coverage_known", "norm_quantile"), ("coverage_unknown", "t_quantile"), ("level", "f_quantile")),
 )
 def test_quantile_once_per_run(cold_caches, monkeypatch, kind, quantile):
-    calls = count_calls(monkeypatch, inference, quantile)
+    calls = count_calls(monkeypatch, sampling if kind == "level" else inference, quantile)
     data = {
         "kind": kind,
         "model": {"basis_id": "wiener", "dim": 64},
@@ -192,16 +191,37 @@ def test_quantile_once_per_run(cold_caches, monkeypatch, kind, quantile):
     assert len(calls) == 1
 
 
+LEVEL_PAIR = {"model": {"basis_id": "wiener", "dim": 64}, "subspace": [4, 5, 6], "subspace0": [4], "replicates": 100}
+
+
+def test_test_and_noise_statistics_share_one_plan(cold_caches):
+    run_experiment(ExperimentConfig.from_dict({"kind": "level", **LEVEL_PAIR}))
+    assert noise_plan.cache_info().currsize == 1
+    run_experiment(ExperimentConfig.from_dict({"kind": "noise_law", **LEVEL_PAIR}))
+    info = noise_plan.cache_info()
+    assert info.currsize == 1 and info.hits >= 1
+
+
+def test_warm_noise_law_run_rebuilds_no_constant(cold_caches, monkeypatch):
+    calls = count_calls(monkeypatch, sampling, "difference_subspace")
+    config = ExperimentConfig.from_dict({"kind": "noise_law", **LEVEL_PAIR})
+    run_experiment(config)
+    assert len(calls) == 1
+    run_experiment(config)
+    assert len(calls) == 1
+
+
 def test_kept_quantile_follows_alpha(cold_caches):
     model = wiener_model(32)
     U, U3 = Subspace.from_indices(32, [4]), Subspace.from_indices(32, [4, 5, 6])
     plan = functional_plan(model, U, HVector.basis_vector(32, 4))
-    test_plan = subspace_test_plan(model, U3, U)
+    test_plan = noise_plan(model, U3, U)
     n = float(plan.complement_params[2])
+    dec = test_plan.decomposition
     for alpha in (0.05, 0.1, 0.05, 0.01):
         assert plan._quantile("z", alpha) == norm_quantile(1.0 - alpha / 2.0)
         assert plan._quantile("t", alpha) == t_quantile(n, 1.0 - alpha / 2.0)
-        assert test_plan.threshold(alpha) == f_quantile(float(test_plan.m), float(test_plan.n), 1.0 - alpha)
+        assert test_plan.threshold(alpha) == f_quantile(float(dec.m), float(dec.n), 1.0 - alpha)
 
 
 def footprint_of(burst) -> int:
@@ -237,10 +257,10 @@ def test_burst_of_distinct_index_subspaces_stays_bounded(cold_caches):
             leading_complement_norm_sq(model, U, y, 1.0)
 
     used = footprint_of(burst)
-    for factory in (inference._functional_plan, subspace_test_plan, noise_plan):
+    for factory in (inference._functional_plan, noise_plan):
         assert factory.cache_info().currsize == PLAN_CACHE_SIZE
     # Per key: one 64 KiB vector b and the 8 KiB mask of U, shared by the
-    # three caches; a burst kept unbounded would hold 8 times as much.
+    # two caches; a burst kept unbounded would hold 8 times as much.
     key_bytes = dim * 8 + dim
     assert used < PLAN_CACHE_SIZE * key_bytes * 1.5, used
 

@@ -161,6 +161,18 @@ def test_noise_decomposition_degenerate():
         NoiseDecomposition(lam=1.0, n=1, mu=2.0, m=None)
 
 
+def test_whitened_statistic_needs_no_complement():
+    # U spans every mode, so Q vanishes on its complement: the decomposition
+    # (and the test) are undefined there, the whitened statistic is not.
+    m = SpectralModel([1.0, 0.5, 0.25])
+    u, u0 = Subspace.from_indices(3, [1, 2, 3]), Subspace.from_indices(3, [1])
+    y = HVector([1.0, 2.0, 3.0])
+    assert whitened_difference_norm_sq(m, u, u0, y, 2.0) == 0.5 * (4.0 / 0.5 + 9.0 / 0.25) / 4.0
+    with pytest.raises(ValueError, match="truncated complement"):
+        noise_decomposition(m, u, u0)
+    assert whitened_difference_norm_sq(m, u, u0, y, 2.0) == 5.5
+
+
 def test_noise_statistics_gamma_laws():
     m = wiener_model(128)
     u = Subspace.from_indices(128, [4, 5, 6])
