@@ -26,7 +26,7 @@ from .inference import functional_plan
 from .processes import bridge_model, wiener_model
 from .sampling import GaussianLaw, noise_plan, norm_sq_moments
 from .spectral import HVector, SpectralModel, Subspace, default_use_tail, inner, project, row_inner
-from .spectral import _integer, _is_number, _is_number_list
+from .spectral import _check_fields, _integer, _is_number, _is_number_list
 
 # Replicates per work unit; chunk boundaries are fixed by the replicate
 # count alone so serial and concurrent runs reduce identically.
@@ -95,10 +95,7 @@ class ExperimentConfig:
         subspace0 = _spec_field(data, "subspace0", _parse_subspace, model)
         zeta = _spec_field(data, "zeta", _parse_vector, model.dim)
         b = _spec_field(data, "b", _parse_vector, model.dim)
-        known = {"sigma", "alpha", "replicates", "master_seed", "use_tail", "cutoffs", "workers"}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown config fields: {sorted(unknown)}")
+        _check_fields(data, ("sigma", "alpha", "replicates", "master_seed", "use_tail", "cutoffs", "workers"), "config")
         cutoffs = _field(data, "cutoffs", None, _is_int_list, "a list of integers")
         return cls(
             kind=kind,
@@ -159,6 +156,7 @@ def _parse_model(spec, default_dim: int) -> SpectralModel:
     if isinstance(spec, dict):
         if "eigenvalues" in spec:
             return SpectralModel.from_dict(spec)
+        _check_fields(spec, ("basis_id", "dim"), "model")
         basis_id = spec.get("basis_id", "abstract")
         dim = _integer(spec.get("dim", default_dim), "model dim must be an integer")
         if basis_id == "wiener":

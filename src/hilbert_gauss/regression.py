@@ -11,11 +11,13 @@ subspace test with b = A Gram^{-1} c and U0 = A(G0).
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 import scipy.linalg
 
 from .inference import Interval, TestResult, ci_known, ci_unknown, test_subspace
-from .spectral import HVector, SpectralModel, Subspace
+from .spectral import PLAN_CACHE_SIZE, HVector, SpectralModel, Subspace, _Frozen, _readonly, _set
 
 # Rank threshold of the rank-revealing QR, relative to the largest pivot.
 RANK_TOL = 1e-12
@@ -24,7 +26,7 @@ RANK_TOL = 1e-12
 GRAM_COND_TOL = 1e-12
 
 
-class DesignOperator:
+class DesignOperator(_Frozen):
     """Injective finite-rank map from parameter space into H.
 
     Parameters
@@ -34,9 +36,13 @@ class DesignOperator:
     columns : sequence
         The p column images A g_1 .. A g_p as HVectors or coefficient
         arrays of length model.dim.
+
+    Designs are immutable and keyed by (model, columns); everything that
+    does not depend on the observation comes from their `design_plan`.
     """
 
-    __slots__ = ("model", "columns", "gram", "range")
+    # _plan is derived state, kept out of __eq__, __hash__ and pickles.
+    __slots__ = ("model", "columns", "_plan")
 
     def __init__(self, model: SpectralModel, columns):
         cols = [c.coeffs if isinstance(c, HVector) else np.asarray(c, dtype=float) for c in columns]
@@ -47,16 +53,17 @@ class DesignOperator:
             raise ValueError(f"columns have dim {mat.shape[0]}, model has {model.dim}")
         if not np.all(np.isfinite(mat)):
             raise ValueError("column entries must be finite")
-        gram = mat.T @ mat
-        eigs = np.linalg.eigvalsh(gram)
-        if eigs[-1] <= 0.0 or eigs[0] <= GRAM_COND_TOL * eigs[-1]:
-            raise ValueError("design columns are not linearly independent enough to invert")
-        mat.flags.writeable = False
-        gram.flags.writeable = False
-        self.model = model
-        self.columns = mat
-        self.gram = gram
-        self.range = _range_subspace(model, mat)
+        _set(self, "model", model)
+        _set(self, "columns", _readonly(mat))
+        _set(self, "_plan", design_plan(self))
+
+    @property
+    def gram(self) -> np.ndarray:
+        return self._plan.gram
+
+    @property
+    def range(self) -> Subspace:
+        return self._plan.range
 
     @property
     def n_params(self) -> int:
@@ -69,8 +76,46 @@ class DesignOperator:
             raise ValueError(f"beta must have shape ({self.n_params},)")
         return HVector(self.columns @ beta)
 
+    def _fields(self) -> tuple:
+        return self.model, self.columns
+
+    def __reduce__(self):
+        # The constructor takes a sequence of columns, not the matrix rows.
+        return DesignOperator, (self.model, self.columns.T)
+
     def __repr__(self) -> str:
         return f"DesignOperator(dim={self.model.dim}, n_params={self.n_params})"
+
+
+class DesignPlan:
+    """Constants of a design that do not depend on the observation: the Gram
+    matrix (checked to be invertible), the range subspace, and the pullback
+    b and hypothesis subspace U0 for the last c and G0 asked.  Build plans
+    with `design_plan`.
+    """
+
+    def __init__(self, A: DesignOperator):
+        gram = A.columns.T @ A.columns
+        eigs = np.linalg.eigvalsh(gram)
+        if eigs[-1] <= 0.0 or eigs[0] <= GRAM_COND_TOL * eigs[-1]:
+            raise ValueError("design columns are not linearly independent enough to invert")
+        self.gram = _readonly(gram)
+        self.range = _range_subspace(A.model, A.columns)
+        self._kept = {}  # name -> (key, value) for the last key asked
+
+    def kept(self, name: str, key: np.ndarray, build):
+        """build() for the last key array asked under name.  The key is kept
+        as its shape and a copy of its bytes, so a caller mutating its array
+        cannot make the kept value stale."""
+        key = (key.shape, key.tobytes())
+        kept_key, value = self._kept.get(name, (None, None))
+        if kept_key != key:
+            value = build()
+            self._kept[name] = (key, value)
+        return value
+
+
+design_plan = lru_cache(maxsize=PLAN_CACHE_SIZE)(DesignPlan)
 
 
 def _range_subspace(model: SpectralModel, mat: np.ndarray) -> Subspace:
@@ -94,8 +139,7 @@ def lse(A: DesignOperator, y: HVector) -> np.ndarray:
     """
     if y.dim != A.model.dim:
         raise ValueError("observation dimension does not match the model")
-    rhs = A.columns.T @ y.coeffs
-    return np.linalg.solve(A.gram, rhs)
+    return np.linalg.solve(A.gram, A.columns.T @ y.coeffs)
 
 
 def pullback_functional(A: DesignOperator, c) -> HVector:
@@ -107,19 +151,17 @@ def pullback_functional(A: DesignOperator, c) -> HVector:
     c = np.asarray(c, dtype=float)
     if c.shape != (A.n_params,):
         raise ValueError(f"c must have shape ({A.n_params},)")
-    return HVector(A.columns @ np.linalg.solve(A.gram, c))
+    return A._plan.kept("b", c, lambda: HVector(A.columns @ np.linalg.solve(A.gram, c)))
 
 
 def ci_beta_known(c, A: DesignOperator, y: HVector, sigma: float, alpha: float) -> Interval:
     """Known-sigma interval for <c, beta>, via the pullback functional."""
-    b = pullback_functional(A, c)
-    return ci_known(b, y, A.model, A.range, sigma, alpha)
+    return ci_known(pullback_functional(A, c), y, A.model, A.range, sigma, alpha)
 
 
 def ci_beta_unknown(c, A: DesignOperator, y: HVector, alpha: float, use_tail: bool | None = None) -> Interval:
     """Unknown-sigma (conservative) interval for <c, beta>."""
-    b = pullback_functional(A, c)
-    return ci_unknown(b, y, A.model, A.range, alpha, use_tail=use_tail)
+    return ci_unknown(pullback_functional(A, c), y, A.model, A.range, alpha, use_tail=use_tail)
 
 
 def test_beta(y: HVector, A: DesignOperator, G0_columns, alpha: float) -> TestResult:
@@ -136,6 +178,5 @@ def test_beta(y: HVector, A: DesignOperator, G0_columns, alpha: float) -> TestRe
         raise ValueError(f"G0 vectors must have length {A.n_params}")
     if g0_mat.shape[1] >= A.n_params:
         raise ValueError("G0 must span a proper subspace of the parameter space")
-    images = A.columns @ g0_mat
-    U0 = _range_subspace(A.model, images)
+    U0 = A._plan.kept("U0", g0_mat, lambda: _range_subspace(A.model, A.columns @ g0_mat))
     return test_subspace(y, A.model, A.range, U0, alpha)

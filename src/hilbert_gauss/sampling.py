@@ -247,9 +247,14 @@ class NoisePlan:
         c = y[..., coords]
         return mu * np.sum(c * c / lam, axis=-1) / float(sigma) ** 2
 
+    def _test_decomposition(self) -> NoiseDecomposition:
+        if self.U0 is None:
+            raise ValueError("the subspace test needs the hypothesis subspace U0")
+        return self.decomposition
+
     def threshold(self, alpha: float) -> float:
         """The Fisher quantile F_{m, n, 1 - alpha} of the subspace test."""
-        dec = self.decomposition
+        dec = self._test_decomposition()
         alpha = _check_prob(alpha, "alpha")
         kept_alpha, q = self._threshold
         if kept_alpha != alpha:
@@ -259,7 +264,7 @@ class NoisePlan:
 
     def statistic(self, y: np.ndarray) -> np.ndarray:
         """(n lam / (m mu)) ||P_U y - P_U0 y||^2 / ||y - P_U y||^2 per row."""
-        dec = self.decomposition
+        dec = self._test_decomposition()
         pu = project(y, self.U)
         residual = y - pu
         denom = row_inner(residual, residual)

@@ -150,6 +150,7 @@ class SpectralModel(_Frozen):
         """Model from its JSON mapping; bool or string numbers are refused."""
         if not isinstance(data, dict):
             raise ValueError("model data must be a mapping")
+        _check_fields(data, ("dim", "eigenvalues", "tail_trace", "basis_id"), "model")
         if not _is_number_list(data.get("eigenvalues")):
             raise ValueError("model eigenvalues must be a list of finite numbers")
         tail_trace = data.get("tail_trace", 0.0)
@@ -244,6 +245,13 @@ def _integer(value, message: str) -> int:
         except TypeError:
             pass
     raise ValueError(f"{message}, got {value!r}")
+
+
+def _check_fields(data: dict, allowed, what: str) -> None:
+    """Refuse mapping keys outside `allowed`, so a misspelled field is not dropped."""
+    unknown = set(data) - set(allowed)
+    if unknown:
+        raise ValueError(f"unknown {what} fields: {sorted(unknown, key=str)}")
 
 
 def _is_number(value) -> bool:
@@ -379,6 +387,7 @@ class Subspace(_Frozen):
         """Subspace from its JSON mapping; bool or string numbers are refused."""
         if not isinstance(data, dict):
             raise ValueError("subspace data must be a mapping")
+        _check_fields(data, ("dim", "complement", "indices", "frame"), "subspace")
         if "indices" in data:
             dim = data.get("dim", model.dim if model is not None else None)
             if dim is None:

@@ -481,6 +481,28 @@ def test_bad_subspace_file_exits_two(runner, tmp_path, subspace):
     assert_one_line_error(res)
 
 
+@pytest.mark.parametrize(
+    "option, data, field",
+    (
+        ("model", {"eigenvalues": [1.0, 0.5], "tail": 0.3}, "tail"),
+        ("model", {"basis_id": "wiener", "dim": 2, "modes": 4}, "modes"),
+        ("subspace", {"indices": [1], "dim": 2, "complment": True}, "complment"),
+    ),
+)
+def test_unknown_model_or_subspace_field_exits_two(runner, tmp_path, option, data, field):
+    # From a --model or --subspace file and from a config mapping alike.
+    specs = {"model": "wiener:2", "subspace": "1", option: write_json(tmp_path, f"{option}.json", data)}
+    obs = write_obs(tmp_path, 2, {1: 1.0})
+    config = {"model": {"basis_id": "wiener", "dim": 2}, "subspace": [1], "b": [1.0, 0.0], "zeta": None, option: data}
+    for args in (
+        ["estimate", "--model", specs["model"], "--obs", obs, "--subspace", specs["subspace"]],
+        ["mc", "--config", write_mc_config(tmp_path, **config)],
+    ):
+        res = runner.invoke(main, args)
+        assert_one_line_error(res)
+        assert f"unknown {option} fields: ['{field}']" in res.stderr
+
+
 @pytest.mark.parametrize("spec", ("wiener:-3", "bridge:0"))
 def test_bad_mode_count_exits_two(runner, tmp_path, spec):
     obs = write_obs(tmp_path, 8, {1: 1.0})

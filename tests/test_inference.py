@@ -13,6 +13,7 @@ from hilbert_gauss.inference import (
     functional_variance_factor,
 )
 from hilbert_gauss.processes import wiener_model
+from hilbert_gauss.sampling import noise_plan
 from hilbert_gauss.spectral import HVector, SpectralModel, Subspace, project
 
 WIENER_EIG_4 = 0.008271117032027573
@@ -184,6 +185,19 @@ def test_test_subspace_requires_nested():
     y = HVector(np.ones(16))
     with pytest.raises(ValueError):
         inference.test_subspace(y, m, u, u0, alpha=0.05)
+
+
+def test_test_subspace_requires_hypothesis_subspace():
+    m = wiener_model(16)
+    u = Subspace.from_indices(16, [4, 5])
+    y = HVector(np.ones(16))
+    with pytest.raises(ValueError, match="hypothesis subspace U0"):
+        inference.test_subspace(y, m, u, None, alpha=0.05)
+    plan = noise_plan(m, u, None)
+    with pytest.raises(ValueError, match="hypothesis subspace U0"):
+        plan.statistic(y.coeffs)
+    with pytest.raises(ValueError, match="hypothesis subspace U0"):
+        plan.threshold(0.05)
 
 
 def test_alpha_validation():

@@ -9,24 +9,26 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hilbert_gauss import inference, processes, sampling
+from hilbert_gauss import inference, processes, regression, sampling
 from hilbert_gauss.distributions import f_quantile, norm_quantile, t_quantile
 from hilbert_gauss.estimators import est_variance
 from hilbert_gauss.harness import ExperimentConfig, run_experiment
 from hilbert_gauss.inference import ci_known, ci_unknown, functional_plan
 from hilbert_gauss.processes import bridge_model, wiener_model
+from hilbert_gauss.regression import DesignOperator, ci_beta_known, ci_beta_unknown, pullback_functional
 from hilbert_gauss.sampling import leading_complement_norm_sq, noise_plan
 from hilbert_gauss.spectral import PLAN_CACHE_SIZE, HVector, SpectralModel, Subspace
 
 FACTORIES = (
     inference._functional_plan,
     noise_plan,
+    regression.design_plan,
     wiener_model,
     bridge_model,
 )
 
 
-KEYS = ("model", "vector", "index_subspace", "frame_complement")
+KEYS = ("model", "vector", "index_subspace", "frame_complement", "design")
 
 
 def make_key(name):
@@ -38,6 +40,8 @@ def make_key(name):
         return HVector([1.0, -2.0, 0.5])
     if name == "index_subspace":
         return Subspace.from_indices(6, [1, 4])
+    if name == "design":
+        return DesignOperator(model, [[0.0, 0.6, 0.8, 0.0], [2.0, 0.0, 0.0, 0.0]])
     return Subspace.from_frame(model, [np.array([0.0, 0.6, 0.8, 0.0])]).complement()
 
 
@@ -81,7 +85,7 @@ def test_pickle_round_trip(name):
     back = pickle.loads(pickle.dumps(obj))
     assert back == obj and hash(back) == hash(obj) and type(back) is type(obj)
     for name in slots(obj):
-        if name not in ("_hash", "_mask"):
+        if name not in ("_hash", "_mask", "_plan"):
             assert np.array_equal(getattr(back, name), getattr(obj, name))
     with pytest.raises(AttributeError):
         back.dim = 3
@@ -100,11 +104,12 @@ class CountingArray(np.ndarray):
 
 
 # An index subspace hashes its index tuple, without array bytes.
-@pytest.mark.parametrize("name", ("model", "vector", "frame_complement"))
+@pytest.mark.parametrize("name", ("model", "vector", "frame_complement", "design"))
 def test_hash_is_computed_once_per_instance(name):
     obj = make_key(name)
-    field = {SpectralModel: "eigenvalues", HVector: "coeffs", Subspace: "frame"}[type(obj)]
+    field = {SpectralModel: "eigenvalues", HVector: "coeffs", Subspace: "frame", DesignOperator: "columns"}[type(obj)]
     object.__setattr__(obj, field, getattr(obj, field).view(CountingArray))
+    object.__setattr__(obj, "_hash", None)  # a design hashes itself to find its plan
     CountingArray.calls = 0
     first = hash(obj)
     assert all(hash(obj) == first for _ in range(5))
@@ -161,6 +166,79 @@ def test_failing_constant_is_not_cached(cold_caches):
     for _ in range(2):
         with pytest.raises(ValueError, match="empty subspace"):
             leading_complement_norm_sq(model, everything, y, 1.0)
+
+
+def test_design_pickles_column_by_column(cold_caches):
+    A = make_key("design")
+    back = pickle.loads(pickle.dumps(A))
+    assert back == A and back.columns.shape == A.columns.shape == (4, 2)
+    assert back._plan is A._plan and back.range == A.range
+
+
+def test_equal_designs_share_one_plan(cold_caches):
+    cols = [HVector.basis_vector(16, 4, 1.3), HVector.basis_vector(16, 5, -0.4)]
+    A = DesignOperator(wiener_model(16), cols)
+    B = DesignOperator(wiener_model(16), [col.coeffs.copy() for col in cols])
+    assert A == B and hash(A) == hash(B) and B._plan is A._plan
+    info = regression.design_plan.cache_info()
+    assert info.currsize == 1 and info.hits == 1
+
+
+@pytest.mark.parametrize(
+    "columns, message",
+    (
+        ([np.eye(8)[2], 2.0 * np.eye(8)[2]], "linearly independent"),  # proportional columns
+        ([np.array([1.0, 1.0, 0, 0, 0, 0, 0, 0])], "not Q-invariant"),
+    ),
+)
+def test_failed_design_is_not_cached(cold_caches, columns, message):
+    for _ in range(2):
+        with pytest.raises(ValueError, match=message):
+            DesignOperator(wiener_model(8), columns)
+    assert regression.design_plan.cache_info().currsize == 0
+
+
+# Columns inside one eigenspace of Q: every range and hypothesis image is a
+# Q-invariant frame subspace.
+DEGENERATE = SpectralModel([1.0, 0.5, 0.5, 0.5, 0.25, 0.1, 0.05, 0.02])
+DEGENERATE_COLUMNS = [[0, 1.0, 1.0, 0, 0, 0, 0, 0], [0, 1.0, -1.0, 0, 0, 0, 0, 0], [0, 0, 0, 1.0, 0, 0, 0, 0]]
+
+
+def design_outputs(A, c, g0, y):
+    return (
+        pullback_functional(A, c),
+        ci_beta_known(c, A, y, 1.0, 0.05),
+        ci_beta_unknown(c, A, y, 0.05),
+        regression.test_beta(y, A, g0, 0.05).to_dict(),
+    )
+
+
+def test_kept_pullback_and_hypothesis_follow_their_keys(cold_caches):
+    y = HVector(np.linspace(-1.0, 1.0, 8))
+    cs = (np.array([1.0, 0.0, 0.0]), np.array([0.5, -2.0, 1.0]))
+    g0s = ([np.array([1.0, 0.0, 0.0])], [np.array([0.0, 1.0, 0.0]), np.array([1.0, 0.0, 1.0])])
+
+    def fresh(c, g0):
+        regression.design_plan.cache_clear()
+        return design_outputs(DesignOperator(DEGENERATE, DEGENERATE_COLUMNS), c, g0, y)
+
+    expected = [fresh(c, g0) for c, g0 in zip(cs, g0s)]
+    assert expected[0] != expected[1]
+    A = DesignOperator(DEGENERATE, DEGENERATE_COLUMNS)
+    assert A.range.kind == "frame"
+    for i in (0, 1, 1, 0, 1, 0, 0):
+        assert design_outputs(A, cs[i], g0s[i], y) == expected[i]
+
+
+def test_mutating_the_callers_keys_does_not_poison_the_plan(cold_caches):
+    y = HVector(np.linspace(-1.0, 1.0, 8))
+    A = DesignOperator(DEGENERATE, DEGENERATE_COLUMNS)
+    c, g0 = np.array([1.0, 0.0, 0.0]), [np.array([1.0, 0.0, 0.0])]
+    first = design_outputs(A, c, g0, y)
+    c[1], g0[0][2] = 2.0, 1.0
+    regression.design_plan.cache_clear()
+    expected = design_outputs(DesignOperator(DEGENERATE, DEGENERATE_COLUMNS), c, g0, y)
+    assert design_outputs(A, c, g0, y) == expected != first
 
 
 def count_calls(monkeypatch, module, name):

@@ -76,6 +76,18 @@ def test_model_from_dict_refuses_non_integral_dim(dim):
         SpectralModel.from_dict({"eigenvalues": [1.0, 0.5], "dim": dim})
 
 
+def test_from_dict_refuses_unknown_fields():
+    with pytest.raises(ValueError, match=r"unknown model fields: \['tail'\]"):
+        SpectralModel.from_dict({"eigenvalues": [1.0, 0.5], "tail": 0.3})
+    with pytest.raises(ValueError, match=r"unknown subspace fields: \['complment'\]"):
+        Subspace.from_dict({"indices": [1], "dim": 2, "complment": True})
+    # What to_dict writes is read back.
+    m = small_model()
+    assert SpectralModel.from_dict(m.to_dict()) == m
+    for s in (Subspace.from_indices(DIM, [2]).complement(), Subspace.from_frame(m, [HVector.basis_vector(DIM, 1)])):
+        assert Subspace.from_dict(s.to_dict(), model=m) == s
+
+
 def test_hvector_basics():
     v = HVector.basis_vector(5, 3, scale=2.0)
     assert v.coeffs[2] == 2.0 and v.norm() == 2.0
