@@ -24,7 +24,7 @@ from .inference import ZeroResidualError, ci_known, ci_unknown, test_subspace
 from .processes import Grid, bridge_model, coeffs_from_trajectory, eval_vector, wiener_model
 from .regression import DesignOperator, ci_beta_known, ci_beta_unknown, lse, test_beta
 from .sampling import GaussianLaw, sample
-from .spectral import HVector, SpectralModel, Subspace
+from .spectral import HVector, SpectralModel, Subspace, _check_fields
 
 
 def _fail(message: str) -> None:
@@ -95,6 +95,7 @@ def _read_columns(path: str, dim: int) -> list:
     columns = data.get("columns") if isinstance(data, dict) else None
     if not isinstance(columns, list) or any(col is None for col in columns):
         raise ValueError(f"design file {path!r} needs a 'columns' list of vectors")
+    _check_fields(data, ("columns",), "design file")
     return [_parse_vector(col, dim) for col in columns]
 
 

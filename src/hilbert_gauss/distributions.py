@@ -2,12 +2,12 @@
 families, plus the scale-family reductions used to recognize
 normal-over-root-Gamma and Gamma-over-Gamma ratios.
 
-CDFs are built from the regularized incomplete gamma and beta functions, and
+CDFs are built from the regularized incomplete gamma and beta functions and
 quantiles are their inverses in scipy.special (ndtri, stdtrit, fdtri,
-gammaincinv), so non-integer degrees of freedom work everywhere.  The
-samplers are the generator's own methods behind argument checks:
-standard_gamma (Marsaglia and Tsang's method for shapes above 1) divided
-by the rate, standard_t and f.
+gammaincinv), imported on first call so that importing the package does not
+load scipy; non-integer degrees of freedom work everywhere.  The samplers are
+the generator's own methods behind argument checks: standard_gamma (Marsaglia
+and Tsang's method for shapes above 1) divided by the rate, standard_t and f.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 _SQRT2 = np.sqrt(2.0)
 
@@ -44,6 +43,7 @@ def _maybe_scalar(x, out):
 
 def norm_cdf(x):
     """Standard normal CDF, accurate in both tails via erfc."""
+    from scipy import special
     x = np.asarray(x, dtype=float)
     out = 0.5 * special.erfc(-x / _SQRT2)
     return _maybe_scalar(x, out)
@@ -51,6 +51,7 @@ def norm_cdf(x):
 
 def t_cdf(x, dof):
     """Student-t CDF for real degrees of freedom via the incomplete beta."""
+    from scipy import special
     dof = _check_positive(dof, "dof")
     x = np.asarray(x, dtype=float)
     z = dof / (dof + x * x)
@@ -61,6 +62,7 @@ def t_cdf(x, dof):
 
 def f_cdf(x, m, n):
     """Fisher F CDF for real degrees of freedom via the incomplete beta."""
+    from scipy import special
     m = _check_positive(m, "m")
     n = _check_positive(n, "n")
     x = np.asarray(x, dtype=float)
@@ -71,6 +73,7 @@ def f_cdf(x, m, n):
 
 def gamma_cdf(x, alpha, beta):
     """Gamma CDF with shape alpha and rate beta (regularized lower gamma)."""
+    from scipy import special
     alpha = _check_positive(alpha, "alpha")
     beta = _check_positive(beta, "beta")
     x = np.asarray(x, dtype=float)
@@ -84,12 +87,14 @@ def gamma_cdf(x, alpha, beta):
 
 def norm_quantile(a: float) -> float:
     """Standard normal a-quantile, |CDF(result) - a| below 1e-12."""
+    from scipy import special
     a = _check_prob(a, "probability")
     return float(special.ndtri(a))
 
 
 def t_quantile(dof: float, a: float) -> float:
     """Student-t a-quantile for real dof >= 1, |CDF(result) - a| below 1e-10."""
+    from scipy import special
     dof = _check_positive(dof, "dof")
     a = _check_prob(a, "probability")
     return float(special.stdtrit(dof, a))
@@ -97,6 +102,7 @@ def t_quantile(dof: float, a: float) -> float:
 
 def f_quantile(m: float, n: float, a: float) -> float:
     """Fisher F a-quantile for real dofs, |CDF(result) - a| below 1e-9."""
+    from scipy import special
     m = _check_positive(m, "m")
     n = _check_positive(n, "n")
     a = _check_prob(a, "probability")
@@ -105,6 +111,7 @@ def f_quantile(m: float, n: float, a: float) -> float:
 
 def gamma_quantile(alpha: float, beta: float, a: float) -> float:
     """Gamma a-quantile with shape alpha and rate beta."""
+    from scipy import special
     alpha = _check_positive(alpha, "alpha")
     beta = _check_positive(beta, "beta")
     a = _check_prob(a, "probability")

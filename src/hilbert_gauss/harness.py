@@ -186,6 +186,7 @@ def _parse_vector(spec, dim: int) -> HVector | None:
     if spec is None:
         return None
     if isinstance(spec, dict) and "coords" in spec:
+        _check_fields(spec, ("coords",), "'coords' vector")
         if not isinstance(spec["coords"], dict):
             raise ValueError("'coords' must map 1-based mode indices to values")
         coeffs = np.zeros(dim)
@@ -197,8 +198,9 @@ def _parse_vector(spec, dim: int) -> HVector | None:
                 raise ValueError(f"coordinate {key} must be a finite number, got {value!r}")
             coeffs[k - 1] = value
         return HVector(coeffs)
-    if isinstance(spec, dict) and "coeffs" in spec:
-        spec = spec["coeffs"]
+    if isinstance(spec, dict):
+        _check_fields(spec, ("coeffs",), "vector")
+        spec = spec.get("coeffs")
     if not _is_number_list(spec):
         raise ValueError(f"coefficient vector must be a list of {dim} finite numbers")
     if len(spec) != dim:

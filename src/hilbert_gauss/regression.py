@@ -14,7 +14,6 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-import scipy.linalg
 
 from .inference import Interval, TestResult, ci_known, ci_unknown, test_subspace
 from .spectral import PLAN_CACHE_SIZE, HVector, SpectralModel, Subspace, _Frozen, _readonly, _set
@@ -124,6 +123,7 @@ def _range_subspace(model: SpectralModel, mat: np.ndarray) -> Subspace:
     if all(rows.size == 1 for rows in nonzero_rows):
         indices = sorted(int(rows[0]) + 1 for rows in nonzero_rows)
         return Subspace.from_indices(model.dim, indices)
+    import scipy.linalg
     q, r, _ = scipy.linalg.qr(mat, mode="economic", pivoting=True)
     diag = np.abs(np.diag(r))
     rank = int(np.count_nonzero(diag > RANK_TOL * diag[0])) if diag.size else 0

@@ -13,12 +13,11 @@ construction).
 from __future__ import annotations
 
 import json
-import math
 import numbers
 import operator
+import sys
 
 import numpy as np
-import scipy.linalg
 
 # Relative tolerance for deciding that two eigenvalues are equal.
 DEFAULT_REL_TOL = 1e-12
@@ -255,8 +254,9 @@ def _check_fields(data: dict, allowed, what: str) -> None:
 
 
 def _is_number(value) -> bool:
-    """A finite JSON number: bools (an int subclass) and strings are refused."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+    """A number that fits a finite double; bools (an int subclass) are refused."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    return real and abs(value) <= sys.float_info.max
 
 
 def _is_number_list(value) -> bool:
@@ -512,6 +512,7 @@ def restricted_eigenvalues(model: SpectralModel, S: Subspace) -> np.ndarray:
     outside = np.delete(lam, support)
     if support.size == 0:
         return outside
+    import scipy.linalg
     fs = frame[:, support]
     # Orthonormal basis of the orthogonal complement of the frame rows
     # within the support block: the trailing singular directions.
@@ -632,6 +633,7 @@ def difference_subspace(model: SpectralModel, V: Subspace, U0: Subspace) -> Subs
     resid = f0 - (f0 @ fv.T) @ fv
     if resid.size and np.linalg.norm(resid, ord=2) > FRAME_ORTHO_TOL:
         raise ValueError("U0 is not contained in V")
+    import scipy.linalg
     g = fv - (fv @ f0.T) @ f0
     q, r, _ = scipy.linalg.qr(g.T, mode="economic", pivoting=True)
     diag = np.abs(np.diag(r))

@@ -380,7 +380,15 @@ def test_ci_rejects_bad_vector_file(runner, tmp_path, vector):
     assert_one_line_error(res)
 
 
-@pytest.mark.parametrize("vector", ({"coords": {"4": "1.5"}}, {"coeffs": [0, 0, 0, True] + [0] * 12}))
+@pytest.mark.parametrize(
+    "vector",
+    (
+        {"coords": {"4": "1.5"}},
+        {"coeffs": [0, 0, 0, True] + [0] * 12},
+        {"coords": {"4": 2**1024}},
+        {"coeffs": [0, 0, 0, 2**1024] + [0] * 12},
+    ),
+)
 def test_ci_rejects_non_numeric_vector_values(runner, tmp_path, vector):
     # b lies in the subspace, so the value type is the only fault
     obs = write_obs(tmp_path, 16, {4: 0.7, 1: 0.3})
@@ -395,6 +403,29 @@ def test_ci_rejects_bad_inline_vector(runner, tmp_path, spec):
     obs = write_obs(tmp_path, 16, {4: 0.7, 1: 0.3})
     res = runner.invoke(main, ["ci", "--model", "wiener:16", "--obs", obs, "--subspace", "16", "--b", spec])
     assert_one_line_error(res)
+
+
+@pytest.mark.parametrize(
+    "args, data, field",
+    (
+        (["ci", "--obs", "OBS", "--subspace", "4", "--b", "BAD"], {"coords": {"4": 1.0}, "scale": 5.0}, "scale"),
+        (["ci", "--obs", "OBS", "--subspace", "4", "--b", "BAD"], {"coeffs": [0.0] * 16, "coords": {"4": 1.0}}, "coeffs"),
+        (["estimate", "--obs", "BAD", "--subspace", "4"], {"coeffs": [0.7] * 16, "scale": 1.0}, "scale"),
+        (["regress", "--obs", "OBS", "--design", "BAD"], {"columns": [{"coords": {"4": 1.3}}], "rows": []}, "rows"),
+        (["regress", "--obs", "OBS", "--design", "BAD"], {"columns": [{"coeffs": [0.0] * 16, "coords": {"4": 1.3}}]}, "coeffs"),
+        (["regress", "--obs", "OBS", "--design", "DESIGN", "--null-design", "BAD"], {"columns": [[1.0, 0.0]], "c": [1]}, "c"),
+    ),
+)
+def test_unknown_or_doubled_vector_field_exits_two(runner, tmp_path, args, data, field):
+    # A misspelled or second vector key, or a stray design-file key, is named, not dropped.
+    paths = {
+        "OBS": write_obs(tmp_path, 16, {4: 2.6, 5: -0.4, 1: 0.9}),
+        "DESIGN": write_design(tmp_path, 16),
+        "BAD": write_json(tmp_path, "bad.json", data),
+    }
+    res = runner.invoke(main, [args[0], "--model", "wiener:16", *(paths.get(a, a) for a in args[1:])])
+    assert_one_line_error(res)
+    assert f"fields: ['{field}']" in res.stderr
 
 
 def test_vector_file_coords_are_one_based(runner, tmp_path):

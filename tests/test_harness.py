@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hilbert_gauss import harness
 from hilbert_gauss.harness import (
@@ -13,6 +15,7 @@ from hilbert_gauss.harness import (
     derive_stream,
     run_experiment,
     _check,
+    _parse_vector,
 )
 
 
@@ -140,11 +143,60 @@ def test_config_rejects_unknown_kind():
         {"subspace": {"indices": 5}},
         {"model": {"eigenvalues": [1.0, 0.5], "dim": 2.7}, "subspace": [1], "b": [1.0, 0.0], "zeta": [0.7, 0.0]},
         {"model": {"eigenvalues": [1.0, 0.5], "dim": True}},
+        {"zeta": {"coords": {"4": 0.7}, "scale": 2.0}},
+        {"b": {"coeffs": [0.0] * 64, "coords": {"4": 1.0}}},
     ),
 )
 def test_config_rejects_wrong_json_types(overrides):
     with pytest.raises(ValueError, match="config field"):
         smoke_config(**overrides)
+
+
+@pytest.mark.parametrize(
+    "spec, field",
+    (
+        ({"coords": {"2": 1.0}, "scale": 5.0}, "scale"),
+        ({"coeffs": [1.0, 0.0, 0.0], "coords": {"2": 9.0}}, "coeffs"),
+        ({"coeffs": [1.0, 0.0, 0.0], "scale": 5.0}, "scale"),
+        ({"coefs": [1.0, 0.0, 0.0]}, "coefs"),
+    ),
+)
+def test_parse_vector_refuses_unknown_and_doubled_fields(spec, field):
+    with pytest.raises(ValueError, match=rf"fields: \['{field}'\]"):
+        _parse_vector(spec, 3)
+
+
+VECTOR_VALUES = st.one_of(
+    st.floats(),
+    st.integers(),
+    st.integers(min_value=2**1024),
+    st.booleans(),
+    st.text(max_size=3),
+    st.none(),
+    st.sampled_from([float("nan"), float("inf"), -float("inf")]),
+)
+VECTOR_LISTS = st.lists(VECTOR_VALUES, max_size=6)
+VECTOR_COORDS = st.dictionaries(
+    st.one_of(st.integers(-1, 6).map(str), st.text(max_size=2)), VECTOR_VALUES, max_size=4
+)
+VECTOR_SPECS = st.one_of(
+    VECTOR_LISTS,
+    st.fixed_dictionaries(
+        {}, optional={"coords": st.one_of(VECTOR_COORDS, VECTOR_LISTS), "coeffs": VECTOR_LISTS, "scale": VECTOR_VALUES}
+    ),
+    VECTOR_VALUES.filter(lambda v: v is not None),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(spec=VECTOR_SPECS, dim=st.integers(1, 4))
+def test_parse_vector_gives_a_finite_vector_or_value_error(spec, dim):
+    try:
+        vector = _parse_vector(spec, dim)
+    except ValueError:
+        return
+    assert vector.coeffs.shape == (dim,)
+    assert np.all(np.isfinite(vector.coeffs))
 
 
 def test_config_validation_per_kind():
