@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import numbers
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
@@ -23,10 +24,10 @@ import numpy as np
 from .estimators import risk_mean, risk_partial, variance_est_risk
 from .distributions import _check_positive, _check_prob, gamma_cdf, ks_critical_value, ks_statistic
 from .inference import functional_plan
-from .processes import bridge_model, wiener_model
+from .processes import Grid, bridge_model, coeffs_from_trajectory, wiener_model
 from .sampling import GaussianLaw, noise_plan, norm_sq_moments
 from .spectral import HVector, SpectralModel, Subspace, default_use_tail, inner, project, row_inner
-from .spectral import _check_fields, _integer, _is_number, _is_number_list
+from .spectral import _check_fields, _integer, _is_number, _is_number_list, _read_json, _unique_keys
 
 # Replicates per work unit; chunk boundaries are fixed by the replicate
 # count alone so serial and concurrent runs reduce identically.
@@ -86,15 +87,21 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
+        if not isinstance(data, dict):
+            raise ValueError(f"an experiment config must be a JSON object, not {type(data).__name__}")
         data = dict(data)
         kind = data.pop("kind", None)
         if kind is None:
             raise ValueError("experiment config needs a 'kind'")
-        model = _spec_field(data, "model", _parse_model, DEFAULT_MODEL_DIM)
-        subspace = _spec_field(data, "subspace", _parse_subspace, model)
-        subspace0 = _spec_field(data, "subspace0", _parse_subspace, model)
-        zeta = _spec_field(data, "zeta", _parse_vector, model.dim)
-        b = _spec_field(data, "b", _parse_vector, model.dim)
+
+        def spec(key, parse, arg):
+            return _named(f"config field {key!r}", parse, data.pop(key, None), arg)
+
+        model = spec("model", _parse_model, DEFAULT_MODEL_DIM)
+        subspace = spec("subspace", _parse_subspace, model)
+        subspace0 = spec("subspace0", _parse_subspace, model)
+        zeta = spec("zeta", _parse_vector, model.dim)
+        b = spec("b", _parse_vector, model.dim)
         _check_fields(data, ("sigma", "alpha", "replicates", "master_seed", "use_tail", "cutoffs", "workers"), "config")
         cutoffs = _field(data, "cutoffs", None, _is_int_list, "a list of integers")
         return cls(
@@ -115,8 +122,7 @@ class ExperimentConfig:
 
     @classmethod
     def load(cls, path) -> "ExperimentConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+        return cls.from_dict(_read_json(path))
 
 
 def _is_int(value) -> bool:
@@ -140,38 +146,66 @@ def _field(data: dict, key: str, default, accepts, expected: str):
     return value
 
 
-def _spec_field(data: dict, key: str, parse, arg):
-    """parse(data.pop(key), arg), with the field named in its ValueError."""
+def _named(label: str, parse, spec, arg):
+    """parse(spec, arg), with `label` (a config field or a CLI option) named in its ValueError."""
     try:
-        return parse(data.pop(key, None), arg)
+        return parse(spec, arg)
     except ValueError as exc:
-        raise ValueError(f"config field {key!r}: {exc}") from exc
+        raise ValueError(f"{label}: {exc}") from exc
+
+
+# ---------------------------------------------------------------------------
+# input parsers: one per input kind, for config fields and CLI options alike
+
+
+def _file_or(spec, inline):
+    """A string spec as data: the JSON object or list in the file it names, else its
+    inline form inline(spec).  A file's content takes the same branches as a config value."""
+    if not isinstance(spec, str):
+        return spec
+    data = _read_json(spec) if os.path.isfile(spec) else inline(spec)
+    if not isinstance(data, (dict, list)):
+        raise ValueError(f"{spec!r} must hold a JSON object or list, not {data!r}")
+    return data
+
+
+def _decimal(text, what: str) -> int:
+    """A canonical decimal integer (no sign, space, underscore or leading zero): one spelling per mode."""
+    if isinstance(text, str) and text.isascii() and text.isdigit() and str(int(text)) == text:
+        return int(text)
+    raise ValueError(f"{what} must be a decimal integer, got {text!r}")
+
+
+def _inline_model(spec: str) -> dict:
+    name, colon, count = spec.partition(":")
+    if not colon:
+        raise ValueError(f"no model file {spec!r}")
+    return {"basis_id": name, "dim": _decimal(count, "mode count")}
 
 
 def _parse_model(spec, default_dim: int) -> SpectralModel:
+    """Model from a file, `wiener:<n>`/`bridge:<n>`, or a mapping: explicit
+    `eigenvalues`, or a built-in spectrum by `basis_id` and `dim`."""
     if spec is None:
         return wiener_model(default_dim)
-    if isinstance(spec, str):
-        return SpectralModel.load(spec)
+    spec = _file_or(spec, _inline_model)
     if isinstance(spec, dict):
         if "eigenvalues" in spec:
             return SpectralModel.from_dict(spec)
         _check_fields(spec, ("basis_id", "dim"), "model")
         basis_id = spec.get("basis_id", "abstract")
+        if basis_id not in ("wiener", "bridge"):
+            raise ValueError(f"unknown model family {basis_id!r}: expected wiener, bridge or explicit eigenvalues")
         dim = _integer(spec.get("dim", default_dim), "model dim must be an integer")
-        if basis_id == "wiener":
-            return wiener_model(dim)
-        if basis_id == "bridge":
-            return bridge_model(dim)
-        raise ValueError("abstract models need explicit eigenvalues")
-    raise ValueError("model spec must be a path or a mapping")
+        return (wiener_model if basis_id == "wiener" else bridge_model)(dim)
+    raise ValueError("model spec must be a path, a name or a mapping")
 
 
 def _parse_subspace(spec, model: SpectralModel) -> Subspace | None:
+    """Subspace from a file, an index list (inline `4,5,6`) or a mapping."""
     if spec is None:
         return None
-    if isinstance(spec, str):
-        return Subspace.load(spec, model=model)
+    spec = _file_or(spec, lambda text: [_decimal(k, "subspace index") for k in text.split(",")])
     if isinstance(spec, (list, tuple)):
         return Subspace.from_indices(model.dim, spec)
     if isinstance(spec, dict):
@@ -179,21 +213,33 @@ def _parse_subspace(spec, model: SpectralModel) -> Subspace | None:
     raise ValueError("subspace spec must be a path, an index list, or a mapping")
 
 
+def _inline_vector(spec: str):
+    """`k:v,...` as a 'coords' mapping, or `v,v,...` as a list."""
+    pairs = [part.rpartition(":")[::2] for part in spec.split(",")]
+    try:
+        pairs = [(key, float(value)) for key, value in pairs]
+    except ValueError:
+        raise ValueError(f"no vector file {spec!r}, nor inline numbers k:v,... or v,v,...") from None
+    return {"coords": _unique_keys(pairs)} if ":" in spec else [value for _, value in pairs]
+
+
 def _parse_vector(spec, dim: int) -> HVector | None:
-    """Vector from `{"coords": {k: v}}` (1-based modes), `{"coeffs": [...]}`
-    or a plain list of `dim` coefficients.  Values must be numbers (not
-    bools or strings); anything else is a ValueError."""
+    """Vector from a file, inline `k:v,...` or `v,v,...`, `{"coords": {k: v}}`
+    (1-based canonical decimal modes), `{"coeffs": [...]}` or a plain list
+    of `dim` coefficients.  Values must be numbers (not bools or strings);
+    anything else is a ValueError."""
     if spec is None:
         return None
+    spec = _file_or(spec, _inline_vector)
     if isinstance(spec, dict) and "coords" in spec:
         _check_fields(spec, ("coords",), "'coords' vector")
         if not isinstance(spec["coords"], dict):
             raise ValueError("'coords' must map 1-based mode indices to values")
         coeffs = np.zeros(dim)
         for key, value in spec["coords"].items():
-            k = int(key)
+            k = _decimal(key, "mode")
             if not 1 <= k <= dim:
-                raise ValueError(f"coordinate index {k} outside 1..{dim}")
+                raise ValueError(f"mode {k} outside 1..{dim}")
             if not _is_number(value):
                 raise ValueError(f"coordinate {key} must be a finite number, got {value!r}")
             coeffs[k - 1] = value
@@ -206,6 +252,32 @@ def _parse_vector(spec, dim: int) -> HVector | None:
     if len(spec) != dim:
         raise ValueError(f"coefficient vector must have length {dim}")
     return HVector(spec)
+
+
+def _parse_columns(spec, dim: int) -> list:
+    """The vectors of a design, a file or a mapping whose 'columns' are read by `_parse_vector`."""
+    data = _read_json(spec) if isinstance(spec, str) else spec
+    columns = data.get("columns") if isinstance(data, dict) else None
+    if not isinstance(columns, list) or any(col is None for col in columns):
+        raise ValueError("a design needs a 'columns' list of vectors")
+    _check_fields(data, ("columns",), "design")
+    return [_parse_vector(col, dim) for col in columns]
+
+
+def _parse_observation(spec, model: SpectralModel) -> HVector:
+    """A `t,y` trajectory CSV (a path ending in .csv), or a vector for `_parse_vector`."""
+    if not spec.endswith(".csv"):
+        return _parse_vector(spec, model.dim)
+    t_vals, y_vals = [], []
+    with open(spec, "r", encoding="utf-8") as fh:
+        if fh.readline().strip() != "t,y":
+            raise ValueError(f"trajectory CSV {spec!r} must start with header 't,y'")
+        for line in fh:
+            if line.strip():
+                t_str, _, y_str = line.partition(",")
+                t_vals.append(float(t_str))
+                y_vals.append(float(y_str))
+    return coeffs_from_trajectory(model, Grid(np.asarray(t_vals)), np.asarray(y_vals))
 
 
 # ---------------------------------------------------------------------------

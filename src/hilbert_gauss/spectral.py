@@ -167,8 +167,7 @@ class SpectralModel(_Frozen):
 
     @classmethod
     def load(cls, path) -> "SpectralModel":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+        return cls.from_dict(_read_json(path))
 
 
 class HVector(_Frozen):
@@ -251,6 +250,24 @@ def _check_fields(data: dict, allowed, what: str) -> None:
     unknown = set(data) - set(allowed)
     if unknown:
         raise ValueError(f"unknown {what} fields: {sorted(unknown, key=str)}")
+
+
+def _read_json(path):
+    """The JSON content of the file at `path`; an object naming a key twice is refused."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh, object_pairs_hook=_unique_keys)
+        except ValueError as exc:
+            raise ValueError(f"cannot read {str(path)!r}: {exc}") from exc
+
+
+def _unique_keys(pairs) -> dict:
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            raise ValueError(f"key {key!r} given twice")
+        data[key] = value
+    return data
 
 
 def _is_number(value) -> bool:
@@ -414,8 +431,7 @@ class Subspace(_Frozen):
 
     @classmethod
     def load(cls, path, model: SpectralModel | None = None) -> "Subspace":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh), model=model)
+        return cls.from_dict(_read_json(path), model=model)
 
 
 def _check_q_invariance(model: SpectralModel, frame: np.ndarray) -> None:

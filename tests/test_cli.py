@@ -321,6 +321,14 @@ def test_mc_bad_config_exits_two(runner, tmp_path):
     res = runner.invoke(main, ["mc", "--config", unknown])
     assert res.exit_code == 2
     assert "unknown config fields" in res.stderr
+    # A config that is not a JSON object, with or without a seed override.
+    for data in ([1, 2], "moments"):
+        path = tmp_path / "not_an_object.json"
+        path.write_text(json.dumps(data))
+        for seed in ([], ["--seed", "3"]):
+            res = runner.invoke(main, ["mc", "--config", str(path), *seed])
+            assert_one_line_error(res)
+            assert "must be a JSON object" in res.stderr
 
 
 @pytest.mark.parametrize(
@@ -371,6 +379,7 @@ def assert_one_line_error(res):
         {"coords": [1.0]},
         {"other": 1.0},
         None,
+        '{"coords": {"4": 1.0, "4": 2.0}}',
     ),
 )
 def test_ci_rejects_bad_vector_file(runner, tmp_path, vector):
@@ -378,6 +387,7 @@ def test_ci_rejects_bad_vector_file(runner, tmp_path, vector):
     b = write_json(tmp_path, "b.json", vector)
     res = runner.invoke(main, ["ci", "--model", "wiener:16", "--obs", obs, "--subspace", "16", "--b", b])
     assert_one_line_error(res)
+    assert res.stderr.startswith("error: --b: ")
 
 
 @pytest.mark.parametrize(
@@ -398,11 +408,13 @@ def test_ci_rejects_non_numeric_vector_values(runner, tmp_path, vector):
     assert "finite number" in res.stderr
 
 
-@pytest.mark.parametrize("spec", ("99:1", "0:1", "1,2,3"))
+@pytest.mark.parametrize("spec", ("99:1", "0:1", "1,2,3", "4:1.0,4:2.0", "03:1.0", " +4 :1.0", "1_0:1.0", "4:x"))
 def test_ci_rejects_bad_inline_vector(runner, tmp_path, spec):
+    # A mode is one canonical decimal, given once; the error is --b's.
     obs = write_obs(tmp_path, 16, {4: 0.7, 1: 0.3})
     res = runner.invoke(main, ["ci", "--model", "wiener:16", "--obs", obs, "--subspace", "16", "--b", spec])
     assert_one_line_error(res)
+    assert res.stderr.startswith("error: --b: ")
 
 
 @pytest.mark.parametrize(
@@ -534,11 +546,47 @@ def test_unknown_model_or_subspace_field_exits_two(runner, tmp_path, option, dat
         assert f"unknown {option} fields: ['{field}']" in res.stderr
 
 
-@pytest.mark.parametrize("spec", ("wiener:-3", "bridge:0"))
+@pytest.mark.parametrize("spec", ("wiener:-3", "bridge:0", "wiener:1_0", "wiener: 8", "wiener:08"))
 def test_bad_mode_count_exits_two(runner, tmp_path, spec):
     obs = write_obs(tmp_path, 8, {1: 1.0})
     res = runner.invoke(main, ["estimate", "--model", spec, "--obs", obs, "--subspace", "1"])
     assert_one_line_error(res)
+    assert res.stderr.startswith("error: --model: ")
+
+
+@pytest.mark.parametrize(
+    "field, spec",
+    (
+        ("model", "wiener:8"),
+        ("model", {"basis_id": "wiener", "dim": 8}),
+        ("subspace", [4, 5, 6]),
+        ("b", "4:0.7"),
+        ("model", None),
+        ("subspace", "4,,5"),
+        ("subspace", " +4"),
+        ("b", "4:1.0,4:2.0"),
+    ),
+)
+def test_cli_option_and_config_field_read_one_grammar(runner, tmp_path, monkeypatch, field, spec):
+    # A mapping or list is the content of a file named by the spec; None is a missing file.
+    missing = str(tmp_path / "missing.json")
+    if not isinstance(spec, str):
+        spec = missing if spec is None else write_json(tmp_path, "spec.json", spec)
+    specs = {"model": "wiener:8", "subspace": "4", "b": "4:1.0", field: spec}
+    seen = {}
+    monkeypatch.setattr(cli, "est_functional", lambda b, y, subspace: seen.update(b=b) or 0.0)
+    monkeypatch.setattr(cli, "est_variance", lambda y, model, subspace, use_tail: seen.update(model=model, subspace=subspace) or 0.0)
+    args = ["estimate", "--obs", write_obs(tmp_path, 8, {4: 0.7})]
+    res = runner.invoke(main, args + [arg for key, value in specs.items() for arg in (f"--{key}", value)])
+    try:
+        config = harness.ExperimentConfig.from_dict({"kind": "coverage_known", **specs})
+    except ValueError as exc:
+        assert_one_line_error(res)
+        assert res.stderr == f"error: {exc}\n".replace(f"config field {field!r}", f"--{field}")
+        assert spec != missing or f"no model file {missing!r}" in res.stderr
+        return
+    assert res.exit_code == 0, res.output
+    assert seen == {"model": config.model, "subspace": config.subspace, "b": config.b}
 
 
 COORDINATE_DESIGN = ((4, 1.3), (5, -0.4))

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -159,10 +160,17 @@ def test_config_rejects_wrong_json_types(overrides):
         ({"coeffs": [1.0, 0.0, 0.0], "coords": {"2": 9.0}}, "coeffs"),
         ({"coeffs": [1.0, 0.0, 0.0], "scale": 5.0}, "scale"),
         ({"coefs": [1.0, 0.0, 0.0]}, "coefs"),
+        # A mode has one spelling, a canonical decimal, and is given once.
+        ({"coords": {"3": 1.0, "03": 2.0}}, re.compile("mode must be a decimal integer, got '03'")),
+        ({"coords": {" +3 ": 1.0}}, re.compile(r"mode must be a decimal integer, got ' \+3 '")),
+        ({"coords": {"1_0": 1.0}}, re.compile("mode must be a decimal integer, got '1_0'")),
+        ("3:1.0,3:2.0", re.compile("key '3' given twice")),
     ),
 )
 def test_parse_vector_refuses_unknown_and_doubled_fields(spec, field):
-    with pytest.raises(ValueError, match=rf"fields: \['{field}'\]"):
+    # `field` names an unknown or doubled vector field, or is the whole expected message.
+    message = field if isinstance(field, re.Pattern) else rf"fields: \['{field}'\]"
+    with pytest.raises(ValueError, match=message):
         _parse_vector(spec, 3)
 
 
