@@ -47,13 +47,13 @@ def _emit_json(obj, out: str) -> None:
 
 
 class _Main(click.Group):
-    """Commands whose bad input (ValueError, OSError, ZeroResidualError) exits 2 with one error line."""
+    """Commands whose bad input (ValueError, OSError, ZeroResidualError, MemoryError) exits 2 with one error line."""
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
-        except (OSError, ValueError, ZeroResidualError) as exc:
-            _fail(str(exc))
+        except (OSError, ValueError, ZeroResidualError, MemoryError) as exc:
+            _fail(str(exc) or repr(exc))
 
 
 @click.group(cls=_Main)

@@ -15,7 +15,9 @@ from __future__ import annotations
 import json
 import numbers
 import os
+import re
 import time
+from contextlib import suppress
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 
@@ -214,12 +216,11 @@ def _parse_subspace(spec, model: SpectralModel) -> Subspace | None:
 
 
 def _inline_vector(spec: str):
-    """`k:v,...` as a 'coords' mapping, or `v,v,...` as a list."""
+    """`k:v,...` as a 'coords' mapping, or `v,v,...` as a list; each v a JSON number literal."""
     pairs = [part.rpartition(":")[::2] for part in spec.split(",")]
-    try:
-        pairs = [(key, float(value)) for key, value in pairs]
-    except ValueError:
-        raise ValueError(f"no vector file {spec!r}, nor inline numbers k:v,... or v,v,...") from None
+    if not all(re.fullmatch(r"-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?", value) for _, value in pairs):
+        raise ValueError(f"no vector file {spec!r}, nor inline numbers k:v,... or v,v,...")
+    pairs = [(key, float(value)) for key, value in pairs]
     return {"coords": _unique_keys(pairs)} if ":" in spec else [value for _, value in pairs]
 
 
@@ -454,11 +455,12 @@ def block_rows(dim: int) -> int:
 # Each kind is one builder and one _KINDS line.  The builder checks the
 # config, so every ValueError comes before any replicate is drawn, builds
 # the kind's replicate-invariant constants once, and returns
-# (apply, aggregate): apply maps a block of draws to per-replicate outputs,
-# and aggregate(report, arrays, sums) writes the report's estimates,
-# standard errors, targets and checks from the reduced outputs.  The _KINDS
-# line also names the outputs summed over replicates instead of kept per
-# replicate.
+# (apply, aggregate, width): apply maps a block of draws to per-replicate
+# outputs, aggregate(report, arrays, sums) writes the report's estimates,
+# standard errors, targets and checks from the reduced outputs, and width is
+# the highest mode that apply reads.  Draws hold modes 1..width, the head of
+# each stream, and a kind that reads few modes uses plans cut to them
+# (Plan.head).  The _KINDS line also names the summed outputs.
 
 
 def _law(config: ExperimentConfig, attach: Subspace | None = None) -> GaussianLaw:
@@ -478,8 +480,12 @@ def _require(config: ExperimentConfig, *names: str) -> None:
 
 def _coverage(config):
     _require(config, "subspace", "b")
-    truth = inner(config.b, _law(config, config.subspace).mean)
-    plan = functional_plan(config.model, config.subspace, config.b, config.use_tail)
+    U = config.subspace
+    truth = inner(config.b, _law(config, U).mean)
+    # The known-sigma interval reads the modes of U alone; the other reads the residual.
+    narrow = config.kind == "coverage_known" and U.kind == "indices" and not U.is_complement
+    width = max(U.indices, default=1) if narrow else config.model.dim
+    plan = functional_plan(config.model, U, config.b, config.use_tail).head(width)
     if config.kind == "coverage_known":
         note, sided = "exact-coverage construction", "two"
         interval = lambda y: plan.ci_known(y, config.sigma, config.alpha)
@@ -497,7 +503,7 @@ def _coverage(config):
         tol = _binomial_tolerance(config.alpha, config.replicates)
         _record(report, "coverage", rate, se, 1.0 - config.alpha, "analytic", note, tol, sided)
 
-    return apply, aggregate
+    return apply, aggregate, width
 
 
 def _level(config):
@@ -514,7 +520,7 @@ def _level(config):
         note = "conservative test, level at most alpha"
         _record(report, "rejection_rate", rate, se, config.alpha, "analytic", note, tol, "upper")
 
-    return (lambda y: {"rejects": plan.statistic(y) >= threshold}), aggregate
+    return (lambda y: {"rejects": plan.statistic(y) >= threshold}), aggregate, config.model.dim
 
 
 def _unbiasedness(config):
@@ -539,7 +545,7 @@ def _unbiasedness(config):
         s2_mean, s2_se = _mean_se(arrays["s2"])
         _record(report, "s2_mean", s2_mean, s2_se, config.sigma**2, "analytic", "unbiased variance estimator")
 
-    return apply, aggregate
+    return apply, aggregate, config.model.dim
 
 
 def _moments(config):
@@ -555,7 +561,7 @@ def _moments(config):
         _record(report, "norm_sq_mean", mean, mean_se, target_mean, "closed-form", "trace plus squared mean norm")
         _record(report, "norm_sq_var", var, var_se, target_var, "closed-form", "weighted chi-square variance")
 
-    return (lambda y: {"norm_sq": row_inner(y, y)}), aggregate
+    return (lambda y: {"norm_sq": row_inner(y, y)}), aggregate, config.model.dim
 
 
 def _independence(config):
@@ -576,13 +582,21 @@ def _independence(config):
         report.targets["correlation"] = _target(0.0, "analytic", "independence of the two estimators")
         report.checks.append(_check("correlation", abs(corr), 0.0, 3.0 / float(np.sqrt(m)), "upper"))
 
-    return (lambda y: {"functional": plan.functional(y), "s2": plan.variance(y)}), aggregate
+    return (lambda y: {"functional": plan.functional(y), "s2": plan.variance(y)}), aggregate, config.model.dim
 
 
 def _noise_law(config):
     _require(config, "subspace")
-    _law(config, config.subspace)
-    plan = noise_plan(config.model, config.subspace, config.subspace0)
+    U, U0 = config.subspace, config.subspace0
+    _law(config, U)
+    plan = noise_plan(config.model, U, U0)
+    width = config.model.dim
+    # The statistics read the leading complement eigenspace and U minus U0; the
+    # width covers all of U0 too, so that the head still checks U0 inside U.
+    with suppress(ValueError):  # no complement eigenspace: the full plan raises
+        if U.kind == "indices" and (U0 is None or U0.kind == "indices"):
+            width = max(plan.leading.indices + (U.indices + U0.indices if U0 else ()))
+    plan = plan.head(width)
     dec = plan.decomposition
     laws = [("ks_s", "s_stat", dec.s_shape, dec.s_rate)]
     if config.subspace0 is not None:
@@ -601,7 +615,7 @@ def _noise_law(config):
             note = f"KS distance to Gamma({shape:g}, rate {rate:g})"
             _record(report, name, d, 0.0, 0.0, "closed-form", note, crit, "upper")
 
-    return apply, aggregate
+    return apply, aggregate, width
 
 
 def _risk(config):
@@ -631,7 +645,7 @@ def _risk(config):
         report.targets["s2_risk_bound"] = _target(bound, "closed-form", "universal cap 2 sigma^4")
         report.checks.append(_check("s2_risk_bound", s2_risk, bound, 3.0 * s2_risk_se, "upper"))
 
-    return apply, aggregate
+    return apply, aggregate, config.model.dim
 
 
 def _learning_curve(config):
@@ -668,7 +682,7 @@ def _learning_curve(config):
             analytic = risk_partial(config.model, head, config.zeta, config.sigma).risk
             _record(report, f"risk_cutoff_{c}", mean[j], se[j], analytic, "closed-form", "partial-observation risk")
 
-    return apply, aggregate
+    return apply, aggregate, max(indices, default=1)
 
 
 _KINDS = {
@@ -686,16 +700,16 @@ _KINDS = {
 EXPERIMENT_KINDS = tuple(_KINDS)
 
 
-def _run_chunk(config: ExperimentConfig, start: int, count: int, apply=None) -> dict:
+def _run_chunk(config: ExperimentConfig, start: int, count: int, apply=None, width=None) -> dict:
     """Replicates [start, start + count) through the kind's block evaluator
-    `apply`, which a pool worker, passing none, builds for itself."""
+    `apply` on draws of modes 1..width, which a pool worker, passing none, builds for itself."""
     build, summed = _KINDS[config.kind]
     if apply is None:
-        apply = build(config)[0]
+        apply, _, width = build(config)
     law = _law(config)
     streams = ReplicateStreams(config.master_seed)
-    rows = block_rows(config.model.dim)
-    buffer = np.empty((min(rows, count), config.model.dim))
+    rows = block_rows(width)
+    buffer = np.empty((min(rows, count), width))
     arrays, sums = {}, {}
     for lo in range(0, count, rows):
         y = buffer[: min(rows, count - lo)]
@@ -748,7 +762,7 @@ def run_experiment(config: ExperimentConfig, workers: int | None = None, stream_
     """
     start_time = time.perf_counter()
     # Building the kind validates the config before any replicate is drawn.
-    apply, aggregate = _KINDS[config.kind][0](config)
+    apply, aggregate, width = _KINDS[config.kind][0](config)
     workers = config.workers if workers is None else int(workers)
     if workers < 1:
         raise ValueError("workers must be at least 1")
@@ -758,7 +772,7 @@ def run_experiment(config: ExperimentConfig, workers: int | None = None, stream_
         for start in range(0, config.replicates, CHUNK_SIZE)
     ]
     if workers == 1:
-        partials = [_run_chunk(config, start, count, apply) for start, count in chunks]
+        partials = [_run_chunk(config, start, count, apply, width) for start, count in chunks]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_run_chunk, config, start, count) for start, count in chunks]

@@ -17,7 +17,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .distributions import _check_positive, _check_prob, norm_quantile, t_quantile
-from .sampling import ZeroResidualError, noise_plan  # ZeroResidualError is re-exported
+from .sampling import Plan, ZeroResidualError, noise_plan  # ZeroResidualError is re-exported
 from .spectral import (
     PLAN_CACHE_SIZE,
     HVector,
@@ -113,7 +113,7 @@ def ci_params_unknown(model: SpectralModel, U: Subspace, use_tail: bool | None =
     return tau, lam, n
 
 
-class FunctionalPlan:
+class FunctionalPlan(Plan):
     """Replicate-invariant constants of the estimators and intervals for
     <b, zeta> on U, and their evaluation on a batch of observations.
 
@@ -127,13 +127,12 @@ class FunctionalPlan:
     so it raises again on the next use.  Build plans with `functional_plan`.
     """
 
+    _KEYS = ("model", "U", "b", "use_tail")
+
     def __init__(self, model: SpectralModel, U: Subspace, b: HVector | None, use_tail: bool):
         if U.dim != model.dim:
             raise ValueError(f"dimension mismatch: model {model.dim} vs subspace {U.dim}")
-        self.model = model
-        self.U = U
-        self.b = b
-        self.use_tail = use_tail
+        super().__init__(model, U, b, use_tail)
         self._quantiles = {}  # 'z' or 't' -> (alpha, quantile at 1 - alpha/2)
 
     @cached_property

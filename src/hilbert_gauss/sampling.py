@@ -66,9 +66,9 @@ class GaussianLaw:
 
     def from_normals(self, beta: np.ndarray) -> np.ndarray:
         """Turn standard normal coefficients, one draw per row, into draws
-        zeta + sigma sqrt(lambda) beta from the law, in place."""
-        beta *= self._sigma_sqrt_lam
-        beta += self.mean.coeffs
+        zeta + sigma sqrt(lambda) beta of the first beta.shape[-1] modes, in place."""
+        beta *= self._sigma_sqrt_lam[: beta.shape[-1]]
+        beta += self.mean.coeffs[: beta.shape[-1]]
         return beta
 
 
@@ -181,21 +181,47 @@ class ZeroResidualError(ArithmeticError):
     under the model, reported distinctly instead of dividing by zero."""
 
 
-class NoisePlan:
+def cut(key, width: int):
+    """A model, index-set subspace or vector cut to its first `width` modes;
+    other keys unchanged.  A cut model keeps the mass past `width` as tail."""
+    if isinstance(key, SpectralModel):
+        return SpectralModel(key.eigenvalues[:width], key.tail_trace + float(key.eigenvalues[width:].sum()), key.basis_id)
+    if isinstance(key, Subspace):
+        return Subspace(width, "indices", tuple(k for k in key.indices if k <= width), is_complement=key.is_complement)
+    return HVector(key.coeffs[:width]) if isinstance(key, HVector) else key
+
+
+class Plan:
+    """Base of the plans: constants of the value keys named by _KEYS, built on first use."""
+
+    _head = (None, None)  # (width, plan of the keys cut to it) for the last width asked
+
+    def __init__(self, *keys):
+        for name, key in zip(self._KEYS, keys):
+            setattr(self, name, key)
+
+    def head(self, width: int):
+        """The plan of the keys cut to modes 1..width (index-set subspaces only), for
+        a statistic that reads no later mode: it gives the same values on a draw's head."""
+        if width == self.model.dim:
+            return self
+        if self._head[0] != width:
+            self._head = (width, type(self)(*(cut(getattr(self, name), width) for name in self._KEYS)))
+        return self._head[1]
+
+
+class NoisePlan(Plan):
     """Replicate-invariant constants of the two noise statistics attached to
     U (and U0) and of the subspace test, which share (lam, n, mu, m), and the
     statistics on coefficient arrays of shape (rows, dim) or (dim,).
 
     Each constant is built on first use, so a statistic needs only its own;
     one that raises is not kept.  The F quantile is kept for the last alpha
-    asked.  Build plans with `noise_plan`.
+    asked.  Build plans with `noise_plan(model, U, U0)`.
     """
 
-    def __init__(self, model: SpectralModel, U: Subspace, U0: Subspace | None):
-        self.model = model
-        self.U = U
-        self.U0 = U0
-        self._threshold = (None, None)  # (alpha, F quantile) for the last alpha asked
+    _KEYS = ("model", "U", "U0")
+    _threshold = (None, None)  # (alpha, F quantile) for the last alpha asked
 
     @cached_property
     def difference(self) -> tuple:

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from hilbert_gauss import inference
 from hilbert_gauss.estimators import est_functional, est_mean, est_variance
-from hilbert_gauss.harness import ExperimentConfig, block_rows, derive_stream, run_experiment
+from hilbert_gauss.harness import CHUNK_SIZE, ExperimentConfig, ReplicateStreams, block_rows, derive_stream, run_experiment
 from hilbert_gauss.processes import custom_model, wiener_model
 from hilbert_gauss.sampling import GaussianLaw, leading_complement_norm_sq, sample, whitened_difference_norm_sq
 from hilbert_gauss.spectral import HVector, Subspace, default_use_tail, inner
@@ -205,3 +205,75 @@ def test_learning_curve_matches_scalar_loop():
         head = Subspace.from_indices(dim, indices[:c])
         errs = [(est_mean(y, head) - HVector(zeta)).norm_sq() for y in draws]
         assert report.estimates[f"risk_cutoff_{c}"] == pytest.approx(np.mean(errs), rel=REL_TOL)
+
+
+# ---------------------------------------------------------------------------
+# draw width: a kind draws and evaluates modes 1..width of each replicate
+
+
+@pytest.mark.parametrize("width", (1, 4, 5, 17, 300))
+def test_rows_are_stream_prefixes(width):
+    # Philox is counter-based and numpy's ziggurat reads the stream in order,
+    # so a narrow row is the head of the full draw: every draw of a narrow
+    # kind stays the draw of derive_stream.
+    seed = 2**63 + 5
+    rows = ReplicateStreams(seed).standard_normal_rows(range(50), np.empty((50, width)))
+    for i, row in enumerate(rows):
+        assert np.array_equal(row, derive_stream(seed, i).standard_normal(300)[:width])
+
+
+# The acceptance suite's configs of the kinds that read a few leading modes,
+# with the highest mode each reads.
+NARROW = {"coverage_known": 4, "noise_law": 6, "learning_curve": 8}
+
+
+def acceptance_config(kind: str, dim: int, replicates: int) -> ExperimentConfig:
+    data = {"kind": kind, "model": f"wiener:{dim}", "subspace": [4], "b": "4:" + repr(2.0**0.5), "zeta": "4:0.7"}
+    if kind in ("level", "noise_law"):
+        data.update(subspace=[4, 5, 6], subspace0=[4], sigma=1.7 if kind == "noise_law" else 1.0)
+        del data["b"]
+    elif kind == "learning_curve":
+        data.update(subspace=list(range(1, 9)))
+        del data["b"]
+    elif kind == "moments":
+        data = {"kind": kind, "model": f"wiener:{dim}"}
+    return ExperimentConfig.from_dict({**data, "replicates": replicates, "master_seed": 1003})
+
+
+@pytest.mark.parametrize("kind", NARROW)
+def test_narrow_kinds_are_truncation_invariant(kind):
+    # The model is infinite-dimensional; its truncation past the modes a
+    # statistic reads changes nothing in the report.
+    small, large = (run_experiment(acceptance_config(kind, dim, 2 * CHUNK_SIZE + 17)) for dim in (64, 8192))
+    for name in ("estimates", "standard_errors", "targets", "checks"):
+        assert getattr(small, name) == getattr(large, name), name
+
+
+def draw_widths(monkeypatch) -> set:
+    """The widths of the rows drawn from now on."""
+    widths = set()
+    real = ReplicateStreams.standard_normal_rows
+
+    def spy(self, replicates, out):
+        widths.add(out.shape[1])
+        return real(self, replicates, out)
+
+    monkeypatch.setattr(ReplicateStreams, "standard_normal_rows", spy)
+    return widths
+
+
+@pytest.mark.parametrize("kind, width", NARROW.items())
+def test_narrow_kinds_draw_their_width(monkeypatch, kind, width):
+    widths = draw_widths(monkeypatch)
+    run_experiment(acceptance_config(kind, 8192, 500))
+    assert widths == {width}
+
+
+@pytest.mark.parametrize(
+    "kind", ("coverage_unknown", "level", "unbiasedness", "moments", "independence", "risk", "frame_coverage_known")
+)
+def test_residual_and_frame_kinds_draw_every_mode(monkeypatch, kind):
+    config = frame_config("coverage_known") if kind == "frame_coverage_known" else acceptance_config(kind, 64, 50)
+    widths = draw_widths(monkeypatch)
+    run_experiment(config)
+    assert widths == {config.model.dim}

@@ -408,9 +408,13 @@ def test_ci_rejects_non_numeric_vector_values(runner, tmp_path, vector):
     assert "finite number" in res.stderr
 
 
-@pytest.mark.parametrize("spec", ("99:1", "0:1", "1,2,3", "4:1.0,4:2.0", "03:1.0", " +4 :1.0", "1_0:1.0", "4:x"))
+@pytest.mark.parametrize(
+    "spec",
+    ("99:1", "0:1", "1,2,3", "4:1.0,4:2.0", "03:1.0", " +4 :1.0", "1_0:1.0", "4:x", "4:1_0", "4: 1.5 ", "4:nan", "4:inf", "1_0,2"),
+)
 def test_ci_rejects_bad_inline_vector(runner, tmp_path, spec):
-    # A mode is one canonical decimal, given once; the error is --b's.
+    # A mode is one canonical decimal, given once, and a value one JSON number
+    # literal; the error is --b's.
     obs = write_obs(tmp_path, 16, {4: 0.7, 1: 0.3})
     res = runner.invoke(main, ["ci", "--model", "wiener:16", "--obs", obs, "--subspace", "16", "--b", spec])
     assert_one_line_error(res)
@@ -712,3 +716,21 @@ def test_mc_non_finite_report_exits_two(runner, tmp_path, monkeypatch, fmt):
     assert_one_line_error(res)
     assert "not finite" in res.stderr
     assert res.stdout == ""
+
+
+@pytest.mark.parametrize("command", ("estimate", "mc"))
+def test_huge_mode_count_exits_two(runner, tmp_path, monkeypatch, command):
+    # wiener:400000000 needs 3.2 GB per vector; the stub fails as numpy's allocation would.
+    def out_of_memory(dim):
+        raise MemoryError(f"Unable to allocate {8 * dim} bytes for an array with shape ({dim},)")
+
+    monkeypatch.setattr(harness, "wiener_model", out_of_memory)
+    if command == "estimate":
+        args = ["estimate", "--model", "wiener:400000000", "--obs", "4:0.7", "--subspace", "4"]
+    else:
+        config = tmp_path / "mc.json"
+        config.write_text(json.dumps({"kind": "moments", "model": "wiener:400000000", "replicates": 10}))
+        args = ["mc", "--config", str(config)]
+    res = runner.invoke(main, args)
+    assert_one_line_error(res)
+    assert "Unable to allocate 3200000000 bytes" in res.stderr
