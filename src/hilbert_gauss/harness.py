@@ -413,7 +413,8 @@ class ReplicateStreams:
     Philox is counter-based: setting its key words to
     [replicate, master_seed] with a zero counter and an empty buffer yields
     exactly the stream of derive_stream(master_seed, replicate), at a
-    fraction of the cost of a new generator.
+    fraction of the cost of a new generator.  The state is kept in plain
+    ints and lists, which the state setter reads faster than uint64 arrays.
     """
 
     def __init__(self, master_seed: int):
@@ -423,8 +424,9 @@ class ReplicateStreams:
         self._bitgen = np.random.Philox(key=master_seed << 64)
         self._generator = np.random.Generator(self._bitgen)
         # A fresh state: zero counter, empty buffer, no cached 32-bit half.
-        self._state = self._bitgen.state
-        self._key = self._state["state"]["key"]
+        self._key = [0, master_seed]
+        self._state = {"bit_generator": "Philox", "state": {"counter": [0] * 4, "key": self._key},
+                       "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
 
     def standard_normal_rows(self, replicates, out: np.ndarray) -> np.ndarray:
         """Fill row j of `out` with the standard normals of stream
@@ -447,6 +449,19 @@ BLOCK_DOUBLES = 2**14
 def block_rows(dim: int) -> int:
     """Replicates per block of draws at model dimension `dim`."""
     return max(1, BLOCK_DOUBLES // dim)
+
+
+def _add_rows(total: np.ndarray, values: np.ndarray) -> None:
+    """Add the rows of `values` onto `total` one after another, in row order,
+    so the sum is the one of adding each replicate on its own."""
+    if len(values) > total.size:
+        # One pass down the rows, in order; np.sum and np.add.reduce pair up
+        # terms instead, which moves the last bits.
+        total[...] = np.add.accumulate(np.concatenate([total[None], values]), axis=0)[-1]
+    else:
+        # Few rows of many columns: accumulate's pass per column costs more.
+        for row in values:
+            total += row
 
 
 # ---------------------------------------------------------------------------
@@ -525,16 +540,21 @@ def _level(config):
 
 def _unbiasedness(config):
     _require(config, "subspace")
-    zeta = _law(config, config.subspace).mean.coeffs
-    plan = functional_plan(config.model, config.subspace, use_tail=config.use_tail)
+    U = config.subspace
+    zeta = _law(config, U).mean.coeffs
+    plan = functional_plan(config.model, U, use_tail=config.use_tail)
     plan.complement_params  # (tau, lam, n) must exist before any replicate
+    # P_U y is zero off the modes of an index-set U, so only those are summed.
+    modes = np.flatnonzero(U.index_mask()) if U.kind == "indices" else slice(None)
 
     def apply(y):
-        zhat = project(y, config.subspace)
+        zhat = project(y, U)[:, modes]
         return {"coord_sum": zhat, "coord_sumsq": zhat * zhat, "s2": plan.variance(y)}
 
     def aggregate(report, arrays, sums):
-        mean, se = _summed_mean_se(sums["coord_sum"], sums["coord_sumsq"], config.replicates)
+        total, total_sq = np.zeros((2, config.model.dim))
+        total[modes], total_sq[modes] = sums["coord_sum"], sums["coord_sumsq"]
+        mean, se = _summed_mean_se(total, total_sq, config.replicates)
         dev = np.abs(mean - zeta)
         # Worst coordinate relative to its own standard error decides the check.
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -598,6 +618,9 @@ def _noise_law(config):
             width = max(plan.leading.indices + (U.indices + U0.indices if U0 else ()))
     plan = plan.head(width)
     dec = plan.decomposition
+    plan.leading  # the statistics' subspaces must exist before any replicate
+    if U0 is not None:
+        plan.whitening
     laws = [("ks_s", "s_stat", dec.s_shape, dec.s_rate)]
     if config.subspace0 is not None:
         laws.append(("ks_t", "t_stat", dec.t_shape, dec.t_rate))
@@ -716,11 +739,7 @@ def _run_chunk(config: ExperimentConfig, start: int, count: int, apply=None, wid
         streams.standard_normal_rows(range(start + lo, start + lo + y.shape[0]), y)
         for key, values in apply(law.from_normals(y)).items():
             if key in summed:
-                # Row by row onto the running total, in replicate order, so
-                # the sum is the one of adding each replicate on its own.
-                total = sums.setdefault(key, np.zeros(values.shape[1:]))
-                for row in values:
-                    total += row
+                _add_rows(sums.setdefault(key, np.zeros(values.shape[1:])), values)
             else:
                 arrays.setdefault(key, []).append(values)
     return {

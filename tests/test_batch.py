@@ -6,6 +6,8 @@ per-replicate values, read back from its `--stream` CSV, must agree: flags
 exactly, floats to 1e-12 relative.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -13,7 +15,7 @@ from hypothesis import strategies as st
 
 from hilbert_gauss import inference
 from hilbert_gauss.estimators import est_functional, est_mean, est_variance
-from hilbert_gauss.harness import CHUNK_SIZE, ExperimentConfig, ReplicateStreams, block_rows, derive_stream, run_experiment
+from hilbert_gauss.harness import CHUNK_SIZE, ExperimentConfig, ReplicateStreams, _add_rows, block_rows, derive_stream, run_experiment
 from hilbert_gauss.processes import custom_model, wiener_model
 from hilbert_gauss.sampling import GaussianLaw, leading_complement_norm_sq, sample, whitened_difference_norm_sq
 from hilbert_gauss.spectral import HVector, Subspace, default_use_tail, inner
@@ -222,6 +224,43 @@ def test_rows_are_stream_prefixes(width):
         assert np.array_equal(row, derive_stream(seed, i).standard_normal(300)[:width])
 
 
+@pytest.mark.parametrize("seed", (0, 2**63, 2**64 - 1))
+def test_rows_match_derive_stream_at_extreme_keys(seed):
+    # One ReplicateStreams re-keys through every row of every width, so each
+    # re-key follows an odd-length draw that stopped inside Philox's
+    # four-word buffer; replicate 1 comes back last to show nothing of the
+    # draws before it is left over.
+    streams = ReplicateStreams(seed)
+    replicates = (0, 1, 2**63, 2**64 - 1, 1)
+    for width in (1, 5, 300):
+        rows = streams.standard_normal_rows(replicates, np.empty((len(replicates), width)))
+        for replicate, row in zip(replicates, rows):
+            assert np.array_equal(row, derive_stream(seed, replicate).standard_normal(width)), (width, replicate)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    shape=st.sampled_from(((4096, 1), (2048, 8), (3, 2), (64, 256), (2, 8192), (2, 2))),
+    seed=st.integers(0, 2**32 - 1),
+    zeros=st.floats(0.0, 0.5),
+)
+def test_add_rows_is_the_row_loop(shape, seed, zeros):
+    # Bit for bit, on both sides of the rows-against-columns branch: entries
+    # of either sign from 1e-8 to 1e8, some of them -0.0, onto a nonzero total.
+    rng = np.random.default_rng(seed)
+
+    def entries(size):
+        x = rng.choice((-1.0, 1.0), size=size) * 10.0 ** rng.uniform(-8.0, 8.0, size=size)
+        return np.where(rng.random(size) < zeros, -0.0, x)
+
+    start, values = entries(shape[1:]), entries(shape)
+    total, expected = start.copy(), start.copy()
+    _add_rows(total, values)
+    for row in values:
+        expected += row
+    assert np.array_equal(total.view(np.uint64), expected.view(np.uint64))
+
+
 # The acceptance suite's configs of the kinds that read a few leading modes,
 # with the highest mode each reads.
 NARROW = {"coverage_known": 4, "noise_law": 6, "learning_curve": 8}
@@ -277,3 +316,30 @@ def test_residual_and_frame_kinds_draw_every_mode(monkeypatch, kind):
     widths = draw_widths(monkeypatch)
     run_experiment(config)
     assert widths == {config.model.dim}
+
+
+@pytest.mark.parametrize("frame", ("subspace", "subspace0"))
+def test_noise_law_on_a_frame_raises_before_any_draw(monkeypatch, frame):
+    # The leading eigenspace (frame U) and the whitening (frame U0) are read
+    # off index sets; either error comes before a replicate is drawn.
+    config = frame_config("noise_law")
+    if frame == "subspace0":
+        U0 = frame_config("level").subspace0
+        config = dataclasses.replace(config, subspace=Subspace.from_indices(6, [1, 2, 3]), subspace0=U0)
+    widths = draw_widths(monkeypatch)
+    with pytest.raises(ValueError, match="index-set subspaces"):
+        run_experiment(config)
+    assert widths == set()
+
+
+@pytest.mark.parametrize("subspace", ("complement", "frame"))
+def test_unbiasedness_sums_are_worker_invariant(subspace):
+    # unbiasedness sums the modes of an index-set U, here the modes outside
+    # a complement's list, and every mode of a frame U; over three chunks,
+    # the last one partial, the sums do not depend on the workers.
+    config = frame_config("unbiasedness")
+    if subspace == "complement":
+        config = dataclasses.replace(config, subspace=Subspace.from_indices(6, [4, 5, 6]).complement())
+    config = dataclasses.replace(config, replicates=2 * CHUNK_SIZE + 17)
+    serial, parallel = (run_experiment(config, workers=workers) for workers in (1, 3))
+    assert serial.comparable_json() == parallel.comparable_json()
