@@ -60,11 +60,11 @@ def test_derive_stream_validation():
         derive_stream(0, -1)
 
 
-STREAM_REPLICATES = (0, 1, 4095, 4096, 2**40, 2**64 - 1)
+STREAM_REPLICATES = (0, 1, 4095, 4096, 2**40, 2**63, 2**64 - 1)
 
 
-@pytest.mark.parametrize("master_seed", (0, 2**64 - 1))
-@pytest.mark.parametrize("dim", (1, 3, 256))
+@pytest.mark.parametrize("master_seed", (0, 2**63, 2**64 - 1))
+@pytest.mark.parametrize("dim", (1, 3, 5, 256, 300))
 def test_replicate_streams_match_derive_stream(master_seed, dim):
     # The rows are drawn one after another through one re-keyed generator,
     # so each row also checks that nothing of the previous stream leaks in.
