@@ -17,8 +17,10 @@ import numbers
 import os
 import re
 import time
-from contextlib import suppress
-from concurrent.futures import ProcessPoolExecutor
+from collections import deque
+from contextlib import nullcontext, suppress
+from contextvars import copy_context
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -445,10 +447,37 @@ class ReplicateStreams:
 # faults on every block (about 60 per row at dim 8192 with 1 MiB blocks).
 BLOCK_DOUBLES = 2**14
 
+# Rows per block at or below which a chunk draws and evaluates its blocks on
+# threads (width 1024 and up).  numpy releases the GIL while it fills a row
+# and in ufunc and matmul loops over long rows, but the per-row re-key holds
+# it: on two CPUs, threaded over serial time per replicate was 1.6-1.7x at
+# width 256 (64 rows), 0.87-1.07x at 512, 0.69-0.84x at 1024, 0.6x at 8192.
+THREAD_ROWS = 16
+
 
 def block_rows(dim: int) -> int:
     """Replicates per block of draws at model dimension `dim`."""
     return max(1, BLOCK_DOUBLES // dim)
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+class _RunNow:
+    """fn(*args) run at once, read back like a finished future, without its lock."""
+
+    __slots__ = ("_result",)
+
+    def __init__(self, fn, *args):
+        self._result = fn(*args)
+
+    def result(self):
+        return self._result
 
 
 def _add_rows(total: np.ndarray, values: np.ndarray) -> None:
@@ -500,11 +529,15 @@ def _coverage(config):
     narrow = config.kind == "coverage_known" and U.kind == "indices" and not U.is_complement
     width = max(U.indices, default=1) if narrow else config.model.dim
     plan = functional_plan(config.model, U, config.b, config.use_tail).head(width)
+    # The constants an interval reads must exist before any replicate: a bad
+    # b or U raises here, and the blocks' threads only read the plan.
+    plan.variance_factor
     if config.kind == "coverage_known":
         note, sided = "exact-coverage construction", "two"
+        plan._quantile("z", config.alpha)
         interval = lambda y: plan.ci_known(y, config.sigma, config.alpha)
     else:
-        plan.complement_params  # (tau, lam, n) must exist before any replicate
+        plan.complement_params, plan.variance_denominator, plan._quantile("t", config.alpha)
         note, sided = "conservative construction, coverage at least the level", "lower"
         interval = lambda y: plan.ci_unknown(y, config.alpha)
 
@@ -542,7 +575,7 @@ def _unbiasedness(config):
     U = config.subspace
     zeta = _law(config, U).mean.coeffs
     plan = functional_plan(config.model, U, use_tail=config.use_tail)
-    plan.complement_params  # (tau, lam, n) must exist before any replicate
+    plan.complement_params, plan.variance_denominator  # must exist before any replicate
     # P_U y is y on the modes of a plain index set and zero off them, so only
     # those are summed; any other U sums every mode.
     plain = U.kind == "indices" and not U.is_complement
@@ -589,7 +622,7 @@ def _independence(config):
     _require(config, "subspace", "b")
     _law(config, config.subspace)
     plan = functional_plan(config.model, config.subspace, config.b, config.use_tail)
-    plan.complement_params  # (tau, lam, n) must exist before any replicate
+    plan.complement_params, plan.variance_denominator  # must exist before any replicate
 
     def aggregate(report, arrays, sums):
         m = config.replicates
@@ -650,7 +683,7 @@ def _risk(config):
         # denominator only; a tail denominator would shift the target.
         raise ValueError("the risk experiment requires use_tail false or omitted")
     plan = functional_plan(config.model, config.subspace, use_tail=False)
-    plan.complement_params  # (tau, lam, n) must exist before any replicate
+    plan.complement_params, plan.variance_denominator  # must exist before any replicate
     sigma_sq = config.sigma**2
 
     def apply(y):
@@ -724,25 +757,43 @@ _KINDS = {
 EXPERIMENT_KINDS = tuple(_KINDS)
 
 
-def _run_chunk(config: ExperimentConfig, start: int, count: int, apply=None, width=None) -> dict:
+def _run_chunk(config: ExperimentConfig, start: int, count: int, apply=None, width=None, threads=1) -> dict:
     """Replicates [start, start + count) through the kind's block evaluator
-    `apply` on draws of modes 1..width, which a pool worker, passing none, builds for itself."""
+    `apply` on draws of modes 1..width, which a pool worker, passing none, builds for itself.
+    Blocks of at most THREAD_ROWS rows run on up to `threads` threads, each in its own
+    slot (generator and buffer) of a ring; they are taken in block order whatever the count."""
     build, summed = _KINDS[config.kind]
     if apply is None:
         apply, _, width = build(config)
     law = _law(config)
-    streams = ReplicateStreams(config.master_seed)
     rows = block_rows(width)
-    buffer = np.empty((min(rows, count), width))
+    threads = min(threads, -(-count // rows)) if rows <= THREAD_ROWS else 1
+    ring = [(ReplicateStreams(config.master_seed), np.empty((min(rows, count), width)))
+            for _ in range(threads + 1 if threads > 1 else 1)]
     arrays, sums = {}, {}
-    for lo in range(0, count, rows):
+
+    def block(lo, streams, buffer):
         y = buffer[: min(rows, count - lo)]
         streams.standard_normal_rows(range(start + lo, start + lo + y.shape[0]), y)
-        for key, values in apply(law.from_normals(y)).items():
+        return apply(law.from_normals(y))
+
+    def take(outputs):
+        for key, values in outputs.items():
             if key in summed:
                 _add_rows(sums.setdefault(key, np.zeros(values.shape[1:])), values)
             else:
                 arrays.setdefault(key, []).append(values)
+
+    with ThreadPoolExecutor(threads) if threads > 1 else nullcontext() as pool:
+        submit = pool.submit if pool else _RunNow
+        pending = deque()
+        for i, lo in enumerate(range(0, count, rows)):
+            if len(pending) == len(ring):  # frees the slot of block i: its last block is taken
+                take(pending.popleft().result())
+            # Each block runs in its own copy of this context, numpy's error state included.
+            pending.append(submit(copy_context().run, block, lo, *ring[i % len(ring)]))
+        while pending:
+            take(pending.popleft().result())
     return {
         "arrays": {key: np.concatenate(parts) for key, parts in arrays.items()},
         "sums": sums,
@@ -786,16 +837,17 @@ def run_experiment(config: ExperimentConfig, workers: int | None = None, stream_
     workers = config.workers if workers is None else int(workers)
     if workers < 1:
         raise ValueError("workers must be at least 1")
+    threads = max(1, _usable_cpus() // workers)
 
     chunks = [
         (start, min(CHUNK_SIZE, config.replicates - start))
         for start in range(0, config.replicates, CHUNK_SIZE)
     ]
     if workers == 1:
-        partials = [_run_chunk(config, start, count, apply, width) for start, count in chunks]
+        partials = [_run_chunk(config, start, count, apply, width, threads) for start, count in chunks]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_run_chunk, config, start, count) for start, count in chunks]
+            futures = [pool.submit(_run_chunk, config, start, count, None, None, threads) for start, count in chunks]
             partials = [f.result() for f in futures]
 
     arrays = {}

@@ -7,13 +7,15 @@ exactly, floats to 1e-12 relative.
 """
 
 import dataclasses
+import gc
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from hilbert_gauss import inference
+from hilbert_gauss import harness, inference, sampling
 from hilbert_gauss.estimators import est_functional, est_mean, est_variance
 from hilbert_gauss.harness import CHUNK_SIZE, ExperimentConfig, ReplicateStreams, _add_rows, block_rows, derive_stream, run_experiment
 from hilbert_gauss.processes import custom_model, wiener_model
@@ -328,3 +330,93 @@ def test_unbiasedness_sums_are_worker_invariant(subspace):
     config = dataclasses.replace(config, replicates=2 * CHUNK_SIZE + 17)
     serial, parallel = (run_experiment(config, workers=workers) for workers in (1, 3))
     assert serial.comparable_json() == parallel.comparable_json()
+
+
+# ---------------------------------------------------------------------------
+# threads: wide blocks run on threads, each in its own slot of a buffer ring
+
+
+def thread_starts(monkeypatch) -> list:
+    """The threads started from now on, with four usable CPUs."""
+    started = []
+    real = threading.Thread.start
+
+    def spy(self):
+        started.append(self.name)
+        return real(self)
+
+    monkeypatch.setattr(threading.Thread, "start", spy)
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 4)
+    return started
+
+
+@pytest.mark.parametrize(
+    "kind, dim",
+    (*((kind, 256) for kind in ("coverage_unknown", "level", "unbiasedness", "moments", "independence", "risk")),
+     *((kind, 8192) for kind in NARROW)),
+)
+def test_narrow_blocks_start_no_thread(monkeypatch, kind, dim):
+    # Blocks of more than THREAD_ROWS rows stay on the calling thread: the
+    # per-row re-key holds the GIL, and threads made them slower.
+    started = thread_starts(monkeypatch)
+    run_experiment(acceptance_config(kind, dim, 500))
+    assert started == []
+
+
+def test_wide_blocks_run_on_threads(monkeypatch):
+    started = thread_starts(monkeypatch)
+    run_experiment(acceptance_config("moments", 1024, 500))
+    assert 1 <= len(started) <= 4
+
+
+def complement_config(kind: str) -> ExperimentConfig:
+    """frame_config's model with U the complement of modes 4..6, no U0 and the mean 0.7 e1."""
+    return dataclasses.replace(
+        frame_config(kind),
+        subspace=Subspace.from_indices(6, [4, 5, 6]).complement(),
+        subspace0=None,
+        zeta=HVector.basis_vector(6, 1, scale=0.7),
+    )
+
+
+FRAME_KINDS = ("coverage_known", "coverage_unknown", "level", "unbiasedness", "independence", "risk")
+APPLY_CASES = (
+    *((kind, "index") for kind in harness.EXPERIMENT_KINDS),
+    *((kind, "frame") for kind in FRAME_KINDS),
+    *((kind, "complement") for kind in STREAM_KINDS if kind != "level"),  # the subspace test takes no complement U
+)
+
+
+def applied(kind: str, subspace: str):
+    """(block, outputs) of one kind's apply on a block of 8 replicates, and
+    the attribute names (with the keys of dict attributes) of every plan
+    before and after apply."""
+    config = {"index": lambda: acceptance_config(kind, 64, 8), "frame": lambda: frame_config(kind),
+              "complement": lambda: complement_config(kind)}[subspace]()
+    inference._functional_plan.cache_clear()  # fresh plans: no constant left by an earlier run
+    sampling.noise_plan.cache_clear()
+    apply, _, width = harness._KINDS[kind][0](config)
+    y = harness._law(config).from_normals(ReplicateStreams(3).standard_normal_rows(range(8), np.empty((8, width))))
+
+    def attributes(plan):
+        return {name: sorted(value) if isinstance(value, dict) else None for name, value in vars(plan).items()}
+
+    plans = [p for p in gc.get_objects() if isinstance(p, sampling.Plan)]
+    before = [attributes(p) for p in plans]
+    outputs = apply(y)
+    return y, outputs, before, [attributes(p) for p in plans]
+
+
+@pytest.mark.parametrize("kind, subspace", sorted(APPLY_CASES))
+def test_apply_adds_nothing_to_a_plan(kind, subspace):
+    # The builder makes every constant; threads running apply only read the plans.
+    _, _, before, after = applied(kind, subspace)
+    assert after == before
+
+
+@pytest.mark.parametrize("kind, subspace", sorted(APPLY_CASES))
+def test_no_output_aliases_its_block(kind, subspace):
+    # A block's buffer is drawn over again once the block's outputs are taken.
+    y, outputs, _, _ = applied(kind, subspace)
+    for key, values in outputs.items():
+        assert not np.shares_memory(values, y), key

@@ -701,6 +701,23 @@ def test_overflow_is_one_stderr_line_outside_pytest(tmp_path, command):
     assert res.stdout == ""
 
 
+def test_mc_overflow_on_threads_is_one_stderr_line_outside_pytest(tmp_path):
+    # The blocks run on two threads, which must keep the command's numpy
+    # error state: an overflow there prints no RuntimeWarning.
+    config = tmp_path / "mc.json"
+    config.write_text(json.dumps({"kind": "moments", "model": "wiener:2048", "zeta": "1:1e200", "replicates": 40}))
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "from hilbert_gauss import harness; harness._usable_cpus = lambda: 2; from hilbert_gauss.cli import main; main()"
+    res = subprocess.run(
+        [sys.executable, "-c", code, "mc", "--config", str(config)], capture_output=True, text=True, env=env
+    )
+    assert res.returncode == 2
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: result is not finite"), res.stderr
+    assert res.stdout == ""
+
+
 @pytest.mark.parametrize("fmt", ("json", "csv"))
 def test_mc_non_finite_report_exits_two(runner, tmp_path, monkeypatch, fmt):
     real = harness.run_experiment

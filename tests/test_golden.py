@@ -16,9 +16,11 @@ only when a change is meant to move report bytes, and say so in CHANGES.md.
 import hashlib
 import json
 import os
+import sys
 
 import pytest
 
+from hilbert_gauss import harness
 from hilbert_gauss.harness import CHUNK_SIZE, EXPERIMENT_KINDS, ExperimentConfig, run_experiment
 
 FIXTURE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_reports.json")
@@ -31,9 +33,13 @@ REL_TOL = 1e-12
 
 def golden_config(kind: str) -> ExperimentConfig:
     """The acceptance suite's configuration of one kind, at DIM modes."""
+    return ExperimentConfig.from_dict(golden_data(kind, DIM))
+
+
+def golden_data(kind: str, dim: int) -> dict:
     data = {
         "kind": kind,
-        "model": {"basis_id": "wiener", "dim": DIM},
+        "model": {"basis_id": "wiener", "dim": dim},
         "subspace": [4],
         "b": {"coords": {"4": 2.0**0.5}},
         "zeta": {"coords": {"4": 0.7}},
@@ -52,7 +58,28 @@ def golden_config(kind: str) -> ExperimentConfig:
         data.update(sigma=1.3)
     elif kind == "learning_curve":
         data.update(subspace=list(range(1, 9)), b=None)
-    data = {k: v for k, v in data.items() if v is not None}
+    return {k: v for k, v in data.items() if v is not None}
+
+
+# Blocks of 16 rows, so that a chunk runs its blocks on threads when it may.
+WIDE_DIM = 1024
+# Name -> kind: the kinds that read every mode, a frame U (read in full) and a
+# complement U, whose summed outputs are WIDE_DIM wide.
+WIDE = {kind: kind for kind in ("coverage_unknown", "level", "unbiasedness", "moments", "independence", "risk")}
+WIDE.update(frame_coverage_known="coverage_known", complement_unbiasedness="unbiasedness")
+
+
+def wide_config(name: str) -> ExperimentConfig:
+    """A golden config at WIDE_DIM modes; its fixture key is 'wide_' + name."""
+    data = golden_data(WIDE[name], WIDE_DIM)
+    if name == "frame_coverage_known":
+        frame = [[0.0] * WIDE_DIM for _ in range(2)]  # e4 and e6: Q-invariant, as a frame must be
+        frame[0][3] = frame[1][5] = 1.0
+        data["subspace"] = {"frame": frame}
+    elif name == "complement_unbiasedness":
+        # U is modes 1..6, so the worst-coordinate check runs over six coordinates, not over WIDE_DIM.
+        U = {"indices": list(range(7, WIDE_DIM + 1)), "complement": True}
+        data.update(subspace=U, zeta={"coords": {"5": 0.7}}, use_tail=False)
     return ExperimentConfig.from_dict(data)
 
 
@@ -85,8 +112,29 @@ def test_golden_report(kind):
     assert parallel.comparable_json() == serial.comparable_json()
 
 
+@pytest.mark.parametrize("name", WIDE)
+def test_wide_report_is_thread_invariant(monkeypatch, name):
+    # Blocks run on threads here: neither the thread count nor the worker
+    # processes (each with cpus // workers threads) change a byte.
+    # Three threads on fewer cores, switching often, would show a block taken
+    # out of order or a slot reused too soon.
+    want = load_fixture()["wide_" + name]
+    reports = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for cpus, workers in ((1, 1), (2, 1), (3, 1), (4, 2)):
+            monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
+            reports.append(run_experiment(wide_config(name), workers=workers).comparable_json())
+    finally:
+        sys.setswitchinterval(interval)
+    assert hashlib.sha256(reports[0].encode()).hexdigest() == want["sha256"]
+    assert reports[1:] == reports[:1] * 3
+
+
 if __name__ == "__main__":
     fixture = {kind: digest(run_experiment(golden_config(kind), workers=1)) for kind in EXPERIMENT_KINDS}
+    fixture.update({"wide_" + name: digest(run_experiment(wide_config(name), workers=1)) for name in WIDE})
     with open(FIXTURE, "w", encoding="utf-8") as fh:
         json.dump(fixture, fh, indent=2, sort_keys=True)
         fh.write("\n")

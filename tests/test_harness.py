@@ -266,6 +266,8 @@ FRAME_E4 = {"frame": [[0.0] * 3 + [1.0] + [0.0] * 60]}
         ("learning_curve", {"subspace": {"indices": [1, 2], "complement": True}}, "plain index-set"),
         ("learning_curve", {"subspace": FRAME_E4}, "plain index-set"),
         ("learning_curve", {"zeta": None}, "explicit mean"),
+        ("coverage_known", {"b": "5:1.0"}, "is not positive"),
+        ("coverage_unknown", {"b": "5:1.0"}, "is not positive"),
     ),
 )
 def test_config_validation_messages_per_kind(monkeypatch, kind, overrides, message):
