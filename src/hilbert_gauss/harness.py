@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .estimators import risk_mean, risk_partial, variance_est_risk
+from .estimators import risk_mean, variance_est_risk
 from .distributions import _check_positive, _check_prob, gamma_cdf, ks_critical_value, ks_statistic
 from .inference import functional_plan
 from .processes import Grid, bridge_model, coeffs_from_trajectory, wiener_model
@@ -714,11 +714,16 @@ def _learning_curve(config):
     _law(config, config.subspace)
     indices = list(config.subspace.indices)
     size = len(indices)
-    cutoffs = config.cutoffs if config.cutoffs is not None else range(1, size + 1)
+    cutoffs = [int(c) for c in (config.cutoffs if config.cutoffs is not None else range(1, size + 1))]
+    if not cutoffs:
+        raise ValueError("learning_curve needs at least one cutoff")
+    seen = set()
     for c in cutoffs:
         if not 0 <= c <= size:
             raise ValueError(f"cutoff {c} outside 0..{size}")
-    cutoffs = [int(c) for c in cutoffs]
+        if c in seen:
+            raise ValueError(f"cutoff {c} given twice")
+        seen.add(c)
     # Prefix noise residual plus suffix bias over the ordered modes of U.
     order = np.array(indices, dtype=int) - 1
     zeta = config.zeta.coeffs[order]
@@ -732,14 +737,37 @@ def _learning_curve(config):
         return {"risk_sum": errs, "risk_sumsq": errs * errs}
 
     def aggregate(report, arrays, sums):
-        report.config_summary["cutoffs"] = cutoffs or None  # the defaults filled in
+        report.config_summary["cutoffs"] = cutoffs  # the defaults filled in
         mean, se = _summed_mean_se(sums["risk_sum"], sums["risk_sumsq"], config.replicates)
+        # Here, not in the builder: a pool worker builds the kind once per chunk.
+        targets = _head_risks(config, order, cutoffs)
         for j, c in enumerate(cutoffs):
-            head = Subspace.from_indices(config.model.dim, indices[:c])
-            analytic = risk_partial(config.model, head, config.zeta, config.sigma).risk
-            _record(report, f"risk_cutoff_{c}", mean[j], se[j], analytic, "closed-form", "partial-observation risk")
+            _record(report, f"risk_cutoff_{c}", mean[j], se[j], targets[j], "closed-form", "partial-observation risk")
 
     return apply, aggregate, max(indices, default=1)
+
+
+def _head_risks(config: ExperimentConfig, order: np.ndarray, cutoffs: list) -> list:
+    """risk_partial(model, V_c, zeta, sigma).risk, bit for bit, for each cutoff c,
+    where V_c spans the modes order[:c] of U, in blocks of at most block_rows(dim) cutoffs.
+
+    zeta with the modes of V_c set to 0.0 has the bits of zeta - P_{V_c} zeta
+    (z - z = +0.0 and z - 0.0 = z for finite z), row_inner runs the dot kernel
+    of its norm, and the eigenvalues of V_c are summed in the order of its index
+    mask.  A cumsum of the traces, or np.sum of the squares, would move bits.
+    """
+    zeta, sigma, dim = config.zeta.coeffs, config.sigma, config.model.dim
+    lam = config.model.eigenvalues[order]
+    rank = np.full(dim, len(order))  # each mode's position in order; a mode off U is past every cutoff
+    rank[order] = np.arange(len(order))
+    rows = block_rows(dim)
+    risks = []
+    for lo in range(0, len(cutoffs), rows):
+        block = cutoffs[lo : lo + rows]
+        missed = np.where(rank < np.array(block)[:, None], 0.0, zeta)
+        bias = np.sqrt(row_inner(missed, missed)).tolist()
+        risks += [sigma * sigma * float(lam[:c].sum()) + b * b for c, b in zip(block, bias)]
+    return risks
 
 
 _KINDS = {

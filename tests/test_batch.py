@@ -9,16 +9,17 @@ exactly, floats to 1e-12 relative.
 import dataclasses
 import gc
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from hilbert_gauss import harness, inference, sampling
-from hilbert_gauss.estimators import est_functional, est_mean, est_variance
+from hilbert_gauss.estimators import est_functional, est_mean, est_variance, risk_partial
 from hilbert_gauss.harness import CHUNK_SIZE, ExperimentConfig, ReplicateStreams, _add_rows, block_rows, derive_stream, run_experiment
-from hilbert_gauss.processes import custom_model, wiener_model
+from hilbert_gauss.processes import bridge_model, custom_model, wiener_model
 from hilbert_gauss.sampling import GaussianLaw, leading_complement_norm_sq, sample, whitened_difference_norm_sq
 from hilbert_gauss.spectral import HVector, Subspace, default_use_tail, inner
 
@@ -209,6 +210,52 @@ def test_learning_curve_matches_scalar_loop():
         head = Subspace.from_indices(dim, indices[:c])
         errs = [(est_mean(y, head) - HVector(zeta)).norm_sq() for y in draws]
         assert report.estimates[f"risk_cutoff_{c}"] == pytest.approx(np.mean(errs), rel=REL_TOL)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dim=st.sampled_from((1, 3, 64, 257, 1024, 8192)),
+    bridge=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    sigma=st.floats(1e-3, 1e3),
+)
+@example(dim=8192, bridge=False, seed=0, sigma=1.0)
+@example(dim=257, bridge=True, seed=1, sigma=0.01)
+def test_head_risks_are_risk_partial(dim, bridge, seed, sigma):
+    # Bit for bit: a dense mean on U with entries of either sign from 1e-8 to
+    # 1e8, some of them -0.0, and unsorted cutoffs with 0 and |U| possible;
+    # at dim 257 and up, |U| may exceed a row block (63, 16, 2 rows).
+    rng = np.random.default_rng(seed)
+    model = (bridge_model if bridge else wiener_model)(dim)
+    size = int(rng.integers(1, min(dim, 300) + 1))
+    idx = sorted((rng.choice(dim, size, replace=False) + 1).tolist())
+    values = rng.choice((-1.0, 1.0), size) * 10.0 ** rng.uniform(-8.0, 8.0, size)
+    zeta = np.zeros(dim)
+    zeta[np.array(idx) - 1] = np.where(rng.random(size) < 0.2, -0.0, values)
+    cutoffs = rng.permutation(size + 1)[: int(rng.integers(1, size + 2))].tolist()
+    config = ExperimentConfig(kind="learning_curve", model=model, subspace=Subspace.from_indices(dim, idx),
+                              zeta=HVector(zeta), sigma=sigma)
+    got = np.array(harness._head_risks(config, np.array(idx) - 1, cutoffs))
+    want = np.array([risk_partial(model, Subspace.from_indices(dim, idx[:c]), HVector(zeta), sigma).risk
+                     for c in cutoffs])
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_head_risks_stay_in_row_blocks():
+    # 2048 cutoffs at dim 8192: one cutoffs x dim array would take 128 MiB.
+    dim, size = 8192, 2048
+    zeta = np.zeros(dim)
+    zeta[:size] = np.linspace(-1.0, 1.0, size)
+    config = ExperimentConfig(kind="learning_curve", model=wiener_model(dim),
+                              subspace=Subspace.from_indices(dim, range(1, size + 1)), zeta=HVector(zeta))
+    order, cutoffs = np.arange(size), list(range(1, size + 1))
+    tracemalloc.start()
+    try:
+        harness._head_risks(config, order, cutoffs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * harness.BLOCK_DOUBLES * 8  # 768 KiB
 
 
 # ---------------------------------------------------------------------------

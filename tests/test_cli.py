@@ -342,6 +342,7 @@ def test_mc_bad_config_exits_two(runner, tmp_path):
         {"subspace": [4.7]},
         {"subspace": {"indices": 5}},
         {"model": {"eigenvalues": [1.0, 0.5], "dim": 2.7}, "subspace": [1], "b": [1.0, 0.0], "zeta": [0.7, 0.0]},
+        {"kind": "learning_curve", "subspace": [1, 2, 3], "b": None, "zeta": "2:0.5", "cutoffs": []},
     ),
 )
 def test_mc_config_of_wrong_json_type_exits_two(runner, tmp_path, overrides):

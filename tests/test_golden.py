@@ -6,7 +6,9 @@ loops that preceded the batched chunk runner; it holds, per kind, the
 check names, sidedness and pass flags, the estimates, and the sha256 of
 the report's `comparable_json`.  The batched runner reproduces every
 report byte for byte, so the hash is pinned too; the outcome and estimate
-checks say what moved should it ever fail.  Regenerate the fixture with
+checks say what moved should it ever fail.  The dense learning curve was
+recorded from the per-cutoff closed-form targets that preceded the
+row-block ones.  Regenerate the fixture with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -61,6 +63,15 @@ def golden_data(kind: str, dim: int) -> dict:
     return {k: v for k, v in data.items() if v is not None}
 
 
+def dense_config() -> ExperimentConfig:
+    """A learning curve whose mean is nonzero on every mode of U, so that each
+    closed-form target sums many squares; cutoffs unsorted, 0 and |U| among them."""
+    data = golden_data("learning_curve", 1024)
+    data.update(subspace=list(range(1, 41)), zeta={"coords": {str(k): (-1) ** k * 1.5 / k for k in range(1, 41)}},
+                sigma=0.8, cutoffs=[17, 0, 40, 3, 29, 8, 1, 35, 12, 24])
+    return ExperimentConfig.from_dict(data)
+
+
 # Blocks of 16 rows, so that a chunk runs its blocks on threads when it may.
 WIDE_DIM = 1024
 # Name -> kind: the kinds that read every mode, a frame U (read in full) and a
@@ -97,10 +108,11 @@ def load_fixture() -> dict:
         return json.load(fh)
 
 
-@pytest.mark.parametrize("kind", EXPERIMENT_KINDS)
+@pytest.mark.parametrize("kind", (*EXPERIMENT_KINDS, "dense_learning_curve"))
 def test_golden_report(kind):
     want = load_fixture()[kind]
-    serial = run_experiment(golden_config(kind), workers=1)
+    config = dense_config() if kind == "dense_learning_curve" else golden_config(kind)
+    serial = run_experiment(config, workers=1)
     got = digest(serial)
     assert got["passed"] == want["passed"]
     assert got["checks"] == want["checks"]
@@ -108,7 +120,7 @@ def test_golden_report(kind):
     for name, value in want["estimates"].items():
         assert got["estimates"][name] == pytest.approx(value, rel=REL_TOL, abs=0.0), name
     assert got["sha256"] == want["sha256"]
-    parallel = run_experiment(golden_config(kind), workers=3)
+    parallel = run_experiment(config, workers=3)
     assert parallel.comparable_json() == serial.comparable_json()
 
 
@@ -135,6 +147,7 @@ def test_wide_report_is_thread_invariant(monkeypatch, name):
 if __name__ == "__main__":
     fixture = {kind: digest(run_experiment(golden_config(kind), workers=1)) for kind in EXPERIMENT_KINDS}
     fixture.update({"wide_" + name: digest(run_experiment(wide_config(name), workers=1)) for name in WIDE})
+    fixture["dense_learning_curve"] = digest(run_experiment(dense_config(), workers=1))
     with open(FIXTURE, "w", encoding="utf-8") as fh:
         json.dump(fixture, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -268,6 +268,9 @@ FRAME_E4 = {"frame": [[0.0] * 3 + [1.0] + [0.0] * 60]}
         ("learning_curve", {"zeta": None}, "explicit mean"),
         ("coverage_known", {"b": "5:1.0"}, "is not positive"),
         ("coverage_unknown", {"b": "5:1.0"}, "is not positive"),
+        ("learning_curve", {"subspace": [1, 2, 3], "zeta": "2:0.5", "cutoffs": []}, "at least one cutoff"),
+        ("learning_curve", {"subspace": [], "zeta": "2:0.0"}, "at least one cutoff"),
+        ("learning_curve", {"subspace": [1, 2, 3], "zeta": "2:0.5", "cutoffs": [2, 2, 0]}, "cutoff 2 given twice"),
     ),
 )
 def test_config_validation_messages_per_kind(monkeypatch, kind, overrides, message):
