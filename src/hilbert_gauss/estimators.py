@@ -22,6 +22,7 @@ from .spectral import (
     HVector,
     SpectralModel,
     Subspace,
+    _residual,
     inner,
     project,
     restricted_eigenvalues,
@@ -91,7 +92,7 @@ def risk_partial(model: SpectralModel, V: Subspace, zeta: HVector, sigma: float)
     of the mean enters as squared bias.
     """
     sigma = _check_positive(sigma, "sigma")
-    missed = zeta - project(zeta, V)
+    missed = _residual(zeta, V)
     return RiskReport.from_parts(bias=missed.norm(), variance=sigma * sigma * trace_q_on(model, V))
 
 

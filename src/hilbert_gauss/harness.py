@@ -687,7 +687,8 @@ def _risk(config):
     sigma_sq = config.sigma**2
 
     def apply(y):
-        diff = project(y, config.subspace) - zeta
+        diff = project(y, config.subspace)
+        np.subtract(diff, zeta, out=diff)  # in place: a projection is a new array
         return {"mean_err": row_inner(diff, diff), "s2_err": (plan.variance(y) - sigma_sq) ** 2}
 
     def aggregate(report, arrays, sums):

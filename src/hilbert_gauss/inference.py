@@ -23,6 +23,7 @@ from .spectral import (
     HVector,
     SpectralModel,
     Subspace,
+    _residual,
     default_use_tail,
     project,
     row_inner,
@@ -144,16 +145,25 @@ class FunctionalPlan(Plan):
             raise ValueError("<Q b, P_U b> is not positive; b carries no signal inside U")
         return v
 
+    def _tail(self) -> bool:
+        """use_tail, which a complement U cannot take."""
+        if self.use_tail and self.U.is_complement:
+            raise ValueError(
+                "U is a complement, so the mass past the truncation lies inside U and "
+                "tr(Q (I - P_U)) has no tail; set use_tail false (--no-tail)"
+            )
+        return self.use_tail
+
     @cached_property
     def variance_denominator(self) -> float:
-        denom = trace_q_on(self.model, self.U.complement(), use_tail=self.use_tail)
+        denom = trace_q_on(self.model, self._perp, use_tail=self._tail())
         if denom <= 0.0:
             raise ValueError("tr(Q (I - P_U)) is zero; the variance is not identifiable")
         return denom
 
     @cached_property
     def complement_params(self) -> tuple:
-        return ci_params_unknown(self.model, self.U, use_tail=self.use_tail)
+        return ci_params_unknown(self.model, self.U, use_tail=self._tail())
 
     def _quantile(self, kind: str, alpha: float) -> float:
         """z_{1 - alpha/2} (kind 'z') or t_{n, 1 - alpha/2} (kind 't')."""
@@ -173,7 +183,7 @@ class FunctionalPlan(Plan):
     def variance(self, y: np.ndarray) -> np.ndarray:
         """The variance estimator ||y - P_U y||^2 / tr(Q (I - P_U))."""
         denom = self.variance_denominator
-        residual = y - project(y, self.U)
+        residual = _residual(y, self.U, self._perp)
         return row_inner(residual, residual) / denom
 
     def ci_known(self, y: np.ndarray, sigma: float, alpha: float) -> tuple:

@@ -24,6 +24,7 @@ from .spectral import (
     HVector,
     SpectralModel,
     Subspace,
+    _residual,
     default_use_tail,
     difference_subspace,
     project,
@@ -50,8 +51,7 @@ class GaussianLaw:
         if mean.dim != model.dim:
             raise ValueError(f"mean has dim {mean.dim}, model has {model.dim}")
         if subspace is not None:
-            residual = mean - project(mean, subspace)
-            if residual.norm() > MEAN_IN_SUBSPACE_TOL:
+            if _residual(mean, subspace).norm() > MEAN_IN_SUBSPACE_TOL:
                 raise ValueError("mean does not lie in the attached subspace")
         self.model = model
         self.mean = mean
@@ -199,6 +199,7 @@ class Plan:
     def __init__(self, *keys):
         for name, key in zip(self._KEYS, keys):
             setattr(self, name, key)
+        self._perp = self.U.complement()  # y - P_U y is one projection onto it (spectral._residual)
 
     def head(self, width: int):
         """The plan of the keys cut to modes 1..width (index-set subspaces only), for
@@ -232,7 +233,7 @@ class NoisePlan(Plan):
 
     @cached_property
     def decomposition(self) -> NoiseDecomposition:
-        comp = self.U.complement()
+        comp = self._perp
         if trace_q_on(self.model, comp, use_tail=False) <= 0.0:
             # Even with a positive tail trace, lam and n are not readable from
             # a scalar tail, so an empty or Q-null truncated complement is out.
@@ -249,7 +250,7 @@ class NoisePlan(Plan):
 
     @cached_property
     def leading(self) -> Subspace:
-        return top_eigenspace(self.model, self.U.complement())
+        return top_eigenspace(self.model, self._perp)
 
     @cached_property
     def whitening(self) -> tuple:
@@ -290,15 +291,21 @@ class NoisePlan(Plan):
 
     def statistic(self, y: np.ndarray) -> np.ndarray:
         """(n lam / (m mu)) ||P_U y - P_U0 y||^2 / ||y - P_U y||^2 per row."""
-        dec = self._test_decomposition()
-        pu = project(y, self.U)
-        residual = y - pu
+        dec = self._test_decomposition()  # U is no complement: the difference would have raised
+        if self.U.kind == "indices" and self.U0.kind == "indices":
+            # One projection each, bit for bit: P_U y - P_U0 y is y - y = +0.0 on U0,
+            # y - 0.0 = y on U minus U0 and 0.0 - 0.0 = +0.0 off U.
+            residual, shift = project(y, self._perp), project(y, self.difference[0])
+        else:
+            # A frame difference is re-orthonormalised, so its projection has other
+            # bits; P_U y serves both terms.
+            pu = project(y, self.U)
+            residual, shift = y - pu, pu - project(y, self.U0)
         denom = row_inner(residual, residual)
         if np.any(denom <= 0.0):
             raise ZeroResidualError(
                 "observation has no component outside U; the test statistic is undefined"
             )
-        shift = pu - project(y, self.U0)
         return (dec.n * dec.lam) / (dec.m * dec.mu) * row_inner(shift, shift) / denom
 
 

@@ -434,16 +434,17 @@ APPLY_CASES = (
 )
 
 
-def applied(kind: str, subspace: str):
+def applied(kind: str, subspace: str, readonly: bool = False):
     """(block, outputs) of one kind's apply on a block of 8 replicates, and
     the attribute names (with the keys of dict attributes) of every plan
-    before and after apply."""
+    before and after apply; a read-only block refuses every write."""
     config = {"index": lambda: acceptance_config(kind, 64, 8), "frame": lambda: frame_config(kind),
               "complement": lambda: complement_config(kind)}[subspace]()
     inference._functional_plan.cache_clear()  # fresh plans: no constant left by an earlier run
     sampling.noise_plan.cache_clear()
     apply, _, width = harness._KINDS[kind][0](config)
     y = harness._law(config).from_normals(ReplicateStreams(3).standard_normal_rows(range(8), np.empty((8, width))))
+    y.flags.writeable = not readonly
 
     def attributes(plan):
         return {name: sorted(value) if isinstance(value, dict) else None for name, value in vars(plan).items()}
@@ -467,3 +468,15 @@ def test_no_output_aliases_its_block(kind, subspace):
     y, outputs, _, _ = applied(kind, subspace)
     for key, values in outputs.items():
         assert not np.shares_memory(values, y), key
+
+
+@pytest.mark.parametrize("kind, subspace", sorted(APPLY_CASES))
+def test_apply_never_writes_its_block(kind, subspace):
+    # A write into the read-only block raises, so members of a group could
+    # share one scaled block; the outputs are those of a writable one.
+    y, outputs, _, _ = applied(kind, subspace, readonly=True)
+    assert not y.flags.writeable
+    _, want, _, _ = applied(kind, subspace)
+    assert sorted(outputs) == sorted(want)
+    for key, values in want.items():
+        assert np.array_equal(outputs[key], values), key

@@ -529,6 +529,26 @@ def test_bad_subspace_file_exits_two(runner, tmp_path, subspace):
     assert_one_line_error(res)
 
 
+@pytest.mark.parametrize("command", ("estimate", "ci", "mc"))
+def test_complement_subspace_needs_no_tail(runner, tmp_path, command):
+    # An analytic model's default tail lies inside a complement U: exit 2 with
+    # one line that names the cause and the fix; with the fix the command runs.
+    comp = {"indices": [1, 2, 3], "complement": True}
+    obs = write_obs(tmp_path, 16, {4: 0.7, 1: 0.3})
+    if command == "mc":
+        config = {"kind": "unbiasedness", "model": "wiener:16", "subspace": comp, "zeta": "4:0.7", "replicates": 50}
+        args = ["mc", "--config", write_json(tmp_path, "mc.json", config)]
+        fixed = ["mc", "--config", write_json(tmp_path, "mc_fixed.json", {**config, "use_tail": False})]
+    else:
+        args = [command, "--model", "wiener:16", "--obs", obs, "--subspace", write_json(tmp_path, "comp.json", comp)]
+        args += ["--b", "4:1.0"] if command == "ci" else []
+        fixed = args + ["--no-tail"]
+    res = runner.invoke(main, args)
+    assert_one_line_error(res)
+    assert "U is a complement" in res.stderr and "use_tail false (--no-tail)" in res.stderr
+    assert runner.invoke(main, fixed).exit_code == 0
+
+
 @pytest.mark.parametrize(
     "option, data, field",
     (

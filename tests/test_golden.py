@@ -80,9 +80,19 @@ WIDE = {kind: kind for kind in ("coverage_unknown", "level", "unbiasedness", "mo
 WIDE.update(frame_coverage_known="coverage_known", complement_unbiasedness="unbiasedness")
 
 
+# Name -> kind: paths that the configs above miss, each pinned at workers 1
+# and 3.  A U of more runs of modes than a block takes as slices (so its
+# projections take np.where), with U0 inside it; a frame U, whose test keeps
+# two projections for its shift; a complement U, whose residual is a plain
+# index set.  A flat spectrum makes the test and the interval exact, so each
+# report counts outcomes that hinge on the statistic, not a rate of 0 or 1.
+# Recorded from the two-pass statistics that preceded the one-pass ones.
+PINNED = {"scattered_level": "level", "frame_level": "level", "complement_coverage_unknown": "coverage_unknown"}
+
+
 def wide_config(name: str) -> ExperimentConfig:
     """A golden config at WIDE_DIM modes; its fixture key is 'wide_' + name."""
-    data = golden_data(WIDE[name], WIDE_DIM)
+    data = golden_data({**WIDE, **PINNED}[name], WIDE_DIM)
     if name == "frame_coverage_known":
         frame = [[0.0] * WIDE_DIM for _ in range(2)]  # e4 and e6: Q-invariant, as a frame must be
         frame[0][3] = frame[1][5] = 1.0
@@ -91,6 +101,16 @@ def wide_config(name: str) -> ExperimentConfig:
         # U is modes 1..6, so the worst-coordinate check runs over six coordinates, not over WIDE_DIM.
         U = {"indices": list(range(7, WIDE_DIM + 1)), "complement": True}
         data.update(subspace=U, zeta={"coords": {"5": 0.7}}, use_tail=False)
+    if name in PINNED:
+        data["model"] = {"eigenvalues": [1.0] * WIDE_DIM}
+    if name == "scattered_level":
+        data.update(subspace=list(range(1, 100, 2)), subspace0=[5, 7], zeta={"coords": {"5": 0.7}})
+    elif name == "frame_level":
+        frame = [[0.0] * WIDE_DIM for _ in range(2)]
+        frame[0][3] = frame[1][5] = 1.0
+        data["subspace"] = {"frame": frame}
+    elif name == "complement_coverage_unknown":
+        data.update(subspace={"indices": list(range(7, WIDE_DIM + 1)), "complement": True}, use_tail=False)
     return ExperimentConfig.from_dict(data)
 
 
@@ -144,9 +164,17 @@ def test_wide_report_is_thread_invariant(monkeypatch, name):
     assert reports[1:] == reports[:1] * 3
 
 
+@pytest.mark.parametrize("name", PINNED)
+def test_pinned_report(name):
+    want = load_fixture()["wide_" + name]
+    serial = run_experiment(wide_config(name), workers=1)
+    assert digest(serial) == want
+    assert run_experiment(wide_config(name), workers=3).comparable_json() == serial.comparable_json()
+
+
 if __name__ == "__main__":
     fixture = {kind: digest(run_experiment(golden_config(kind), workers=1)) for kind in EXPERIMENT_KINDS}
-    fixture.update({"wide_" + name: digest(run_experiment(wide_config(name), workers=1)) for name in WIDE})
+    fixture.update({"wide_" + name: digest(run_experiment(wide_config(name), workers=1)) for name in (*WIDE, *PINNED)})
     fixture["dense_learning_curve"] = digest(run_experiment(dense_config(), workers=1))
     with open(FIXTURE, "w", encoding="utf-8") as fh:
         json.dump(fixture, fh, indent=2, sort_keys=True)

@@ -255,6 +255,7 @@ def test_config_validation_per_kind():
 
 
 FRAME_E4 = {"frame": [[0.0] * 3 + [1.0] + [0.0] * 60]}
+COMPLEMENT_TAIL = r"U is a complement, .* has no tail; set use_tail false \(--no-tail\)"
 
 
 @pytest.mark.parametrize(
@@ -271,6 +272,9 @@ FRAME_E4 = {"frame": [[0.0] * 3 + [1.0] + [0.0] * 60]}
         ("learning_curve", {"subspace": [1, 2, 3], "zeta": "2:0.5", "cutoffs": []}, "at least one cutoff"),
         ("learning_curve", {"subspace": [], "zeta": "2:0.0"}, "at least one cutoff"),
         ("learning_curve", {"subspace": [1, 2, 3], "zeta": "2:0.5", "cutoffs": [2, 2, 0]}, "cutoff 2 given twice"),
+        # The analytic model's default tail would have to lie in the complement of a complement U.
+        *((kind, {"subspace": {"indices": [1, 2, 3], "complement": True}}, COMPLEMENT_TAIL)
+          for kind in ("coverage_unknown", "unbiasedness", "independence")),
     ),
 )
 def test_config_validation_messages_per_kind(monkeypatch, kind, overrides, message):

@@ -7,16 +7,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hilbert_gauss import spectral
+from hilbert_gauss.inference import functional_plan
+from hilbert_gauss.sampling import noise_plan
 from hilbert_gauss.spectral import (
     HVector,
     SpectralModel,
     Subspace,
+    _residual,
     default_use_tail,
     difference_subspace,
     inner,
     project,
     rank_on,
     restricted_eigenvalues,
+    row_inner,
     sup_eig_on,
     top_eigenspace,
     top_multiplicity,
@@ -249,6 +254,141 @@ def test_projection_frame_matches_indices():
     assert np.allclose(
         project(y, s_frame.complement()).coeffs, project(y, s_idx.complement()).coeffs, atol=1e-12
     )
+
+
+# ---------------------------------------------------------------------------
+# index-set projections: slices over runs of modes or np.where, the same bits
+
+
+def runs_subspace(dim: int, bounds) -> Subspace:
+    """The index set of the runs [a + 1, b] of modes, for sorted distinct bounds a0 < b0 < a1 < ..."""
+    return Subspace.from_indices(dim, [k for a, b in zip(bounds[::2], bounds[1::2]) for k in range(a + 1, b + 1)])
+
+
+def assert_projects_as_where(y: np.ndarray, S: Subspace) -> None:
+    # The bits of np.where over the mask, +0.0 off the set, in a new C-contiguous array.
+    want = np.where(S.index_mask(), y, 0.0)
+    got = project(y, S)
+    assert got.dtype == want.dtype == np.float64 and got.shape == y.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert got.flags.c_contiguous and got.flags.writeable and not np.shares_memory(got, y)
+
+
+@st.composite
+def run_cases(draw):
+    """(y, S) for an index set of 0, 1, a few or many runs of modes, or of every
+    mode, and its complement; y of shape (dim,) or (rows, dim) holding -0.0
+    entries, or integers."""
+    dim = draw(st.sampled_from((7, 256, 1024, 2048)))
+    rows = draw(st.sampled_from((None, 1, 3, 16)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        bounds = [0, dim]
+    else:
+        runs = min(draw(st.sampled_from((0, 1, 2, 5, 16, 17, 40, dim // 2))), (dim + 1) // 2)
+        bounds = np.sort(rng.choice(dim + 1, 2 * runs, replace=False)).tolist()
+    S = runs_subspace(dim, bounds)
+    shape = (dim,) if rows is None else (rows, dim)
+    if draw(st.booleans()):
+        y = rng.integers(-5, 6, size=shape)
+    else:
+        y = rng.standard_normal(shape)
+        y[rng.random(shape) < 0.2] = -0.0
+    y.flags.writeable = False  # a projection never writes its input
+    return y, S.complement() if draw(st.booleans()) else S
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=run_cases())
+def test_project_is_where_bit_for_bit(case):
+    assert_projects_as_where(*case)
+
+
+@pytest.mark.parametrize("rows", (None, 16))
+@pytest.mark.parametrize("runs", (0, 1, 4, 16, 17, 512))
+def test_project_is_where_on_both_sides_of_the_crossover(rows, runs):
+    # At 1024 modes a (1024,) row takes slices up to 1 run and a (16, 1024)
+    # block up to 16; more runs take np.where.
+    dim = 1024
+    S = runs_subspace(dim, list(range(0, 2 * runs * (dim // (2 * runs)), dim // (2 * runs))) if runs else [])
+    assert len(S._index_runs()) == runs
+    y = np.random.default_rng(runs).standard_normal((dim,) if rows is None else (rows, dim))
+    y[..., ::7] = -0.0
+    for sub in (S, S.complement(), Subspace.from_indices(dim, range(1, dim + 1))):
+        assert_projects_as_where(y, sub)
+        assert_projects_as_where(y[0] if rows else y[None], sub)
+
+
+def test_index_runs_are_cached_and_derived():
+    s = Subspace.from_indices(12, [1, 2, 3, 7, 9, 10, 12])
+    runs = s._index_runs()
+    assert runs == (slice(0, 3), slice(6, 7), slice(8, 10), slice(11, 12)) and s._index_runs() is runs
+    assert s.complement()._runs is runs and s.complement()._index_runs() == runs
+    assert Subspace.from_indices(12, []).complement()._index_runs() == ()
+    assert pickle.loads(pickle.dumps(s))._runs is None
+    assert Subspace.from_indices(12, [12, 10, 9, 7, 3, 2, 1]) == s
+
+
+def plan_model(dim: int) -> SpectralModel:
+    """A spectrum whose two leading modes tie, so that a frame may rotate between them."""
+    eig = 1.0 / np.arange(1, dim + 1) ** 2
+    eig[1] = eig[0]
+    return SpectralModel(eig)
+
+
+def plan_subspaces(dim: int) -> dict:
+    rows = np.eye(2, dim)
+    c, s = np.cos(0.7), np.sin(0.7)
+    e = lambda k: HVector.basis_vector(dim, k).coeffs
+    model = plan_model(dim)
+    rotated = Subspace.from_frame(model, [c * rows[0] + s * rows[1], -s * rows[0] + c * rows[1], e(4)])
+    scattered = Subspace.from_indices(dim, range(1, 200, 2))
+    return {
+        # name -> (U, U0 or None for the residual alone)
+        "one_run": (Subspace.from_indices(dim, [4, 5, 6]), Subspace.from_indices(dim, [4])),
+        "few_runs": (Subspace.from_indices(dim, [1, 2, 4, 5, 9, 30, 31]), Subspace.from_indices(dim, [2, 30])),
+        "scattered": (scattered, Subspace.from_indices(dim, [1, 5, 9])),
+        "complement": (Subspace.from_indices(dim, range(7, dim + 1)).complement(), None),
+        "scattered_complement": (scattered.complement(), None),
+        "frame": (rotated, Subspace.from_frame(model, [e(4)])),
+        "frame_vs_indices": (rotated, Subspace.from_indices(dim, [4])),
+        "indices_vs_frame": (Subspace.from_indices(dim, [1, 2, 4, 5]), rotated),
+        "frame_complement": (rotated.complement(), None),
+    }
+
+
+PLAN_CASES = ("one_run", "few_runs", "scattered", "complement", "scattered_complement", "frame",
+              "frame_vs_indices", "indices_vs_frame", "frame_complement")
+
+
+@pytest.mark.parametrize("name", PLAN_CASES)
+@pytest.mark.parametrize("rows", (None, 16))
+def test_one_pass_statistics_keep_the_two_pass_bits(name, rows):
+    # The residual, the variance and the test statistic against the formulas
+    # they replace: y - P_U y and P_U y - P_U0 y, each from two projections.
+    dim = 1024
+    U, U0 = plan_subspaces(dim)[name]
+    model = plan_model(dim)
+    rng = np.random.default_rng(dim)
+    y = rng.standard_normal((dim,) if rows is None else (rows, dim)) * np.sqrt(model.eigenvalues)
+    y[..., 3:200:5] = -0.0
+    y.flags.writeable = False
+
+    def same(got, want):
+        assert np.array_equal(np.asarray(got).view(np.uint64), np.asarray(want).view(np.uint64))
+
+    residual = y - project(y, U)
+    same(_residual(y, U), residual)
+    row = HVector(y[0] if rows else y)
+    same(_residual(row, U).coeffs, (row - project(row, U)).coeffs)
+    plan = functional_plan(model, U, use_tail=False)
+    same(plan.variance(y), row_inner(residual, residual) / plan.variance_denominator)
+    if U0 is not None:
+        plan = noise_plan(model, U, U0)
+        dec = plan.decomposition
+        shift = project(y, U) - project(y, U0)
+        want = (dec.n * dec.lam) / (dec.m * dec.mu) * row_inner(shift, shift) / row_inner(residual, residual)
+        same(plan.statistic(y), want)
 
 
 # ---------------------------------------------------------------------------
