@@ -1,13 +1,14 @@
-"""CDFs, quantiles, and samplers for the normal, Student-t, Fisher, and Gamma
-families, plus the scale-family reductions used to recognize
-normal-over-root-Gamma and Gamma-over-Gamma ratios.
+"""Quantiles of the normal, Student-t, Fisher and Gamma families, the Gamma
+CDF and sampler, the scale-family reductions used to recognize
+normal-over-root-Gamma and Gamma-over-Gamma ratios, and the
+Kolmogorov-Smirnov statistic with its critical value.
 
-CDFs are built from the regularized incomplete gamma and beta functions and
-quantiles are their inverses in scipy.special (ndtri, stdtrit, fdtri,
-gammaincinv), imported on first call so that importing the package does not
-load scipy; non-integer degrees of freedom work everywhere.  The samplers are
-the generator's own methods behind argument checks: standard_gamma (Marsaglia
-and Tsang's method for shapes above 1) divided by the rate, standard_t and f.
+Quantiles are the inverses in scipy.special (ndtri, stdtrit, fdtri,
+gammaincinv) and the Gamma CDF is its regularized lower incomplete gamma,
+imported on first call so that importing the package does not load scipy;
+non-integer degrees of freedom work everywhere.  The sampler is the
+generator's standard_gamma (Marsaglia and Tsang's method for shapes above 1)
+divided by the rate, behind argument checks.
 """
 
 from __future__ import annotations
@@ -15,8 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-_SQRT2 = np.sqrt(2.0)
 
 
 def _check_prob(value: float, name: str) -> float:
@@ -38,37 +37,7 @@ def _maybe_scalar(x, out):
 
 
 # ---------------------------------------------------------------------------
-# CDFs
-
-
-def norm_cdf(x):
-    """Standard normal CDF, accurate in both tails via erfc."""
-    from scipy import special
-    x = np.asarray(x, dtype=float)
-    out = 0.5 * special.erfc(-x / _SQRT2)
-    return _maybe_scalar(x, out)
-
-
-def t_cdf(x, dof):
-    """Student-t CDF for real degrees of freedom via the incomplete beta."""
-    from scipy import special
-    dof = _check_positive(dof, "dof")
-    x = np.asarray(x, dtype=float)
-    z = dof / (dof + x * x)
-    tail = 0.5 * special.betainc(dof / 2.0, 0.5, z)
-    out = np.where(x >= 0.0, 1.0 - tail, tail)
-    return _maybe_scalar(x, out)
-
-
-def f_cdf(x, m, n):
-    """Fisher F CDF for real degrees of freedom via the incomplete beta."""
-    from scipy import special
-    m = _check_positive(m, "m")
-    n = _check_positive(n, "n")
-    x = np.asarray(x, dtype=float)
-    xc = np.clip(x, 0.0, None)
-    out = special.betainc(m / 2.0, n / 2.0, m * xc / (m * xc + n))
-    return _maybe_scalar(x, out)
+# CDF
 
 
 def gamma_cdf(x, alpha, beta):
@@ -137,16 +106,6 @@ def gamma_sample(rng, alpha: float, beta: float, size=None):
     alpha = _check_positive(alpha, "alpha")
     beta = _check_positive(beta, "beta")
     return rng.standard_gamma(alpha, size) / beta
-
-
-def t_sample(rng, dof: float, size=None):
-    """Draw from Student-t with real dof through the generator's standard_t."""
-    return rng.standard_t(_check_positive(dof, "dof"), size)
-
-
-def f_sample(rng, m: float, n: float, size=None):
-    """Draw from Fisher F with real dofs through the generator's f."""
-    return rng.f(_check_positive(m, "m"), _check_positive(n, "n"), size)
 
 
 # ---------------------------------------------------------------------------
@@ -233,18 +192,6 @@ def ks_statistic(samples, cdf) -> float:
     f = np.asarray(cdf(x), dtype=float)
     grid = np.arange(1, n + 1) / n
     return float(max(np.max(grid - f), np.max(f - (grid - 1.0 / n))))
-
-
-def ks_statistic_two_sample(x, y) -> float:
-    """Two-sample Kolmogorov-Smirnov statistic."""
-    x = np.sort(np.asarray(x, dtype=float))
-    y = np.sort(np.asarray(y, dtype=float))
-    if x.size == 0 or y.size == 0:
-        raise ValueError("need at least one sample on each side")
-    both = np.concatenate([x, y])
-    fx = np.searchsorted(x, both, side="right") / x.size
-    fy = np.searchsorted(y, both, side="right") / y.size
-    return float(np.max(np.abs(fx - fy)))
 
 
 def ks_critical_value(n: int, m: int | None = None, alpha: float = 0.05) -> float:

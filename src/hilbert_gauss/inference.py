@@ -86,34 +86,6 @@ class TestResult:
         }
 
 
-def functional_variance_factor(b: HVector, model: SpectralModel, U: Subspace) -> float:
-    """<Q b, P_U b>, the variance factor of the functional estimator.
-
-    Must be positive for any interval to exist; zero means b acts like an
-    element of the orthogonal complement of U.
-    """
-    pb = project(b, U).coeffs
-    return float(model.eigenvalues @ (pb * b.coeffs))
-
-
-def ci_params_unknown(model: SpectralModel, U: Subspace, use_tail: bool | None = None):
-    """The quantities (tau, lam, n) of Q on the complement of U.
-
-    tau is the complement trace (tail per convention), lam the largest
-    complement eigenvalue, n its multiplicity.
-    """
-    use_tail = default_use_tail(model, use_tail)
-    comp = U.complement()
-    tau = trace_q_on(model, comp, use_tail=use_tail)
-    if tau <= 0.0:
-        raise ValueError("tr(Q (I - P_U)) is zero; no variance information outside U")
-    lam = sup_eig_on(model, comp)
-    if lam <= 0.0:
-        raise ValueError("Q vanishes on the truncated complement of U")
-    n = top_multiplicity(model, comp)
-    return tau, lam, n
-
-
 class FunctionalPlan(Plan):
     """Replicate-invariant constants of the estimators and intervals for
     <b, zeta> on U, and their evaluation on a batch of observations.
@@ -123,9 +95,10 @@ class FunctionalPlan(Plan):
     per row.  Each constant is computed on first use, so a plan costs only
     what its procedures need: `variance_factor` <Q b, P_U b> (needs b),
     `variance_denominator` tr(Q (I - P_U)) under the tail convention,
-    `complement_params` (tau, lam, n) of ci_params_unknown, and the interval
-    quantiles for the last alpha asked.  A constant that raises is not kept,
-    so it raises again on the next use.  Build plans with `functional_plan`.
+    `complement_params` (tau, lam, n) of Q on the complement of U, with tau
+    the variance denominator, and the interval quantiles for the last alpha
+    asked.  A constant that raises is not kept, so it raises again on the
+    next use.  Build plans with `functional_plan`.
     """
 
     _KEYS = ("model", "U", "b", "use_tail")
@@ -140,7 +113,8 @@ class FunctionalPlan(Plan):
     def variance_factor(self) -> float:
         if self.b is None:
             raise ValueError("the functional procedures need a vector b")
-        v = functional_variance_factor(self.b, self.model, self.U)
+        # <Q b, P_U b>; zero means b acts like an element of the complement of U.
+        v = float(self.model.eigenvalues @ (project(self.b, self.U).coeffs * self.b.coeffs))
         if v <= 0.0:
             raise ValueError("<Q b, P_U b> is not positive; b carries no signal inside U")
         return v
@@ -163,7 +137,11 @@ class FunctionalPlan(Plan):
 
     @cached_property
     def complement_params(self) -> tuple:
-        return ci_params_unknown(self.model, self.U, use_tail=self._tail())
+        tau = self.variance_denominator
+        lam = sup_eig_on(self.model, self._perp)
+        if lam <= 0.0:
+            raise ValueError("Q vanishes on the truncated complement of U")
+        return tau, lam, top_multiplicity(self.model, self._perp)
 
     def _quantile(self, kind: str, alpha: float) -> float:
         """z_{1 - alpha/2} (kind 'z') or t_{n, 1 - alpha/2} (kind 't')."""
@@ -214,6 +192,15 @@ def functional_plan(
     """The FunctionalPlan of (model, U, b, use_tail) from a bounded cache keyed
     by value; use_tail None is resolved to the model's default first."""
     return _functional_plan(model, U, b, default_use_tail(model, use_tail))
+
+
+def ci_params_unknown(model: SpectralModel, U: Subspace, use_tail: bool | None = None):
+    """The quantities (tau, lam, n) of Q on the complement of U.
+
+    tau is the complement trace (tail per convention), lam the largest
+    complement eigenvalue, n its multiplicity.
+    """
+    return functional_plan(model, U, use_tail=use_tail).complement_params
 
 
 def ci_known(b: HVector, y: HVector, model: SpectralModel, U: Subspace, sigma: float, alpha: float) -> Interval:

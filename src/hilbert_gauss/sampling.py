@@ -44,7 +44,7 @@ class GaussianLaw:
     MEAN_IN_SUBSPACE_TOL), matching the parameter space U x (0, inf).
     """
 
-    __slots__ = ("model", "mean", "sigma", "subspace", "_sigma_sqrt_lam")
+    __slots__ = ("model", "mean", "sigma", "_sigma_sqrt_lam")
 
     def __init__(self, model: SpectralModel, mean: HVector, sigma: float, subspace: Subspace | None = None):
         sigma = _check_positive(sigma, "sigma")
@@ -56,7 +56,6 @@ class GaussianLaw:
         self.model = model
         self.mean = mean
         self.sigma = sigma
-        self.subspace = subspace
         scale = sigma * np.sqrt(model.eigenvalues)
         scale.flags.writeable = False
         self._sigma_sqrt_lam = scale
@@ -103,9 +102,13 @@ def transformed_norm_sq_moments(law: GaussianLaw, T_subspace: Subspace, use_tail
     """Mean and variance of ||P_S Y||^2 for a subspace projection P_S.
 
     Mean sigma^2 tr(Q P_S) + ||P_S zeta||^2; variance
-    2 sigma^4 ||P_S Q P_S||_HS^2 + 4 sigma^2 <Q P_S zeta, P_S zeta>.
+    2 sigma^4 ||P_S Q P_S||_HS^2 + 4 sigma^2 <Q P_S zeta, P_S zeta>.  The
+    analytic tail lies past the truncation, inside a complement S only, so
+    use_tail None takes the model's convention for a complement S and no
+    tail for a plain one.
     """
-    use_tail = default_use_tail(law.model, use_tail)
+    if use_tail is None:
+        use_tail = T_subspace.is_complement and default_use_tail(law.model)
     lam = law.model.eigenvalues
     s2 = law.sigma**2
     proj_mean = project(law.mean, T_subspace).coeffs
@@ -310,25 +313,3 @@ class NoisePlan(Plan):
 
 
 noise_plan = lru_cache(maxsize=PLAN_CACHE_SIZE)(NoisePlan)
-
-
-def leading_complement_norm_sq(model: SpectralModel, U: Subspace, y: HVector, sigma: float) -> float:
-    """||S(Y / sigma)||^2 for S the projection onto the leading eigenspace
-    of Q on the complement of U; its law is exactly Gamma(n/2, 1/(2 lam)).
-
-    Index-set subspaces only: the leading eigenspace is read off the
-    truncated spectrum.
-    """
-    return float(noise_plan(model, U, None).leading_norm_sq(y.coeffs, sigma))
-
-
-def whitened_difference_norm_sq(
-    model: SpectralModel, U: Subspace, U0: Subspace, y: HVector, sigma: float
-) -> float:
-    """||T(Y / sigma)||^2 for the whitened, sqrt(mu)-scaled restriction to
-    U minus U0; its law is exactly Gamma(m/2, 1/(2 mu)) and it dominates the
-    raw restricted norm pointwise.
-
-    Index-set subspaces only.
-    """
-    return float(noise_plan(model, U, U0).whitened_norm_sq(y.coeffs, sigma))

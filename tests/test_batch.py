@@ -20,7 +20,7 @@ from hilbert_gauss import harness, inference, sampling
 from hilbert_gauss.estimators import est_functional, est_mean, est_variance, risk_partial
 from hilbert_gauss.harness import CHUNK_SIZE, ExperimentConfig, ReplicateStreams, _add_rows, block_rows, derive_stream, run_experiment
 from hilbert_gauss.processes import bridge_model, custom_model, wiener_model
-from hilbert_gauss.sampling import GaussianLaw, leading_complement_norm_sq, sample, whitened_difference_norm_sq
+from hilbert_gauss.sampling import GaussianLaw, noise_plan, sample
 from hilbert_gauss.spectral import HVector, Subspace, default_use_tail, inner
 
 REL_TOL = 1e-12
@@ -44,7 +44,8 @@ def read_stream(path) -> dict:
 
 
 def reference(config: ExperimentConfig) -> dict:
-    """Per-replicate values of one config from the public scalar functions."""
+    """Per-replicate values of one config from the public scalar functions, and
+    from the noise plan one observation at a time."""
     model, U, U0, b = config.model, config.subspace, config.subspace0, config.b
     zeta = config.zeta if config.zeta is not None else HVector.zero(model.dim)
     law = GaussianLaw(model, zeta, config.sigma)
@@ -74,9 +75,9 @@ def reference(config: ExperimentConfig) -> dict:
             put("functional", est_functional(b, y, U))
             put("s2", est_variance(y, model, U, use_tail=use_tail))
         elif kind == "noise_law":
-            put("s_stat", leading_complement_norm_sq(model, U, y, config.sigma))
+            put("s_stat", noise_plan(model, U, None).leading_norm_sq(y.coeffs, config.sigma))
             if U0 is not None:
-                put("t_stat", whitened_difference_norm_sq(model, U, U0, y, config.sigma))
+                put("t_stat", noise_plan(model, U, U0).whitened_norm_sq(y.coeffs, config.sigma))
         elif kind == "risk":
             put("mean_err", (est_mean(y, U) - zeta).norm_sq())
             put("s2_err", (est_variance(y, model, U, use_tail=False) - config.sigma**2) ** 2)

@@ -25,12 +25,7 @@ from hilbert_gauss.harness import derive_stream
 from hilbert_gauss.inference import ci_known, ci_unknown
 from hilbert_gauss.processes import wiener_model
 from hilbert_gauss.regression import DesignOperator, ci_beta_known, ci_beta_unknown
-from hilbert_gauss.sampling import (
-    GaussianLaw,
-    leading_complement_norm_sq,
-    sample,
-    whitened_difference_norm_sq,
-)
+from hilbert_gauss.sampling import GaussianLaw, noise_plan, sample
 from hilbert_gauss.spectral import HVector, SpectralModel, Subspace
 
 FIXTURE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_obs.json")
@@ -145,8 +140,8 @@ def subspace_outputs(name: str) -> list:
             "est_variance": {str(t): est_variance(y, model, U, use_tail=t) for t in tails},
         }
         if U.kind == "indices" and U0.kind == "indices":
-            row["leading_complement_norm_sq"] = leading_complement_norm_sq(model, U, y, SIGMA)
-            row["whitened_difference_norm_sq"] = whitened_difference_norm_sq(model, U, U0, y, SIGMA)
+            row["leading_complement_norm_sq"] = float(noise_plan(model, U, None).leading_norm_sq(y.coeffs, SIGMA))
+            row["whitened_difference_norm_sq"] = float(noise_plan(model, U, U0).whitened_norm_sq(y.coeffs, SIGMA))
         out.append(row)
     return out
 

@@ -10,7 +10,7 @@ from hilbert_gauss.inference import (
     ci_known,
     ci_params_unknown,
     ci_unknown,
-    functional_variance_factor,
+    functional_plan,
 )
 from hilbert_gauss.processes import wiener_model
 from hilbert_gauss.sampling import noise_plan
@@ -46,7 +46,7 @@ def test_functional_variance_factor():
     u = Subspace.from_indices(3, [1, 3])
     b = HVector(np.array([1.0, 4.0, -2.0]))
     # sum over U of lam_k b_k^2
-    assert functional_variance_factor(b, m, u) == pytest.approx(2.0 + 0.5 * 4.0, rel=1e-15)
+    assert functional_plan(m, u, b).variance_factor == pytest.approx(2.0 + 0.5 * 4.0, rel=1e-15)
 
 
 def test_ci_known_amplitude_half_width():
@@ -103,6 +103,14 @@ def test_ci_params_unknown_degenerate():
         ci_params_unknown(m, u)
 
 
+def test_ci_params_unknown_names_no_tail_for_a_complement():
+    m = wiener_model(16)
+    u = Subspace.from_indices(16, [4, 5]).complement()
+    with pytest.raises(ValueError, match="--no-tail"):
+        ci_params_unknown(m, u)
+    assert ci_params_unknown(m, u, use_tail=False) == functional_plan(m, u, use_tail=False).complement_params
+
+
 def test_ci_unknown_structure():
     m = wiener_model(256)
     u = Subspace.from_indices(256, [4])
@@ -112,7 +120,7 @@ def test_ci_unknown_structure():
     iv = ci_unknown(b, y, m, u, alpha=0.05)
     resid = (y - project(y, u)).norm()
     tau, lam, n = ci_params_unknown(m, u)
-    v = functional_variance_factor(b, m, u)
+    v = functional_plan(m, u, b).variance_factor
     # tau cancels between the variance estimate and the width prefactor
     want = np.sqrt(1.0 / (lam * n)) * t_quantile(float(n), 0.975) * resid * np.sqrt(v)
     assert iv.half_width == pytest.approx(want, rel=1e-12)

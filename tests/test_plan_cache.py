@@ -16,7 +16,7 @@ from hilbert_gauss.harness import ExperimentConfig, run_experiment
 from hilbert_gauss.inference import ci_known, ci_unknown, functional_plan
 from hilbert_gauss.processes import bridge_model, wiener_model
 from hilbert_gauss.regression import DesignOperator, ci_beta_known, ci_beta_unknown, pullback_functional
-from hilbert_gauss.sampling import leading_complement_norm_sq, noise_plan
+from hilbert_gauss.sampling import noise_plan
 from hilbert_gauss.spectral import PLAN_CACHE_SIZE, HVector, SpectralModel, Subspace
 
 FACTORIES = (
@@ -165,7 +165,7 @@ def test_failing_constant_is_not_cached(cold_caches):
     everything = Subspace.from_indices(16, range(1, 17))
     for _ in range(2):
         with pytest.raises(ValueError, match="empty subspace"):
-            leading_complement_norm_sq(model, everything, y, 1.0)
+            noise_plan(model, everything, None).leading_norm_sq(y.coeffs, 1.0)
 
 
 def test_design_pickles_column_by_column(cold_caches):
@@ -332,7 +332,7 @@ def test_burst_of_distinct_index_subspaces_stays_bounded(cold_caches):
             b = HVector.basis_vector(dim, k)
             ci_unknown(b, y, model, U, 0.05)
             inference.test_subspace(y, model, U, U0, 0.05)
-            leading_complement_norm_sq(model, U, y, 1.0)
+            noise_plan(model, U, None).leading_norm_sq(y.coeffs, 1.0)
 
     used = footprint_of(burst)
     for factory in (inference._functional_plan, noise_plan):

@@ -7,12 +7,11 @@ from hilbert_gauss.processes import wiener_model
 from hilbert_gauss.sampling import (
     GaussianLaw,
     NoiseDecomposition,
-    leading_complement_norm_sq,
     noise_decomposition,
+    noise_plan,
     norm_sq_moments,
     sample,
     transformed_norm_sq_moments,
-    whitened_difference_norm_sq,
 )
 from hilbert_gauss.spectral import HVector, SpectralModel, Subspace
 
@@ -118,6 +117,22 @@ def test_transformed_norm_sq_moments_formula():
     assert got_var == pytest.approx(want_var, rel=1e-14)
 
 
+def test_transformed_norm_sq_moments_default_tail_on_a_builtin_model():
+    # The tail lies past the truncation: a plain S has none, a complement S has it all.
+    m = wiener_model(16)
+    law = GaussianLaw(m, HVector.basis_vector(16, 4, scale=0.7), 1.3)
+    plain = Subspace.from_indices(16, [4, 5])
+    assert transformed_norm_sq_moments(law, plain) == transformed_norm_sq_moments(law, plain, use_tail=False)
+    with pytest.raises(ValueError, match="complement subspaces only"):
+        transformed_norm_sq_moments(law, plain, use_tail=True)
+    comp = plain.complement()
+    mean, var = transformed_norm_sq_moments(law, comp)
+    mean_nt, var_nt = transformed_norm_sq_moments(law, comp, use_tail=False)
+    assert (mean, var) == transformed_norm_sq_moments(law, comp, use_tail=True)
+    assert m.tail_trace > 0.0 and var == var_nt
+    assert mean == pytest.approx(mean_nt + 1.3**2 * m.tail_trace, rel=1e-14)
+
+
 def test_norm_sq_moments_against_mc():
     m = wiener_model(64)
     law = GaussianLaw(m, HVector.basis_vector(64, 1, scale=0.7), 1.0)
@@ -167,10 +182,11 @@ def test_whitened_statistic_needs_no_complement():
     m = SpectralModel([1.0, 0.5, 0.25])
     u, u0 = Subspace.from_indices(3, [1, 2, 3]), Subspace.from_indices(3, [1])
     y = HVector([1.0, 2.0, 3.0])
-    assert whitened_difference_norm_sq(m, u, u0, y, 2.0) == 0.5 * (4.0 / 0.5 + 9.0 / 0.25) / 4.0
+    plan = noise_plan(m, u, u0)
+    assert float(plan.whitened_norm_sq(y.coeffs, 2.0)) == 0.5 * (4.0 / 0.5 + 9.0 / 0.25) / 4.0
     with pytest.raises(ValueError, match="truncated complement"):
         noise_decomposition(m, u, u0)
-    assert whitened_difference_norm_sq(m, u, u0, y, 2.0) == 5.5
+    assert float(plan.whitened_norm_sq(y.coeffs, 2.0)) == 5.5
 
 
 def test_noise_statistics_gamma_laws():
@@ -185,8 +201,8 @@ def test_noise_statistics_gamma_laws():
     t_vals = np.empty(n_draws)
     for i in range(n_draws):
         y = sample(law, rng)
-        s_vals[i] = leading_complement_norm_sq(m, u, y, sigma)
-        t_vals[i] = whitened_difference_norm_sq(m, u, u0, y, sigma)
+        s_vals[i] = float(noise_plan(m, u, None).leading_norm_sq(y.coeffs, sigma))
+        t_vals[i] = float(noise_plan(m, u, u0).whitened_norm_sq(y.coeffs, sigma))
     dec = noise_decomposition(m, u, u0)
     crit = ks_critical_value(n_draws, alpha=0.05)
     assert ks_statistic(s_vals, lambda x: gamma_cdf(x, dec.s_shape, dec.s_rate)) < crit
