@@ -15,12 +15,13 @@ from __future__ import annotations
 import json
 import numbers
 import os
+import queue
 import re
+import threading
 import time
-from collections import deque
-from contextlib import nullcontext, suppress
+from contextlib import suppress
 from contextvars import copy_context
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -451,7 +452,8 @@ BLOCK_DOUBLES = 2**14
 # threads (width 1024 and up).  numpy releases the GIL while it fills a row
 # and in ufunc and matmul loops over long rows, but the per-row re-key holds
 # it: on two CPUs, threaded over serial time per replicate was 1.6-1.7x at
-# width 256 (64 rows), 0.87-1.07x at 512, 0.69-0.84x at 1024, 0.6x at 8192.
+# width 256 (64 rows), 0.87-1.07x at 512, 0.69-0.84x at 1024, 0.6x at 8192
+# (measured with a pool task per block; striped threads read 0.57-0.60x at 8192).
 THREAD_ROWS = 16
 
 
@@ -466,18 +468,6 @@ def _usable_cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         return os.cpu_count() or 1
-
-
-class _RunNow:
-    """fn(*args) run at once, read back like a finished future, without its lock."""
-
-    __slots__ = ("_result",)
-
-    def __init__(self, fn, *args):
-        self._result = fn(*args)
-
-    def result(self):
-        return self._result
 
 
 def _add_rows(total: np.ndarray, values: np.ndarray) -> None:
@@ -789,40 +779,66 @@ EXPERIMENT_KINDS = tuple(_KINDS)
 def _run_chunk(config: ExperimentConfig, start: int, count: int, apply=None, width=None, threads=1) -> dict:
     """Replicates [start, start + count) through the kind's block evaluator
     `apply` on draws of modes 1..width, which a pool worker, passing none, builds for itself.
-    Blocks of at most THREAD_ROWS rows run on up to `threads` threads, each in its own
-    slot (generator and buffer) of a ring; they are taken in block order whatever the count."""
+
+    Blocks of at most THREAD_ROWS rows run on up to `threads` threads, each
+    owning a stripe: thread t draws and evaluates blocks t, t + threads, ...
+    with its own generator and buffer.  The calling thread is thread 0; it
+    takes every block's outputs in block order, the others' from one short
+    queue per helper, so sums and arrays are built as in the serial run."""
     build, summed = _KINDS[config.kind]
     if apply is None:
         apply, _, width = build(config)
     law = _law(config)
     rows = block_rows(width)
-    threads = min(threads, -(-count // rows)) if rows <= THREAD_ROWS else 1
-    ring = [(ReplicateStreams(config.master_seed), np.empty((min(rows, count), width)))
-            for _ in range(threads + 1 if threads > 1 else 1)]
+    blocks = -(-count // rows)
+    threads = min(threads, blocks) if rows <= THREAD_ROWS else 1
     arrays, sums = {}, {}
 
-    def block(lo, streams, buffer):
-        y = buffer[: min(rows, count - lo)]
-        streams.standard_normal_rows(range(start + lo, start + lo + y.shape[0]), y)
-        return apply(law.from_normals(y))
+    def stripe(t):
+        """The outputs of blocks t, t + threads, ..., in order."""
+        streams = ReplicateStreams(config.master_seed)
+        buffer = np.empty((min(rows, count), width))
+        for lo in range(t * rows, count, threads * rows):
+            y = buffer[: min(rows, count - lo)]
+            streams.standard_normal_rows(range(start + lo, start + lo + y.shape[0]), y)
+            yield apply(law.from_normals(y))
 
-    def take(outputs):
-        for key, values in outputs.items():
-            if key in summed:
-                _add_rows(sums.setdefault(key, np.zeros(values.shape[1:])), values)
-            else:
-                arrays.setdefault(key, []).append(values)
+    def lend(t, outbox):
+        """Put stripe t's outputs, or its exception, in `outbox`, then None."""
+        try:
+            for outputs in stripe(t):
+                if stopped:
+                    break
+                outbox.put(outputs)
+        except BaseException as exc:  # raised again on the calling thread
+            outbox.put(exc)
+        finally:
+            outbox.put(None)
 
-    with ThreadPoolExecutor(threads) if threads > 1 else nullcontext() as pool:
-        submit = pool.submit if pool else _RunNow
-        pending = deque()
-        for i, lo in enumerate(range(0, count, rows)):
-            if len(pending) == len(ring):  # frees the slot of block i: its last block is taken
-                take(pending.popleft().result())
-            # Each block runs in its own copy of this context, numpy's error state included.
-            pending.append(submit(copy_context().run, block, lo, *ring[i % len(ring)]))
-        while pending:
-            take(pending.popleft().result())
+    stopped = []  # not empty once the caller takes no more outputs
+    helpers, own = [], stripe(0)
+    try:
+        for t in range(1, threads):
+            outbox = queue.Queue(2)
+            # Each helper runs in a copy of this context, numpy's error state included.
+            helper = threading.Thread(target=copy_context().run, args=(lend, t, outbox), daemon=True)
+            helper.start()
+            helpers.append((helper, outbox))
+        for i in range(blocks):
+            outputs = next(own) if i % threads == 0 else helpers[i % threads - 1][1].get()
+            if isinstance(outputs, BaseException):
+                raise outputs
+            for key, values in outputs.items():
+                if key in summed:
+                    _add_rows(sums.setdefault(key, np.zeros(values.shape[1:])), values)
+                else:
+                    arrays.setdefault(key, []).append(values)
+    finally:
+        stopped.append(True)
+        for helper, outbox in helpers:  # a helper blocked on a full queue ends once drained
+            while outbox.get() is not None:
+                pass
+            helper.join()
     return {
         "arrays": {key: np.concatenate(parts) for key, parts in arrays.items()},
         "sums": sums,

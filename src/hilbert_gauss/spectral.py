@@ -581,9 +581,9 @@ def trace_q_on(model: SpectralModel, S: Subspace, use_tail: bool = False) -> flo
 
     For index sets this is a partial eigenvalue sum; for frames it is
     sum_j <Q f_j, f_j>.  When S is a complement variant and `use_tail` is
-    set, the model's analytic tail trace is added (only index-set
-    complements support this; the tail of a frame complement is not
-    representable and raises).
+    set, the model's analytic tail trace is added: an index set or a frame
+    lies inside the truncated modes, so the mass past the truncation lies
+    in its complement.
     """
     _check_model_subspace(model, S)
     if use_tail and not S.is_complement:
@@ -591,14 +591,13 @@ def trace_q_on(model: SpectralModel, S: Subspace, use_tail: bool = False) -> flo
     lam = model.eigenvalues
     if S.kind == "indices":
         total = float(lam[S.index_mask()].sum())
-        if use_tail:
-            total += model.tail_trace
-        return total
-    if S.is_complement:
-        if use_tail:
-            raise ValueError("tail trace is unsupported for frame-variant complements")
-        return float(lam.sum()) - float(np.einsum("jk,k,jk->", S.frame, lam, S.frame))
-    return float(np.einsum("jk,k,jk->", S.frame, lam, S.frame))
+    elif S.is_complement:
+        total = float(lam.sum()) - float(np.einsum("jk,k,jk->", S.frame, lam, S.frame))
+    else:
+        return float(np.einsum("jk,k,jk->", S.frame, lam, S.frame))
+    if use_tail:
+        total += model.tail_trace
+    return total
 
 
 def sup_eig_on(model: SpectralModel, S: Subspace) -> float:

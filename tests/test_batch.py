@@ -381,7 +381,7 @@ def test_unbiasedness_sums_are_worker_invariant(subspace):
 
 
 # ---------------------------------------------------------------------------
-# threads: wide blocks run on threads, each in its own slot of a buffer ring
+# threads: wide blocks run on threads, each owning a stripe of blocks
 
 
 def thread_starts(monkeypatch) -> list:
@@ -415,6 +415,56 @@ def test_wide_blocks_run_on_threads(monkeypatch):
     started = thread_starts(monkeypatch)
     run_experiment(acceptance_config("moments", 1024, 500))
     assert 1 <= len(started) <= 4
+
+
+@pytest.mark.parametrize("cpus, helpers", ((1, 0), (2, 1), (4, 3)))
+def test_wide_chunk_starts_one_helper_per_other_cpu(monkeypatch, cpus, helpers):
+    # The calling thread draws its own stripe of the 32 blocks, so a chunk
+    # starts one thread fewer than it may use.
+    started = thread_starts(monkeypatch)
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
+    run_experiment(acceptance_config("moments", 1024, 500), workers=1)
+    assert len(started) == helpers
+
+
+class BlockFailed(Exception):
+    pass
+
+
+@pytest.mark.parametrize("on_caller", (False, True))
+def test_block_error_propagates_and_every_thread_ends(monkeypatch, on_caller):
+    # The caller raises only once the helper has filled its queue and waits
+    # on it, so the hand-off must drain that queue to let the helper end.
+    build = harness._KINDS["moments"][0]
+    helper_blocks = []
+    queue_full = threading.Event()
+
+    def failing(config):
+        apply, aggregate, width = build(config)
+
+        def wrapped(y):
+            if threading.current_thread() is threading.main_thread():
+                if on_caller:
+                    queue_full.wait(10.0)
+                    raise BlockFailed("the caller's block failed")
+            else:
+                helper_blocks.append(y.shape[0])
+                if not on_caller:
+                    raise BlockFailed("a helper's block failed")
+                if len(helper_blocks) == 3:  # two outputs queued, the third waits for room
+                    queue_full.set()
+            return apply(y)
+
+        return wrapped, aggregate, width
+
+    monkeypatch.setitem(harness._KINDS, "moments", (failing, harness._KINDS["moments"][1]))
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+    before = threading.active_count()
+    want = "the caller's block failed" if on_caller else "a helper's block failed"
+    with pytest.raises(BlockFailed, match=want):
+        run_experiment(acceptance_config("moments", 1024, 500), workers=1)
+    assert threading.active_count() == before
+    assert helper_blocks
 
 
 def complement_config(kind: str) -> ExperimentConfig:
@@ -465,7 +515,8 @@ def test_apply_adds_nothing_to_a_plan(kind, subspace):
 
 @pytest.mark.parametrize("kind, subspace", sorted(APPLY_CASES))
 def test_no_output_aliases_its_block(kind, subspace):
-    # A block's buffer is drawn over again once the block's outputs are taken.
+    # A helper thread draws into its buffer again while the block's outputs
+    # wait in its queue.
     y, outputs, _, _ = applied(kind, subspace)
     for key, values in outputs.items():
         assert not np.shares_memory(values, y), key

@@ -129,7 +129,8 @@ def draws(model, mean: HVector, stream: int) -> list:
 def subspace_outputs(name: str) -> list:
     model, U, U0, mean, b = SUBSPACE_CASES[name]
     b = vector(model, b)
-    # The tail trace is undefined on the complement of a frame.
+    # Frames were recorded without the explicit tail; a frame's complement
+    # takes the tail as an index set's does (tests/test_inference.py).
     tails = (None, False, True) if U.kind == "indices" else (None, False)
     out = []
     for y in draws(model, vector(model, mean), list(SUBSPACE_CASES).index(name)):

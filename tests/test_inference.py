@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from hilbert_gauss.distributions import f_quantile, t_quantile
+from hilbert_gauss.estimators import est_variance
 # qualified access: several library names collide with pytest collection rules
 from hilbert_gauss import inference
 from hilbert_gauss.inference import (
@@ -109,6 +110,20 @@ def test_ci_params_unknown_names_no_tail_for_a_complement():
     with pytest.raises(ValueError, match="--no-tail"):
         ci_params_unknown(m, u)
     assert ci_params_unknown(m, u, use_tail=False) == functional_plan(m, u, use_tail=False).complement_params
+
+
+def test_frame_complement_takes_the_tail_of_an_index_set():
+    # A frame lies inside the truncated modes, so the mass past the
+    # truncation lies in its complement, as for the index set it spans.
+    m = wiener_model(16)
+    frame = Subspace.from_frame(m, np.eye(16)[[3]])
+    index = Subspace.from_indices(16, [4])
+    b = HVector.basis_vector(16, 4, scale=1.3)
+    y = HVector(np.random.default_rng(5).normal(size=16) * np.sqrt(m.eigenvalues))
+    got, want = (ci_unknown(b, y, m, u, 0.05) for u in (frame, index))
+    assert got.center == pytest.approx(want.center, rel=1e-12, abs=0.0)
+    assert got.half_width == pytest.approx(want.half_width, rel=1e-12, abs=0.0)
+    assert est_variance(y, m, frame) == pytest.approx(est_variance(y, m, index), rel=1e-12, abs=0.0)
 
 
 def test_ci_unknown_structure():
