@@ -107,23 +107,9 @@ class ExperimentConfig:
         subspace0 = spec("subspace0", _parse_subspace, model)
         zeta = spec("zeta", _parse_vector, model.dim)
         b = spec("b", _parse_vector, model.dim)
-        _check_fields(data, ("sigma", "alpha", "replicates", "master_seed", "use_tail", "cutoffs", "workers"), "config")
-        cutoffs = _field(data, "cutoffs", None, _is_int_list, "a list of integers")
-        return cls(
-            kind=kind,
-            model=model,
-            subspace=subspace,
-            subspace0=subspace0,
-            zeta=zeta,
-            b=b,
-            sigma=float(_field(data, "sigma", 1.0, _is_number, "a finite number")),
-            alpha=float(_field(data, "alpha", 0.05, _is_number, "a finite number")),
-            replicates=int(_field(data, "replicates", DEFAULT_REPLICATES, _is_int, "an integer")),
-            master_seed=int(_field(data, "master_seed", 0, _is_int, "an integer")),
-            use_tail=_field(data, "use_tail", None, _is_optional_bool, "true, false or null"),
-            cutoffs=None if cutoffs is None else tuple(int(c) for c in cutoffs),
-            workers=int(_field(data, "workers", 1, _is_int, "an integer")),
-        )
+        _check_fields(data, _SCALARS, "config")
+        scalars = {key: _scalar(key, data[key]) for key in _SCALARS if key in data}  # absent: the dataclass default
+        return cls(kind=kind, model=model, subspace=subspace, subspace0=subspace0, zeta=zeta, b=b, **scalars)
 
     @classmethod
     def load(cls, path) -> "ExperimentConfig":
@@ -143,12 +129,24 @@ def _is_int_list(value) -> bool:
     return value is None or (isinstance(value, (list, tuple)) and all(_is_int(v) for v in value))
 
 
-def _field(data: dict, key: str, default, accepts, expected: str):
-    """data[key] (or default when absent) if `accepts` it, else a ValueError."""
-    value = data.get(key, default)
+# The scalar config fields: field -> (accepts, what it must be, conversion).
+_SCALARS = {
+    "sigma": (_is_number, "a finite number", float),
+    "alpha": (_is_number, "a finite number", float),
+    "replicates": (_is_int, "an integer", int),
+    "master_seed": (_is_int, "an integer", int),
+    "use_tail": (_is_optional_bool, "true, false or null", lambda value: value),
+    "cutoffs": (_is_int_list, "a list of integers", lambda value: None if value is None else tuple(map(int, value))),
+    "workers": (_is_int, "an integer", int),
+}
+
+
+def _scalar(key: str, value):
+    """The converted value of a scalar config field if it is accepted, else a ValueError."""
+    accepts, expected, convert = _SCALARS[key]
     if not accepts(value):
         raise ValueError(f"config field {key!r} must be {expected}, got {value!r}")
-    return value
+    return convert(value)
 
 
 def _named(label: str, parse, spec, arg):
@@ -218,12 +216,20 @@ def _parse_subspace(spec, model: SpectralModel) -> Subspace | None:
     raise ValueError("subspace spec must be a path, an index list, or a mapping")
 
 
+def _json_number(text: str, what: str) -> float:
+    """A JSON number literal as a float; Python's other spellings (`1_0`, `+1`, `1.`, `inf`) are refused."""
+    if not re.fullmatch(r"-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?", text):
+        raise ValueError(f"{what} must be a JSON number, got {text!r}")
+    return float(text)
+
+
 def _inline_vector(spec: str):
     """`k:v,...` as a 'coords' mapping, or `v,v,...` as a list; each v a JSON number literal."""
     pairs = [part.rpartition(":")[::2] for part in spec.split(",")]
-    if not all(re.fullmatch(r"-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?", value) for _, value in pairs):
-        raise ValueError(f"no vector file {spec!r}, nor inline numbers k:v,... or v,v,...")
-    pairs = [(key, float(value)) for key, value in pairs]
+    try:
+        pairs = [(key, _json_number(value, "a value")) for key, value in pairs]
+    except ValueError:
+        raise ValueError(f"no vector file {spec!r}, nor inline numbers k:v,... or v,v,...") from None
     return {"coords": _unique_keys(pairs)} if ":" in spec else [value for _, value in pairs]
 
 
@@ -276,11 +282,12 @@ def _parse_observation(spec, model: SpectralModel) -> HVector:
     with open(spec, "r", encoding="utf-8") as fh:
         if fh.readline().strip() != "t,y":
             raise ValueError(f"trajectory CSV {spec!r} must start with header 't,y'")
-        for line in fh:
+        for number, line in enumerate(fh, 2):
             if line.strip():
                 t_str, _, y_str = line.partition(",")
-                t_vals.append(float(t_str))
-                y_vals.append(float(y_str))
+                what = f"trajectory CSV {spec!r} line {number}"
+                t_vals.append(_json_number(t_str.strip(), what))
+                y_vals.append(_json_number(y_str.strip(), what))
     return coeffs_from_trajectory(model, Grid(np.asarray(t_vals)), np.asarray(y_vals))
 
 
@@ -485,15 +492,16 @@ def _add_rows(total: np.ndarray, values: np.ndarray) -> None:
 # ---------------------------------------------------------------------------
 # experiment kinds
 #
-# Each kind is one builder and one _KINDS line.  The builder checks the
-# config, so every ValueError comes before any replicate is drawn, builds
-# the kind's replicate-invariant constants once, and returns
-# (apply, aggregate, width): apply maps a block of draws to per-replicate
-# outputs, aggregate(report, arrays, sums) writes the report's estimates,
-# standard errors, targets and checks from the reduced outputs, and width is
-# the highest mode that apply reads.  Draws hold modes 1..width, the head of
-# each stream, and a kind that reads few modes uses plans cut to them
-# (Plan.head).  The _KINDS line also names the summed outputs.
+# Each kind is one builder and one _KINDS line.  The builder checks what its
+# plans do not and returns (apply, aggregate, width): apply maps a block of
+# draws to per-replicate outputs, aggregate(report, arrays, sums) writes the
+# report's estimates, standard errors, targets and checks from the reduced
+# outputs, and width is the highest mode that apply reads.  Draws hold modes
+# 1..width, the head of each stream, and a kind that reads few modes uses
+# plans cut to them (Plan.head).  The _KINDS line also names the summed
+# outputs.  _build runs apply once on an empty block before any draw: that
+# dry run builds every plan constant apply reads and raises every ValueError
+# of the config, so the blocks' threads only read the plans.
 
 
 def _law(config: ExperimentConfig, attach: Subspace | None = None) -> GaussianLaw:
@@ -519,15 +527,10 @@ def _coverage(config):
     narrow = config.kind == "coverage_known" and U.kind == "indices" and not U.is_complement
     width = max(U.indices, default=1) if narrow else config.model.dim
     plan = functional_plan(config.model, U, config.b, config.use_tail).head(width)
-    # The constants an interval reads must exist before any replicate: a bad
-    # b or U raises here, and the blocks' threads only read the plan.
-    plan.variance_factor
     if config.kind == "coverage_known":
         note, sided = "exact-coverage construction", "two"
-        plan._quantile("z", config.alpha)
         interval = lambda y: plan.ci_known(y, config.sigma, config.alpha)
     else:
-        plan.complement_params, plan.variance_denominator, plan._quantile("t", config.alpha)
         note, sided = "conservative construction, coverage at least the level", "lower"
         interval = lambda y: plan.ci_unknown(y, config.alpha)
 
@@ -565,7 +568,6 @@ def _unbiasedness(config):
     U = config.subspace
     zeta = _law(config, U).mean.coeffs
     plan = functional_plan(config.model, U, use_tail=config.use_tail)
-    plan.complement_params, plan.variance_denominator  # must exist before any replicate
     # P_U y is y on the modes of a plain index set and zero off them, so only
     # those are summed; any other U sums every mode.
     plain = U.kind == "indices" and not U.is_complement
@@ -612,7 +614,6 @@ def _independence(config):
     _require(config, "subspace", "b")
     _law(config, config.subspace)
     plan = functional_plan(config.model, config.subspace, config.b, config.use_tail)
-    plan.complement_params, plan.variance_denominator  # must exist before any replicate
 
     def aggregate(report, arrays, sums):
         m = config.replicates
@@ -642,9 +643,6 @@ def _noise_law(config):
             width = max(plan.leading.indices + (U.indices + U0.indices if U0 else ()))
     plan = plan.head(width)
     dec = plan.decomposition
-    plan.leading  # the statistics' subspaces must exist before any replicate
-    if U0 is not None:
-        plan.whitening
     laws = [("ks_s", "s_stat", dec.s_shape, dec.s_rate)]
     if config.subspace0 is not None:
         laws.append(("ks_t", "t_stat", dec.t_shape, dec.t_rate))
@@ -673,7 +671,6 @@ def _risk(config):
         # denominator only; a tail denominator would shift the target.
         raise ValueError("the risk experiment requires use_tail false or omitted")
     plan = functional_plan(config.model, config.subspace, use_tail=False)
-    plan.complement_params, plan.variance_denominator  # must exist before any replicate
     sigma_sq = config.sigma**2
 
     def apply(y):
@@ -776,6 +773,13 @@ _KINDS = {
 EXPERIMENT_KINDS = tuple(_KINDS)
 
 
+def _build(config: ExperimentConfig):
+    """The kind's (apply, aggregate, width), after a dry run of apply on an empty block."""
+    apply, aggregate, width = _KINDS[config.kind][0](config)
+    apply(np.empty((0, width)))
+    return apply, aggregate, width
+
+
 def _run_chunk(config: ExperimentConfig, start: int, count: int, apply=None, width=None, threads=1) -> dict:
     """Replicates [start, start + count) through the kind's block evaluator
     `apply` on draws of modes 1..width, which a pool worker, passing none, builds for itself.
@@ -785,9 +789,9 @@ def _run_chunk(config: ExperimentConfig, start: int, count: int, apply=None, wid
     with its own generator and buffer.  The calling thread is thread 0; it
     takes every block's outputs in block order, the others' from one short
     queue per helper, so sums and arrays are built as in the serial run."""
-    build, summed = _KINDS[config.kind]
+    summed = _KINDS[config.kind][1]
     if apply is None:
-        apply, _, width = build(config)
+        apply, _, width = _build(config)
     law = _law(config)
     rows = block_rows(width)
     blocks = -(-count // rows)
@@ -878,7 +882,7 @@ def run_experiment(config: ExperimentConfig, workers: int | None = None, stream_
     """
     start_time = time.perf_counter()
     # Building the kind validates the config before any replicate is drawn.
-    apply, aggregate, width = _KINDS[config.kind][0](config)
+    apply, aggregate, width = _build(config)
     workers = config.workers if workers is None else int(workers)
     if workers < 1:
         raise ValueError("workers must be at least 1")

@@ -23,6 +23,7 @@ from .spectral import (
     HVector,
     SpectralModel,
     Subspace,
+    _kept,
     _residual,
     default_use_tail,
     project,
@@ -103,12 +104,6 @@ class FunctionalPlan(Plan):
 
     _KEYS = ("model", "U", "b", "use_tail")
 
-    def __init__(self, model: SpectralModel, U: Subspace, b: HVector | None, use_tail: bool):
-        if U.dim != model.dim:
-            raise ValueError(f"dimension mismatch: model {model.dim} vs subspace {U.dim}")
-        super().__init__(model, U, b, use_tail)
-        self._quantiles = {}  # 'z' or 't' -> (alpha, quantile at 1 - alpha/2)
-
     @cached_property
     def variance_factor(self) -> float:
         if self.b is None:
@@ -130,10 +125,12 @@ class FunctionalPlan(Plan):
 
     @cached_property
     def variance_denominator(self) -> float:
-        denom = trace_q_on(self.model, self._perp, use_tail=self._tail())
+        tail = self._tail()
+        denom = trace_q_on(self.model, self._perp)
         if denom <= 0.0:
-            raise ValueError("tr(Q (I - P_U)) is zero; the variance is not identifiable")
-        return denom
+            # A tail alone would divide a residual that the truncated draws leave at zero.
+            raise ValueError("tr(Q (I - P_U)) over the truncated modes is zero; the variance is not identifiable")
+        return denom + self.model.tail_trace if tail else denom
 
     @cached_property
     def complement_params(self) -> tuple:
@@ -144,13 +141,10 @@ class FunctionalPlan(Plan):
         return tau, lam, top_multiplicity(self.model, self._perp)
 
     def _quantile(self, kind: str, alpha: float) -> float:
-        """z_{1 - alpha/2} (kind 'z') or t_{n, 1 - alpha/2} (kind 't')."""
-        kept_alpha, q = self._quantiles.get(kind, (None, None))
-        if kept_alpha != alpha:
-            a = 1.0 - alpha / 2.0
-            q = norm_quantile(a) if kind == "z" else t_quantile(float(self.complement_params[2]), a)
-            self._quantiles[kind] = (alpha, q)
-        return q
+        """z_{1 - alpha/2} (kind 'z') or t_{n, 1 - alpha/2} (kind 't'), kept for the last alpha asked."""
+        if kind == "z":
+            return _kept(self, "_z_quantile", alpha, lambda: norm_quantile(1.0 - alpha / 2.0))
+        return _kept(self, "_t_quantile", alpha, lambda: t_quantile(float(self.complement_params[2]), 1.0 - alpha / 2.0))
 
     def functional(self, y: np.ndarray) -> np.ndarray:
         """The functional estimator <b, P_U y>."""

@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from .inference import Interval, TestResult, ci_known, ci_unknown, test_subspace
-from .spectral import PLAN_CACHE_SIZE, HVector, SpectralModel, Subspace, _Frozen, _readonly, _set
+from .spectral import PLAN_CACHE_SIZE, HVector, SpectralModel, Subspace, _Frozen, _kept, _readonly, _set
 
 # Rank threshold of the rank-revealing QR, relative to the largest pivot.
 RANK_TOL = 1e-12
@@ -100,29 +100,16 @@ class DesignPlan:
             raise ValueError("design columns are not linearly independent enough to invert")
         self.gram = _readonly(gram)
         self.range = _range_subspace(A.model, A.columns)
-        self._kept = {}  # name -> (key, value) for the last key asked
-
-    def kept(self, name: str, key: np.ndarray, build):
-        """build() for the last key array asked under name.  The key is kept
-        as its shape and a copy of its bytes, so a caller mutating its array
-        cannot make the kept value stale."""
-        key = (key.shape, key.tobytes())
-        kept_key, value = self._kept.get(name, (None, None))
-        if kept_key != key:
-            value = build()
-            self._kept[name] = (key, value)
-        return value
 
 
 design_plan = lru_cache(maxsize=PLAN_CACHE_SIZE)(DesignPlan)
 
 
 def _range_subspace(model: SpectralModel, mat: np.ndarray) -> Subspace:
-    # Fast path: pure coordinate columns span an index set.
-    nonzero_rows = [np.flatnonzero(mat[:, j]) for j in range(mat.shape[1])]
-    if all(rows.size == 1 for rows in nonzero_rows):
-        indices = sorted(int(rows[0]) + 1 for rows in nonzero_rows)
-        return Subspace.from_indices(model.dim, indices)
+    # Fast path: coordinate columns on distinct modes span an index set.
+    modes = {int(rows[0]) + 1 for rows in map(np.flatnonzero, mat.T) if rows.size == 1}
+    if len(modes) == mat.shape[1]:
+        return Subspace.from_indices(model.dim, modes)
     import scipy.linalg
     q, r, _ = scipy.linalg.qr(mat, mode="economic", pivoting=True)
     diag = np.abs(np.diag(r))
@@ -151,7 +138,7 @@ def pullback_functional(A: DesignOperator, c) -> HVector:
     c = np.asarray(c, dtype=float)
     if c.shape != (A.n_params,):
         raise ValueError(f"c must have shape ({A.n_params},)")
-    return A._plan.kept("b", c, lambda: HVector(A.columns @ np.linalg.solve(A.gram, c)))
+    return _kept(A._plan, "_b", c, lambda: HVector(A.columns @ np.linalg.solve(A.gram, c)))
 
 
 def ci_beta_known(c, A: DesignOperator, y: HVector, sigma: float, alpha: float) -> Interval:
@@ -178,5 +165,5 @@ def test_beta(y: HVector, A: DesignOperator, G0_columns, alpha: float) -> TestRe
         raise ValueError(f"G0 vectors must have length {A.n_params}")
     if g0_mat.shape[1] >= A.n_params:
         raise ValueError("G0 must span a proper subspace of the parameter space")
-    U0 = A._plan.kept("U0", g0_mat, lambda: _range_subspace(A.model, A.columns @ g0_mat))
+    U0 = _kept(A._plan, "_U0", g0_mat, lambda: _range_subspace(A.model, A.columns @ g0_mat))
     return test_subspace(y, A.model, A.range, U0, alpha)

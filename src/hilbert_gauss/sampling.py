@@ -24,6 +24,8 @@ from .spectral import (
     HVector,
     SpectralModel,
     Subspace,
+    _check_model_subspace,
+    _kept,
     _residual,
     default_use_tail,
     difference_subspace,
@@ -197,21 +199,19 @@ def cut(key, width: int):
 class Plan:
     """Base of the plans: constants of the value keys named by _KEYS, built on first use."""
 
-    _head = (None, None)  # (width, plan of the keys cut to it) for the last width asked
-
     def __init__(self, *keys):
         for name, key in zip(self._KEYS, keys):
             setattr(self, name, key)
+        _check_model_subspace(self.model, self.U)
         self._perp = self.U.complement()  # y - P_U y is one projection onto it (spectral._residual)
 
     def head(self, width: int):
-        """The plan of the keys cut to modes 1..width (index-set subspaces only), for
-        a statistic that reads no later mode: it gives the same values on a draw's head."""
+        """The plan of the keys cut to modes 1..width (index-set subspaces only), kept
+        for the last width asked, for a statistic that reads no later mode: it gives
+        the same values on a draw's head."""
         if width == self.model.dim:
             return self
-        if self._head[0] != width:
-            self._head = (width, type(self)(*(cut(getattr(self, name), width) for name in self._KEYS)))
-        return self._head[1]
+        return _kept(self, "_head", width, lambda: type(self)(*(cut(getattr(self, k), width) for k in self._KEYS)))
 
 
 class NoisePlan(Plan):
@@ -225,7 +225,6 @@ class NoisePlan(Plan):
     """
 
     _KEYS = ("model", "U", "U0")
-    _threshold = (None, None)  # (alpha, F quantile) for the last alpha asked
 
     @cached_property
     def difference(self) -> tuple:
@@ -286,11 +285,7 @@ class NoisePlan(Plan):
         """The Fisher quantile F_{m, n, 1 - alpha} of the subspace test."""
         dec = self._test_decomposition()
         alpha = _check_prob(alpha, "alpha")
-        kept_alpha, q = self._threshold
-        if kept_alpha != alpha:
-            q = f_quantile(float(dec.m), float(dec.n), 1.0 - alpha)
-            self._threshold = (alpha, q)
-        return q
+        return _kept(self, "_threshold", alpha, lambda: f_quantile(float(dec.m), float(dec.n), 1.0 - alpha))
 
     def statistic(self, y: np.ndarray) -> np.ndarray:
         """(n lam / (m mu)) ||P_U y - P_U0 y||^2 / ||y - P_U y||^2 per row."""

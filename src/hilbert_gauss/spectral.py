@@ -44,6 +44,20 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _kept(owner, name: str, key, build):
+    """build() for the last key asked under `name`, kept on `owner` as that
+    attribute.  An array key is kept as its shape and a copy of its bytes, so
+    a caller mutating its array cannot make the kept value stale; a build
+    that raises keeps nothing."""
+    if isinstance(key, np.ndarray):
+        key = (key.shape, key.tobytes())
+    kept = owner.__dict__.get(name)
+    if kept is None or kept[0] != key:
+        kept = (key, build())
+        setattr(owner, name, kept)
+    return kept[1]
+
+
 class _Frozen:
     """Immutable value object, usable as a cache key.  Attributes are set once,
     with _set in __init__.  The constructor arguments, _fields(), define

@@ -474,9 +474,12 @@ def test_missing_obs_file_exits_two(runner, tmp_path):
 
 
 def test_bad_trajectory_values_exit_two(runner, tmp_path):
-    traj = write_json(tmp_path, "traj.csv", "t,y\n0.0,zero\n")
-    res = runner.invoke(main, ["estimate", "--model", "wiener:8", "--obs", traj, "--subspace", "1"])
-    assert_one_line_error(res)
+    # Each field is a JSON number: Python's float() spellings are refused.
+    for row in ("0.0,{}", "{},0.0"):
+        for value in ("zero", "1_0", "+1", "1."):
+            traj = write_json(tmp_path, "traj.csv", "t,y\n" + row.format(value) + "\n")
+            res = runner.invoke(main, ["estimate", "--model", "wiener:8", "--obs", traj, "--subspace", "1"])
+            assert_one_line_error(res)
 
 
 def test_model_file_with_null_tail_exits_two(runner, tmp_path):

@@ -69,6 +69,9 @@ def test_est_variance_zero_denominator():
     u = Subspace.from_indices(2, [1, 2])
     with pytest.raises(ValueError):
         est_variance(HVector.zero(2), m, u)
+    # A positive tail alone would divide a residual that the truncated modes leave at zero.
+    with pytest.raises(ValueError, match="over the truncated modes is zero"):
+        est_variance(HVector.zero(8), wiener_model(8), Subspace.from_indices(8, range(1, 9)), use_tail=True)
 
 
 def test_risk_mean_values():

@@ -275,6 +275,9 @@ COMPLEMENT_TAIL = r"U is a complement, .* has no tail; set use_tail false \(--no
         # The analytic model's default tail would have to lie in the complement of a complement U.
         *((kind, {"subspace": {"indices": [1, 2, 3], "complement": True}}, COMPLEMENT_TAIL)
           for kind in ("coverage_unknown", "unbiasedness", "independence")),
+        # U holds every truncated mode: the residual is zero whatever the default tail adds.
+        *((kind, {"subspace": list(range(1, 65))}, r"over the truncated modes is zero")
+          for kind in ("unbiasedness", "independence")),
     ),
 )
 def test_config_validation_messages_per_kind(monkeypatch, kind, overrides, message):
@@ -286,6 +289,25 @@ def test_config_validation_messages_per_kind(monkeypatch, kind, overrides, messa
     monkeypatch.setattr(harness, "ProcessPoolExecutor", refuse)
     with pytest.raises(ValueError, match=message):
         run_experiment(smoke_config(kind=kind, **overrides), workers=2)
+
+
+def test_dry_run_is_the_only_pre_draw_guard(monkeypatch):
+    # A builder that checks nothing still fails before any draw or pool: its
+    # apply runs once on an empty block first.
+    def unchecked(config):
+        def apply(y):
+            raise ValueError("no block is accepted")
+
+        return apply, None, config.model.dim
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("validation must come before drawing or pooling")
+
+    monkeypatch.setitem(harness._KINDS, "moments", (unchecked, ()))
+    monkeypatch.setattr(harness, "ReplicateStreams", refuse)
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", refuse)
+    with pytest.raises(ValueError, match="no block is accepted"):
+        run_experiment(smoke_config(kind="moments"), workers=2)
 
 
 def test_learning_curve_default_cutoffs():

@@ -157,3 +157,14 @@ def test_beta_hypothesis_validation():
     full = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
     with pytest.raises(ValueError):
         regression.test_beta(y, a, full, alpha=0.05)
+
+
+@pytest.mark.parametrize("g0", ([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]], [[1.0, 1.0, 0.0], [2.0, 2.0, 0.0]]))
+def test_beta_dependent_hypothesis_is_rank_deficient(g0):
+    # Both G0 bases span one line; on a coordinate design the first maps to
+    # two columns on the same mode, which is no index set.
+    m = wiener_model(16)
+    a = DesignOperator(m, [HVector.basis_vector(16, 4, 1.3), HVector.basis_vector(16, 5, -0.4),
+                           HVector.basis_vector(16, 6, 2.0)])
+    with pytest.raises(ValueError, match="design columns are rank deficient"):
+        regression.test_beta(HVector(np.ones(16)), a, [np.array(g) for g in g0], alpha=0.05)
