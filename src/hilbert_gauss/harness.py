@@ -17,6 +17,7 @@ import numbers
 import os
 import queue
 import re
+import sys
 import threading
 import time
 from contextlib import suppress
@@ -32,7 +33,7 @@ from .inference import functional_plan
 from .processes import Grid, bridge_model, coeffs_from_trajectory, wiener_model
 from .sampling import GaussianLaw, noise_plan, norm_sq_moments
 from .spectral import HVector, SpectralModel, Subspace, default_use_tail, inner, project, row_inner
-from .spectral import _check_fields, _integer, _is_number, _is_number_list, _read_json, _unique_keys
+from .spectral import _integer
 
 # Replicates per work unit; chunk boundaries are fixed by the replicate
 # count alone so serial and concurrent runs reduce identically.
@@ -49,13 +50,16 @@ def derive_stream(master_seed: int, replicate: int) -> np.random.Generator:
     high word and the replicate index in the low word, so stream creation
     is O(1) and distinct indices give statistically independent streams.
     """
-    master_seed = int(master_seed)
-    replicate = int(replicate)
-    if not 0 <= master_seed < 2**64:
-        raise ValueError("master_seed must fit in an unsigned 64-bit integer")
-    if not 0 <= replicate < 2**64:
-        raise ValueError("replicate index must fit in an unsigned 64-bit integer")
+    master_seed = _check_u64(master_seed, "master_seed")
+    replicate = _check_u64(replicate, "replicate index")
     return np.random.Generator(np.random.Philox(key=(master_seed << 64) | replicate))
+
+
+def _check_u64(value, what: str) -> int:
+    value = int(value)
+    if not 0 <= value < 2**64:
+        raise ValueError(f"{what} must fit in an unsigned 64-bit integer")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -89,6 +93,7 @@ class ExperimentConfig:
         _check_positive(self.sigma, "sigma")
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
+        _check_u64(self.master_seed, "master_seed")
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
@@ -114,6 +119,45 @@ class ExperimentConfig:
     @classmethod
     def load(cls, path) -> "ExperimentConfig":
         return cls.from_dict(_read_json(path))
+
+
+# ---------------------------------------------------------------------------
+# JSON input checks, shared by the config and the input parsers below
+
+
+def _read_json(path):
+    """The JSON content of the file at `path`; an object naming a key twice is refused."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh, object_pairs_hook=_unique_keys)
+        except ValueError as exc:
+            raise ValueError(f"cannot read {str(path)!r}: {exc}") from exc
+
+
+def _unique_keys(pairs) -> dict:
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            raise ValueError(f"key {key!r} given twice")
+        data[key] = value
+    return data
+
+
+def _check_fields(data: dict, allowed, what: str) -> None:
+    """Refuse mapping keys outside `allowed`, so a misspelled field is not dropped."""
+    unknown = set(data) - set(allowed)
+    if unknown:
+        raise ValueError(f"unknown {what} fields: {sorted(unknown, key=str)}")
+
+
+def _is_number(value) -> bool:
+    """A number that fits a finite double; bools (an int subclass) are refused."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    return real and abs(value) <= sys.float_info.max
+
+
+def _is_number_list(value) -> bool:
+    return isinstance(value, (list, tuple)) and all(_is_number(v) for v in value)
 
 
 def _is_int(value) -> bool:
@@ -158,7 +202,8 @@ def _named(label: str, parse, spec, arg):
 
 
 # ---------------------------------------------------------------------------
-# input parsers: one per input kind, for config fields and CLI options alike
+# input parsers: one per input kind, for config fields and CLI options alike,
+# and the only readers of these formats in the package
 
 
 def _file_or(spec, inline):
@@ -188,32 +233,57 @@ def _inline_model(spec: str) -> dict:
 
 def _parse_model(spec, default_dim: int) -> SpectralModel:
     """Model from a file, `wiener:<n>`/`bridge:<n>`, or a mapping: explicit
-    `eigenvalues`, or a built-in spectrum by `basis_id` and `dim`."""
+    `eigenvalues` (with optional `tail_trace`, `basis_id` and `dim`), or a
+    built-in spectrum by `basis_id` and `dim`.  Bool or string numbers are refused."""
     if spec is None:
         return wiener_model(default_dim)
     spec = _file_or(spec, _inline_model)
-    if isinstance(spec, dict):
-        if "eigenvalues" in spec:
-            return SpectralModel.from_dict(spec)
-        _check_fields(spec, ("basis_id", "dim"), "model")
-        basis_id = spec.get("basis_id", "abstract")
-        if basis_id not in ("wiener", "bridge"):
-            raise ValueError(f"unknown model family {basis_id!r}: expected wiener, bridge or explicit eigenvalues")
-        dim = _integer(spec.get("dim", default_dim), "model dim must be an integer")
-        return (wiener_model if basis_id == "wiener" else bridge_model)(dim)
-    raise ValueError("model spec must be a path, a name or a mapping")
+    if not isinstance(spec, dict):
+        raise ValueError("model spec must be a path, a name or a mapping")
+    if "eigenvalues" in spec:
+        _check_fields(spec, ("dim", "eigenvalues", "tail_trace", "basis_id"), "model")
+        if not _is_number_list(spec["eigenvalues"]):
+            raise ValueError("model eigenvalues must be a list of finite numbers")
+        tail_trace = spec.get("tail_trace", 0.0)
+        if not _is_number(tail_trace):
+            raise ValueError(f"model tail_trace must be a finite number, got {tail_trace!r}")
+        model = SpectralModel(spec["eigenvalues"], tail_trace=tail_trace, basis_id=spec.get("basis_id", "abstract"))
+        if "dim" in spec and _integer(spec["dim"], "model dim must be an integer") != model.dim:
+            raise ValueError("model dim does not match the eigenvalue count")
+        return model
+    _check_fields(spec, ("basis_id", "dim"), "model")
+    basis_id = spec.get("basis_id", "abstract")
+    if basis_id not in ("wiener", "bridge"):
+        raise ValueError(f"unknown model family {basis_id!r}: expected wiener, bridge or explicit eigenvalues")
+    dim = _integer(spec.get("dim", default_dim), "model dim must be an integer")
+    return (wiener_model if basis_id == "wiener" else bridge_model)(dim)
 
 
 def _parse_subspace(spec, model: SpectralModel) -> Subspace | None:
-    """Subspace from a file, an index list (inline `4,5,6`) or a mapping."""
+    """Subspace from a file, an index list (inline `4,5,6`) or a mapping of
+    `indices` (over `dim` modes, the model's by default) or a `frame` of rows,
+    with an optional `complement` flag.  Bool or string numbers are refused."""
     if spec is None:
         return None
     spec = _file_or(spec, lambda text: [_decimal(k, "subspace index") for k in text.split(",")])
     if isinstance(spec, (list, tuple)):
-        return Subspace.from_indices(model.dim, spec)
-    if isinstance(spec, dict):
-        return Subspace.from_dict(spec, model=model)
-    raise ValueError("subspace spec must be a path, an index list, or a mapping")
+        spec = {"indices": spec}
+    if not isinstance(spec, dict):
+        raise ValueError("subspace spec must be a path, an index list, or a mapping")
+    _check_fields(spec, ("dim", "complement", "indices", "frame"), "subspace")
+    if "indices" in spec:
+        sub = Subspace.from_indices(spec.get("dim", model.dim), spec["indices"])
+    elif "frame" in spec:
+        frame = spec["frame"]
+        if not isinstance(frame, (list, tuple)) or not all(_is_number_list(row) for row in frame):
+            raise ValueError("subspace frame must be a list of rows of finite numbers")
+        sub = Subspace.from_frame(model, np.asarray(frame, dtype=float))
+    else:
+        raise ValueError("subspace data needs 'indices' or 'frame'")
+    complement = spec.get("complement", False)
+    if not isinstance(complement, bool):
+        raise ValueError(f"subspace complement must be true or false, got {complement!r}")
+    return sub.complement() if complement else sub
 
 
 def _json_number(text: str, what: str) -> float:
@@ -316,10 +386,6 @@ class Report:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True, allow_nan=False) + "\n"
-
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_json())
 
     def comparable_json(self) -> str:
         """Report serialization with the runtime field removed, for
@@ -428,9 +494,7 @@ class ReplicateStreams:
     """
 
     def __init__(self, master_seed: int):
-        master_seed = int(master_seed)
-        if not 0 <= master_seed < 2**64:
-            raise ValueError("master_seed must fit in an unsigned 64-bit integer")
+        master_seed = _check_u64(master_seed, "master_seed")
         self._bitgen = np.random.Philox(key=master_seed << 64)
         self._generator = np.random.Generator(self._bitgen)
         # A fresh state: zero counter, empty buffer, no cached 32-bit half.
@@ -853,10 +917,8 @@ def _config_summary(config: ExperimentConfig) -> dict:
     def sub_repr(s: Subspace | None):
         if s is None:
             return None
-        data = s.to_dict()
-        if "frame" in data:
-            data["frame"] = f"rank {len(data['frame'])}"
-        return data
+        span = {"indices": list(s.indices)} if s.kind == "indices" else {"frame": f"rank {s.frame.shape[0]}"}
+        return {"dim": s.dim, "complement": s.is_complement, **span}
 
     return {
         "model": {
@@ -875,14 +937,17 @@ def _config_summary(config: ExperimentConfig) -> dict:
 def run_experiment(config: ExperimentConfig, workers: int | None = None, stream_path=None) -> Report:
     """Run one experiment and return its report.
 
-    `workers` overrides the configured worker count; with more than one the
-    chunks run in separate processes.  The report is identical either way
-    apart from the runtime field.  `stream_path` optionally writes the
-    per-replicate arrays as CSV for external plotting.
+    `workers` overrides the configured worker count, the most processes the
+    chunks run in: one per chunk up to that count, and none besides this one
+    for a single chunk.  The report is identical either way apart from the
+    runtime field.  `stream_path` optionally writes the per-replicate arrays
+    as CSV for external plotting; a kind with none is refused.
     """
     start_time = time.perf_counter()
     # Building the kind validates the config before any replicate is drawn.
     apply, aggregate, width = _build(config)
+    if stream_path is not None and set(apply(np.empty((0, width)))) <= set(_KINDS[config.kind][1]):
+        raise ValueError(f"experiment {config.kind!r} has no per-replicate values to stream")
     workers = config.workers if workers is None else int(workers)
     if workers < 1:
         raise ValueError("workers must be at least 1")
@@ -892,24 +957,20 @@ def run_experiment(config: ExperimentConfig, workers: int | None = None, stream_
         (start, min(CHUNK_SIZE, config.replicates - start))
         for start in range(0, config.replicates, CHUNK_SIZE)
     ]
-    if workers == 1:
+    processes = min(workers, len(chunks))
+    if processes == 1:
         partials = [_run_chunk(config, start, count, apply, width, threads) for start, count in chunks]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=processes) as pool:
             futures = [pool.submit(_run_chunk, config, start, count, None, None, threads) for start, count in chunks]
             partials = [f.result() for f in futures]
 
-    arrays = {}
-    sums = {}
-    for key in partials[0].get("arrays", {}):
-        arrays[key] = np.concatenate([p["arrays"][key] for p in partials])
-    for key in partials[0].get("sums", {}):
-        total = partials[0]["sums"][key].copy()
-        for p in partials[1:]:
-            total += p["sums"][key]
-        sums[key] = total
+    first, rest = partials[0], partials[1:]
+    arrays = {key: np.concatenate([p["arrays"][key] for p in partials]) for key in first["arrays"]}
+    # Chunk sums are added one after another, in chunk order.
+    sums = {key: sum((p["sums"][key] for p in rest), first["sums"][key]) for key in first["sums"]}
 
-    if stream_path is not None and arrays:
+    if stream_path is not None:
         _write_stream(stream_path, arrays)
 
     report = Report(

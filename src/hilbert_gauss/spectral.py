@@ -12,10 +12,7 @@ construction).
 
 from __future__ import annotations
 
-import json
-import numbers
 import operator
-import sys
 
 import numpy as np
 
@@ -154,41 +151,6 @@ class SpectralModel(_Frozen):
     def __repr__(self) -> str:
         return f"SpectralModel(dim={self.dim}, basis_id={self.basis_id!r}, tail_trace={self.tail_trace!r})"
 
-    # -- serialization ----------------------------------------------------
-
-    def to_dict(self) -> dict:
-        return {
-            "dim": self.dim,
-            "eigenvalues": self.eigenvalues.tolist(),
-            "tail_trace": self.tail_trace,
-            "basis_id": self.basis_id,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SpectralModel":
-        """Model from its JSON mapping; bool or string numbers are refused."""
-        if not isinstance(data, dict):
-            raise ValueError("model data must be a mapping")
-        _check_fields(data, ("dim", "eigenvalues", "tail_trace", "basis_id"), "model")
-        if not _is_number_list(data.get("eigenvalues")):
-            raise ValueError("model eigenvalues must be a list of finite numbers")
-        tail_trace = data.get("tail_trace", 0.0)
-        if not _is_number(tail_trace):
-            raise ValueError(f"model tail_trace must be a finite number, got {tail_trace!r}")
-        model = cls(data["eigenvalues"], tail_trace=tail_trace, basis_id=data.get("basis_id", "abstract"))
-        if "dim" in data and _integer(data["dim"], "model dim must be an integer") != model.dim:
-            raise ValueError("model dim does not match the eigenvalue count")
-        return model
-
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
-    @classmethod
-    def load(cls, path) -> "SpectralModel":
-        return cls.from_dict(_read_json(path))
-
 
 class HVector(_Frozen):
     """Immutable element of H as coefficients with respect to the eigenbasis of Q."""
@@ -265,41 +227,6 @@ def _integer(value, message: str) -> int:
     raise ValueError(f"{message}, got {value!r}")
 
 
-def _check_fields(data: dict, allowed, what: str) -> None:
-    """Refuse mapping keys outside `allowed`, so a misspelled field is not dropped."""
-    unknown = set(data) - set(allowed)
-    if unknown:
-        raise ValueError(f"unknown {what} fields: {sorted(unknown, key=str)}")
-
-
-def _read_json(path):
-    """The JSON content of the file at `path`; an object naming a key twice is refused."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return json.load(fh, object_pairs_hook=_unique_keys)
-        except ValueError as exc:
-            raise ValueError(f"cannot read {str(path)!r}: {exc}") from exc
-
-
-def _unique_keys(pairs) -> dict:
-    data = {}
-    for key, value in pairs:
-        if key in data:
-            raise ValueError(f"key {key!r} given twice")
-        data[key] = value
-    return data
-
-
-def _is_number(value) -> bool:
-    """A number that fits a finite double; bools (an int subclass) are refused."""
-    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-    return real and abs(value) <= sys.float_info.max
-
-
-def _is_number_list(value) -> bool:
-    return isinstance(value, (list, tuple)) and all(_is_number(v) for v in value)
-
-
 class Subspace(_Frozen):
     """Q-invariant closed subspace of H (immutable).
 
@@ -313,7 +240,7 @@ class Subspace(_Frozen):
     """
 
     # _mask caches index_mask() and _runs _index_runs(); they are derived
-    # state, kept out of __eq__, __hash__, to_dict and pickles.
+    # state, kept out of __eq__, __hash__ and pickles.
     __slots__ = ("dim", "kind", "indices", "frame", "is_complement", "_mask", "_runs")
 
     def __init__(self, dim, kind, indices=None, frame=None, is_complement=False):
@@ -421,50 +348,6 @@ class Subspace(_Frozen):
         inner = f"indices={self.indices}" if self.kind == "indices" else f"frame_rank={self.frame.shape[0]}"
         tag = ", complement" if self.is_complement else ""
         return f"Subspace(dim={self.dim}, {inner}{tag})"
-
-    # -- serialization ----------------------------------------------------
-
-    def to_dict(self) -> dict:
-        data = {"dim": self.dim, "complement": self.is_complement}
-        if self.kind == "indices":
-            data["indices"] = list(self.indices)
-        else:
-            data["frame"] = self.frame.tolist()
-        return data
-
-    @classmethod
-    def from_dict(cls, data: dict, model: SpectralModel | None = None) -> "Subspace":
-        """Subspace from its JSON mapping; bool or string numbers are refused."""
-        if not isinstance(data, dict):
-            raise ValueError("subspace data must be a mapping")
-        _check_fields(data, ("dim", "complement", "indices", "frame"), "subspace")
-        if "indices" in data:
-            dim = data.get("dim", model.dim if model is not None else None)
-            if dim is None:
-                raise ValueError("index subspace data needs 'dim' or a model")
-            sub = cls.from_indices(dim, data["indices"])
-        elif "frame" in data:
-            if model is None:
-                raise ValueError("frame subspace data needs a model for validation")
-            frame = data["frame"]
-            if not isinstance(frame, (list, tuple)) or not all(_is_number_list(row) for row in frame):
-                raise ValueError("subspace frame must be a list of rows of finite numbers")
-            sub = cls.from_frame(model, np.asarray(frame, dtype=float))
-        else:
-            raise ValueError("subspace data needs 'indices' or 'frame'")
-        complement = data.get("complement", False)
-        if not isinstance(complement, bool):
-            raise ValueError(f"subspace complement must be true or false, got {complement!r}")
-        return sub.complement() if complement else sub
-
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
-    @classmethod
-    def load(cls, path, model: SpectralModel | None = None) -> "Subspace":
-        return cls.from_dict(_read_json(path), model=model)
 
 
 def _check_q_invariance(model: SpectralModel, frame: np.ndarray) -> None:

@@ -42,3 +42,19 @@ def test_every_public_definition_is_exported_or_used():
             if everywhere[node.name] - names_in(node)[node.name] == 0:
                 unused.append(f"{module[:-3]}.{node.name}")
     assert unused == []
+
+
+def test_only_harness_reads_input():
+    # Input formats have one reader, in harness (the command line writes the
+    # output), so no other module names json or opens a file.
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name in ("harness.py", "cli.py"):
+            continue
+        tree = ast.parse(path.read_text())
+        if names_in(tree)["json"] or any(isinstance(n, ast.ImportFrom) and n.module == "json" for n in ast.walk(tree)):
+            found.append(f"{path.name} names json")
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Call) and "open" in (getattr(n.func, "id", None), getattr(n.func, "attr", None)):
+                found.append(f"{path.name}:{n.lineno} calls {ast.unparse(n.func)}")
+    assert found == []

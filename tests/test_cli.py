@@ -9,7 +9,6 @@ from click.testing import CliRunner
 
 from hilbert_gauss import cli, harness
 from hilbert_gauss.cli import main
-from hilbert_gauss.spectral import SpectralModel
 
 SQRT2 = "1.4142135623730951"
 
@@ -70,7 +69,7 @@ def test_simulate_json_and_mean(runner, tmp_path):
 
 def test_simulate_rejects_abstract_model(runner, tmp_path):
     path = tmp_path / "model.json"
-    SpectralModel([1.0, 0.5]).save(path)
+    path.write_text(json.dumps({"basis_id": "abstract", "dim": 2, "eigenvalues": [1.0, 0.5], "tail_trace": 0.0}))
     res = runner.invoke(main, ["simulate", "--model", str(path)])
     assert res.exit_code == 2
     assert "function basis" in res.stderr
@@ -309,6 +308,20 @@ def test_mc_seed_override(runner, tmp_path):
     res = runner.invoke(main, ["mc", "--config", path, "--seed", "5"])
     assert res.exit_code == 0
     assert json.loads(res.output)["master_seed"] == 5
+
+
+def test_mc_stream_of_summed_kind_exits_two(runner, tmp_path, monkeypatch):
+    # learning_curve keeps only sums over replicates, so it has no values to stream.
+    def refuse(*args, **kwargs):
+        raise AssertionError("the stream must be refused before any draw")
+
+    monkeypatch.setattr(harness, "ReplicateStreams", refuse)
+    path = write_mc_config(tmp_path, kind="learning_curve", subspace=[1, 2, 3], b=None, zeta="2:0.5")
+    stream = tmp_path / "stream.csv"
+    res = runner.invoke(main, ["mc", "--config", path, "--stream", str(stream)])
+    assert_one_line_error(res)
+    assert "no per-replicate values to stream" in res.stderr
+    assert not stream.exists()
 
 
 def test_mc_bad_config_exits_two(runner, tmp_path):

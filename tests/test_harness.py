@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import re
 
@@ -278,6 +279,8 @@ COMPLEMENT_TAIL = r"U is a complement, .* has no tail; set use_tail false \(--no
         # U holds every truncated mode: the residual is zero whatever the default tail adds.
         *((kind, {"subspace": list(range(1, 65))}, r"over the truncated modes is zero")
           for kind in ("unbiasedness", "independence")),
+        ("moments", {"master_seed": -1}, "master_seed must fit in an unsigned 64-bit integer"),
+        ("moments", {"master_seed": 2**64}, "master_seed must fit in an unsigned 64-bit integer"),
     ),
 )
 def test_config_validation_messages_per_kind(monkeypatch, kind, overrides, message):
@@ -308,6 +311,38 @@ def test_dry_run_is_the_only_pre_draw_guard(monkeypatch):
     monkeypatch.setattr(harness, "ProcessPoolExecutor", refuse)
     with pytest.raises(ValueError, match="no block is accepted"):
         run_experiment(smoke_config(kind="moments"), workers=2)
+
+
+class RecordingPool:
+    """A stand-in for ProcessPoolExecutor that runs each task in this process
+    and records the worker count it was asked for."""
+
+    started = []
+
+    def __init__(self, max_workers):
+        self.started.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        done = concurrent.futures.Future()
+        done.set_result(fn(*args))
+        return done
+
+
+@pytest.mark.parametrize("replicates, started", ((400, []), (CHUNK_SIZE, []), (2 * CHUNK_SIZE + 17, [3])))
+def test_workers_start_one_process_per_chunk_at_most(monkeypatch, replicates, started):
+    monkeypatch.setattr(RecordingPool, "started", [])
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    config = smoke_config(replicates=replicates)
+    report = run_experiment(config, workers=64)
+    # A single chunk runs in this process; more start min(workers, chunks) processes.
+    assert RecordingPool.started == started
+    assert report.comparable_json() == run_experiment(config).comparable_json()
 
 
 def test_learning_curve_default_cutoffs():

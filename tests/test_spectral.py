@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hilbert_gauss import spectral
+from hilbert_gauss.harness import _parse_model, _parse_subspace
 from hilbert_gauss.inference import functional_plan
 from hilbert_gauss.sampling import noise_plan
 from hilbert_gauss.spectral import (
@@ -67,30 +68,27 @@ def test_model_trace_and_max():
 def test_model_roundtrip(tmp_path):
     m = small_model()
     path = tmp_path / "model.json"
-    m.save(path)
-    again = SpectralModel.load(path)
+    raw = {"dim": DIM, "eigenvalues": m.eigenvalues.tolist(), "tail_trace": 0.05, "basis_id": "abstract"}
+    path.write_text(json.dumps(raw))
+    again = _parse_model(str(path), 1)
     assert again == m
-    raw = json.loads(path.read_text())
-    assert raw["dim"] == DIM
-    assert raw["basis_id"] == "abstract"
+    assert again.dim == DIM
+    assert again.basis_id == "abstract"
+    # Every field but the eigenvalues is optional.
+    assert _parse_model({"eigenvalues": raw["eigenvalues"], "tail_trace": 0.05}, 1) == m
 
 
 @pytest.mark.parametrize("dim", (2.7, 2.0, True, "2", None))
 def test_model_from_dict_refuses_non_integral_dim(dim):
     with pytest.raises(ValueError, match="model dim must be an integer"):
-        SpectralModel.from_dict({"eigenvalues": [1.0, 0.5], "dim": dim})
+        _parse_model({"eigenvalues": [1.0, 0.5], "dim": dim}, 2)
 
 
 def test_from_dict_refuses_unknown_fields():
     with pytest.raises(ValueError, match=r"unknown model fields: \['tail'\]"):
-        SpectralModel.from_dict({"eigenvalues": [1.0, 0.5], "tail": 0.3})
+        _parse_model({"eigenvalues": [1.0, 0.5], "tail": 0.3}, 2)
     with pytest.raises(ValueError, match=r"unknown subspace fields: \['complment'\]"):
-        Subspace.from_dict({"indices": [1], "dim": 2, "complment": True})
-    # What to_dict writes is read back.
-    m = small_model()
-    assert SpectralModel.from_dict(m.to_dict()) == m
-    for s in (Subspace.from_indices(DIM, [2]).complement(), Subspace.from_frame(m, [HVector.basis_vector(DIM, 1)])):
-        assert Subspace.from_dict(s.to_dict(), model=m) == s
+        _parse_subspace({"indices": [1], "dim": 2, "complment": True}, SpectralModel([1.0, 0.5]))
 
 
 def test_hvector_basics():
@@ -137,7 +135,7 @@ def test_from_indices_validation():
             Subspace.from_indices(DIM, bad)
     for bad in (2.7, True):
         with pytest.raises(ValueError, match="subspace dim must be an integer"):
-            Subspace.from_dict({"indices": [1], "dim": bad})
+            _parse_subspace({"indices": [1], "dim": bad}, small_model())
     assert Subspace.from_indices(DIM, np.array([3, 1])).indices == (1, 3)
 
 
@@ -155,8 +153,8 @@ def test_index_mask_is_cached_read_only_and_derived():
     assert s.index_mask() is mask and not mask.flags.writeable
     comp = s.complement()
     assert comp._mask is not None and list(comp._mask) == list(~mask)
-    fresh = Subspace.from_indices(6, [4, 1])
-    assert fresh == s and hash(fresh) == hash(s) and fresh.to_dict() == s.to_dict()
+    fresh = _parse_subspace({"indices": [4, 1]}, SpectralModel(np.ones(6)))
+    assert fresh == s and hash(fresh) == hash(s) and fresh._mask is None
     assert pickle.loads(pickle.dumps(s))._mask is None
 
 
@@ -181,10 +179,14 @@ def test_frame_requires_invariance():
 def test_subspace_roundtrip(tmp_path):
     m = rotation_block_model()
     ok = HVector(np.array([1.0, -1.0, 0, 0, 0]) / np.sqrt(2.0))
-    for s in [Subspace.from_indices(5, [2, 4]).complement(), Subspace.from_frame(m, [ok])]:
+    written = [
+        ({"complement": True, "dim": 5, "indices": [2, 4]}, Subspace.from_indices(5, [2, 4]).complement()),
+        ({"complement": False, "dim": 5, "frame": [ok.coeffs.tolist()]}, Subspace.from_frame(m, [ok])),
+    ]
+    for data, s in written:
         path = tmp_path / "s.json"
-        s.save(path)
-        assert Subspace.load(path, model=m) == s
+        path.write_text(json.dumps(data))
+        assert _parse_subspace(str(path), m) == s
 
 
 # ---------------------------------------------------------------------------
