@@ -22,7 +22,6 @@ import threading
 import time
 from contextlib import suppress
 from contextvars import copy_context
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -261,8 +260,8 @@ def _parse_model(spec, default_dim: int) -> SpectralModel:
 
 def _parse_subspace(spec, model: SpectralModel) -> Subspace | None:
     """Subspace from a file, an index list (inline `4,5,6`) or a mapping of
-    `indices` (over `dim` modes, the model's by default) or a `frame` of rows,
-    with an optional `complement` flag.  Bool or string numbers are refused."""
+    `indices` or a `frame` of rows, with an optional `complement` flag and an
+    optional `dim`, which must be the model's.  Bool or string numbers are refused."""
     if spec is None:
         return None
     spec = _file_or(spec, lambda text: [_decimal(k, "subspace index") for k in text.split(",")])
@@ -271,8 +270,10 @@ def _parse_subspace(spec, model: SpectralModel) -> Subspace | None:
     if not isinstance(spec, dict):
         raise ValueError("subspace spec must be a path, an index list, or a mapping")
     _check_fields(spec, ("dim", "complement", "indices", "frame"), "subspace")
+    if "dim" in spec and _integer(spec["dim"], "subspace dim must be an integer") != model.dim:
+        raise ValueError(f"subspace dim {spec['dim']} is not the model's {model.dim}")
     if "indices" in spec:
-        sub = Subspace.from_indices(spec.get("dim", model.dim), spec["indices"])
+        sub = Subspace.from_indices(model.dim, spec["indices"])
     elif "frame" in spec:
         frame = spec["frame"]
         if not isinstance(frame, (list, tuple)) or not all(_is_number_list(row) for row in frame):
@@ -939,9 +940,10 @@ def run_experiment(config: ExperimentConfig, workers: int | None = None, stream_
 
     `workers` overrides the configured worker count, the most processes the
     chunks run in: one per chunk up to that count, and none besides this one
-    for a single chunk.  The report is identical either way apart from the
-    runtime field.  `stream_path` optionally writes the per-replicate arrays
-    as CSV for external plotting; a kind with none is refused.
+    for a single chunk.  Each process that runs chunks draws wide blocks on
+    its share of the usable CPUs.  The report is identical either way apart
+    from the runtime field.  `stream_path` optionally writes the per-replicate
+    arrays as CSV for external plotting; a kind with none is refused.
     """
     start_time = time.perf_counter()
     # Building the kind validates the config before any replicate is drawn.
@@ -951,16 +953,20 @@ def run_experiment(config: ExperimentConfig, workers: int | None = None, stream_
     workers = config.workers if workers is None else int(workers)
     if workers < 1:
         raise ValueError("workers must be at least 1")
-    threads = max(1, _usable_cpus() // workers)
 
     chunks = [
         (start, min(CHUNK_SIZE, config.replicates - start))
         for start in range(0, config.replicates, CHUNK_SIZE)
     ]
+    # The CPUs are shared by the processes that run, not by the workers allowed.
     processes = min(workers, len(chunks))
+    threads = max(1, _usable_cpus() // processes)
     if processes == 1:
         partials = [_run_chunk(config, start, count, apply, width, threads) for start, count in chunks]
     else:
+        # Imported here: it loads multiprocessing, which a one-process run never needs.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=processes) as pool:
             futures = [pool.submit(_run_chunk, config, start, count, None, None, threads) for start, count in chunks]
             partials = [f.result() for f in futures]

@@ -143,8 +143,14 @@ class FunctionalPlan(Plan):
     def _quantile(self, kind: str, alpha: float) -> float:
         """z_{1 - alpha/2} (kind 'z') or t_{n, 1 - alpha/2} (kind 't'), kept for the last alpha asked."""
         if kind == "z":
-            return _kept(self, "_z_quantile", alpha, lambda: norm_quantile(1.0 - alpha / 2.0))
-        return _kept(self, "_t_quantile", alpha, lambda: t_quantile(float(self.complement_params[2]), 1.0 - alpha / 2.0))
+            return _kept(self, "_kept_z", alpha, FunctionalPlan._z_quantile, alpha)
+        return _kept(self, "_kept_t", alpha, FunctionalPlan._t_quantile, alpha)
+
+    def _z_quantile(self, alpha: float) -> float:
+        return norm_quantile(1.0 - alpha / 2.0)
+
+    def _t_quantile(self, alpha: float) -> float:
+        return t_quantile(float(self.complement_params[2]), 1.0 - alpha / 2.0)
 
     def functional(self, y: np.ndarray) -> np.ndarray:
         """The functional estimator <b, P_U y>."""

@@ -100,6 +100,13 @@ class DesignPlan:
             raise ValueError("design columns are not linearly independent enough to invert")
         self.gram = _readonly(gram)
         self.range = _range_subspace(A.model, A.columns)
+        self.model, self.columns = A.model, A.columns
+
+    def _pullback(self, c: np.ndarray) -> HVector:
+        return HVector(self.columns @ np.linalg.solve(self.gram, c))
+
+    def _hypothesis(self, g0_mat: np.ndarray) -> Subspace:
+        return _range_subspace(self.model, self.columns @ g0_mat)
 
 
 design_plan = lru_cache(maxsize=PLAN_CACHE_SIZE)(DesignPlan)
@@ -138,7 +145,7 @@ def pullback_functional(A: DesignOperator, c) -> HVector:
     c = np.asarray(c, dtype=float)
     if c.shape != (A.n_params,):
         raise ValueError(f"c must have shape ({A.n_params},)")
-    return _kept(A._plan, "_b", c, lambda: HVector(A.columns @ np.linalg.solve(A.gram, c)))
+    return _kept(A._plan, "_kept_b", (c.shape, c.tobytes()), DesignPlan._pullback, c)
 
 
 def ci_beta_known(c, A: DesignOperator, y: HVector, sigma: float, alpha: float) -> Interval:
@@ -165,5 +172,5 @@ def test_beta(y: HVector, A: DesignOperator, G0_columns, alpha: float) -> TestRe
         raise ValueError(f"G0 vectors must have length {A.n_params}")
     if g0_mat.shape[1] >= A.n_params:
         raise ValueError("G0 must span a proper subspace of the parameter space")
-    U0 = _kept(A._plan, "_U0", g0_mat, lambda: _range_subspace(A.model, A.columns @ g0_mat))
+    U0 = _kept(A._plan, "_kept_U0", (g0_mat.shape, g0_mat.tobytes()), DesignPlan._hypothesis, g0_mat)
     return test_subspace(y, A.model, A.range, U0, alpha)

@@ -211,7 +211,10 @@ class Plan:
         the same values on a draw's head."""
         if width == self.model.dim:
             return self
-        return _kept(self, "_head", width, lambda: type(self)(*(cut(getattr(self, k), width) for k in self._KEYS)))
+        return _kept(self, "_kept_head", width, Plan._cut, width)
+
+    def _cut(self, width: int):
+        return type(self)(*(cut(getattr(self, k), width) for k in self._KEYS))
 
 
 class NoisePlan(Plan):
@@ -283,9 +286,13 @@ class NoisePlan(Plan):
 
     def threshold(self, alpha: float) -> float:
         """The Fisher quantile F_{m, n, 1 - alpha} of the subspace test."""
-        dec = self._test_decomposition()
+        self._test_decomposition()
         alpha = _check_prob(alpha, "alpha")
-        return _kept(self, "_threshold", alpha, lambda: f_quantile(float(dec.m), float(dec.n), 1.0 - alpha))
+        return _kept(self, "_kept_threshold", alpha, NoisePlan._f_quantile, alpha)
+
+    def _f_quantile(self, alpha: float) -> float:
+        dec = self.decomposition
+        return f_quantile(float(dec.m), float(dec.n), 1.0 - alpha)
 
     def statistic(self, y: np.ndarray) -> np.ndarray:
         """(n lam / (m mu)) ||P_U y - P_U0 y||^2 / ||y - P_U y||^2 per row."""

@@ -41,18 +41,17 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _kept(owner, name: str, key, build):
-    """build() for the last key asked under `name`, kept on `owner` as that
-    attribute.  An array key is kept as its shape and a copy of its bytes, so
-    a caller mutating its array cannot make the kept value stale; a build
-    that raises keeps nothing."""
-    if isinstance(key, np.ndarray):
-        key = (key.shape, key.tobytes())
+def _kept(owner, name: str, key, build, arg):
+    """build(owner, arg) for the last key asked under `name`, kept on `owner`
+    as that attribute; a build that raises keeps nothing.  The key must
+    compare by value: an array is keyed by its shape and a copy of its bytes,
+    so a caller mutating the array cannot make the kept value stale."""
     kept = owner.__dict__.get(name)
-    if kept is None or kept[0] != key:
-        kept = (key, build())
-        setattr(owner, name, kept)
-    return kept[1]
+    if kept is not None and kept[0] == key:
+        return kept[1]
+    value = build(owner, arg)
+    setattr(owner, name, (key, value))
+    return value
 
 
 class _Frozen:

@@ -545,6 +545,22 @@ def test_bad_subspace_file_exits_two(runner, tmp_path, subspace):
     assert_one_line_error(res)
 
 
+@pytest.mark.parametrize("subspace", ({"indices": [1], "dim": 2}, {"frame": [[1.0] + [0.0] * 15], "dim": 99}))
+def test_subspace_dim_other_than_the_models_exits_two(runner, tmp_path, subspace):
+    # A mapping's dim repeats the model's: the parser refuses any other, naming
+    # the option or config field, and accepts the model's own.
+    obs = write_obs(tmp_path, 16, {1: 0.3})
+    args = ["estimate", "--model", "wiener:16", "--obs", obs, "--subspace"]
+    res = runner.invoke(main, [*args, write_json(tmp_path, "subspace.json", subspace)])
+    assert_one_line_error(res)
+    assert res.stderr.startswith(f"error: --subspace: subspace dim {subspace['dim']} is not the model's 16")
+    config = {"kind": "risk", "model": "wiener:16", "subspace": subspace, "zeta": "1:0.7", "replicates": 50}
+    res = runner.invoke(main, ["mc", "--config", write_json(tmp_path, "mc.json", config)])
+    assert_one_line_error(res)
+    assert "config field 'subspace': subspace dim" in res.stderr
+    assert runner.invoke(main, [*args, write_json(tmp_path, "same.json", {**subspace, "dim": 16})]).exit_code == 0
+
+
 @pytest.mark.parametrize("command", ("estimate", "ci", "mc"))
 def test_complement_subspace_needs_no_tail(runner, tmp_path, command):
     # An analytic model's default tail lies inside a complement U: exit 2 with

@@ -32,13 +32,16 @@ def first_calls():
 
 
 COLD_START = """
-import json, sys
+import dataclasses, json, sys
 
-def scipy_modules():
-    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+def modules(*packages):
+    return sorted(m for m in sys.modules if m.split(".")[0] in packages)
+
+def scipy_and_pool_modules():
+    return {"scipy": modules("scipy"), "pool": modules("concurrent", "multiprocessing")}
 
 import hilbert_gauss, hilbert_gauss.cli
-loaded = {"import": scipy_modules()}
+loaded = {"import": scipy_and_pool_modules()}
 for kind in hilbert_gauss.harness.EXPERIMENT_KINDS:
     data = {"kind": kind, "model": {"basis_id": "wiener", "dim": 16}, "subspace": [4],
             "b": {"coords": {"4": 1.4142135623730951}}, "zeta": {"coords": {"4": 0.7}}, "replicates": 64}
@@ -49,26 +52,37 @@ for kind in hilbert_gauss.harness.EXPERIMENT_KINDS:
     elif kind == "learning_curve":
         data.update(subspace=list(range(1, 9)), b=None)
     hilbert_gauss.ExperimentConfig.from_dict(data)
-obs, out = sys.argv[1:3]
+obs, mc, out = sys.argv[1:4]
 for args in (
     ["simulate", "--model", "wiener:16", "--points", "32", "--out", out],
     ["estimate", "--model", "wiener:16", "--obs", obs, "--subspace", "4", "--b", "4:1.0", "--out", out],
+    ["mc", "--config", mc, "--workers", "2", "--out", out],
 ):
-    hilbert_gauss.cli.main(args, standalone_mode=False)
-loaded["configs and cli"] = scipy_modules()
-print(json.dumps({"loaded": loaded, "values": first_calls()}))
+    try:
+        hilbert_gauss.cli.main(args, standalone_mode=False)
+    except SystemExit as exc:  # mc exits with its report's outcome
+        assert exc.code == 0, args
+loaded["configs and cli"] = scipy_and_pool_modules()
+# Two chunks at two workers start a pool, and give the bytes of one worker.
+config = dataclasses.replace(hilbert_gauss.ExperimentConfig.load(mc), replicates=hilbert_gauss.harness.CHUNK_SIZE + 1)
+pooled = hilbert_gauss.run_experiment(config, workers=2).comparable_json()
+pool = modules("concurrent", "multiprocessing")
+same = pooled == hilbert_gauss.run_experiment(config, workers=1).comparable_json()
+print(json.dumps({"loaded": loaded, "pool": pool, "same": same, "values": first_calls()}))
 """
 
 
 def test_cold_start_loads_scipy_only_on_first_use(tmp_path):
-    # A fresh interpreter: the other test modules import scipy themselves.
+    # A fresh interpreter: the other test modules import scipy and the pool themselves.
     obs = tmp_path / "obs.json"
     obs.write_text(json.dumps({"coords": {"4": 0.7, "1": 0.3}}))
+    mc = tmp_path / "mc.json"  # one chunk, of a kind that needs no scipy quantile
+    mc.write_text(json.dumps({"kind": "moments", "model": "wiener:16", "replicates": 64}))
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     script = inspect.getsource(first_calls) + COLD_START
     res = subprocess.run(
-        [sys.executable, "-c", script, str(obs), str(tmp_path / "out.txt")],
+        [sys.executable, "-c", script, str(obs), str(mc), str(tmp_path / "out.txt")],
         capture_output=True,
         text=True,
         env=env,
@@ -76,5 +90,8 @@ def test_cold_start_loads_scipy_only_on_first_use(tmp_path):
     )
     assert res.returncode == 0, res.stderr
     result = json.loads(res.stdout.splitlines()[-1])
-    assert result["loaded"] == {"import": [], "configs and cli": []}
+    nothing = {"scipy": [], "pool": []}
+    assert result["loaded"] == {"import": nothing, "configs and cli": nothing}
+    assert "concurrent.futures.process" in result["pool"] and "multiprocessing" in result["pool"]
+    assert result["same"]
     assert result["values"] == first_calls()

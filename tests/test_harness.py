@@ -289,7 +289,7 @@ def test_config_validation_messages_per_kind(monkeypatch, kind, overrides, messa
         raise AssertionError("validation must come before drawing or pooling")
 
     monkeypatch.setattr(harness, "ReplicateStreams", refuse)
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", refuse)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
     with pytest.raises(ValueError, match=message):
         run_experiment(smoke_config(kind=kind, **overrides), workers=2)
 
@@ -308,7 +308,7 @@ def test_dry_run_is_the_only_pre_draw_guard(monkeypatch):
 
     monkeypatch.setitem(harness._KINDS, "moments", (unchecked, ()))
     monkeypatch.setattr(harness, "ReplicateStreams", refuse)
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", refuse)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
     with pytest.raises(ValueError, match="no block is accepted"):
         run_experiment(smoke_config(kind="moments"), workers=2)
 
@@ -337,12 +337,30 @@ class RecordingPool:
 @pytest.mark.parametrize("replicates, started", ((400, []), (CHUNK_SIZE, []), (2 * CHUNK_SIZE + 17, [3])))
 def test_workers_start_one_process_per_chunk_at_most(monkeypatch, replicates, started):
     monkeypatch.setattr(RecordingPool, "started", [])
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     config = smoke_config(replicates=replicates)
     report = run_experiment(config, workers=64)
     # A single chunk runs in this process; more start min(workers, chunks) processes.
     assert RecordingPool.started == started
     assert report.comparable_json() == run_experiment(config).comparable_json()
+
+
+@pytest.mark.parametrize("replicates, threads", ((400, [4]), (2 * CHUNK_SIZE + 17, [2, 2, 2])))
+def test_processes_started_share_the_cpus(monkeypatch, replicates, threads):
+    # One chunk at workers=2 runs in this process on every CPU; three chunks
+    # start two processes, each with half of them.
+    handed = []
+    run_chunk = harness._run_chunk
+
+    def recording(config, start, count, apply=None, width=None, threads=1):
+        handed.append(threads)
+        return run_chunk(config, start, count, apply, width, threads)
+
+    monkeypatch.setattr(harness, "_run_chunk", recording)
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 4)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    run_experiment(smoke_config(replicates=replicates), workers=2)
+    assert handed == threads
 
 
 def test_learning_curve_default_cutoffs():
