@@ -6,16 +6,20 @@ Kolmogorov-Smirnov statistic with its critical value.
 Quantiles are the inverses in scipy.special (ndtri, stdtrit, fdtri,
 gammaincinv) and the Gamma CDF is its regularized lower incomplete gamma,
 imported on first call so that importing the package does not load scipy;
-non-integer degrees of freedom work everywhere.  The sampler is the
-generator's standard_gamma (Marsaglia and Tsang's method for shapes above 1)
-divided by the rate, behind argument checks.
+non-integer degrees of freedom work everywhere.  The normal, t and F
+quantiles are cached by their arguments, so plans asking the same one share
+it.  The sampler is the generator's standard_gamma (Marsaglia and Tsang's
+method for shapes above 1) divided by the rate, behind argument checks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
+
+from .spectral import PLAN_CACHE_SIZE
 
 
 def _check_prob(value: float, name: str) -> float:
@@ -54,6 +58,7 @@ def gamma_cdf(x, alpha, beta):
 # quantiles
 
 
+@lru_cache(maxsize=PLAN_CACHE_SIZE)
 def norm_quantile(a: float) -> float:
     """Standard normal a-quantile, |CDF(result) - a| below 1e-12."""
     from scipy import special
@@ -61,6 +66,7 @@ def norm_quantile(a: float) -> float:
     return float(special.ndtri(a))
 
 
+@lru_cache(maxsize=PLAN_CACHE_SIZE)
 def t_quantile(dof: float, a: float) -> float:
     """Student-t a-quantile for real dof >= 1, |CDF(result) - a| below 1e-10."""
     from scipy import special
@@ -69,6 +75,7 @@ def t_quantile(dof: float, a: float) -> float:
     return float(special.stdtrit(dof, a))
 
 
+@lru_cache(maxsize=PLAN_CACHE_SIZE)
 def f_quantile(m: float, n: float, a: float) -> float:
     """Fisher F a-quantile for real dofs, |CDF(result) - a| below 1e-9."""
     from scipy import special

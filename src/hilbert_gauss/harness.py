@@ -260,7 +260,7 @@ def _parse_model(spec, default_dim: int) -> SpectralModel:
 
 def _parse_subspace(spec, model: SpectralModel) -> Subspace | None:
     """Subspace from a file, an index list (inline `4,5,6`) or a mapping of
-    `indices` or a `frame` of rows, with an optional `complement` flag and an
+    `indices` or a `frame` of rows (not both), with an optional `complement` flag and an
     optional `dim`, which must be the model's.  Bool or string numbers are refused."""
     if spec is None:
         return None
@@ -272,6 +272,8 @@ def _parse_subspace(spec, model: SpectralModel) -> Subspace | None:
     _check_fields(spec, ("dim", "complement", "indices", "frame"), "subspace")
     if "dim" in spec and _integer(spec["dim"], "subspace dim must be an integer") != model.dim:
         raise ValueError(f"subspace dim {spec['dim']} is not the model's {model.dim}")
+    if "indices" in spec and "frame" in spec:
+        raise ValueError("subspace data takes 'indices' or 'frame', not both")
     if "indices" in spec:
         sub = Subspace.from_indices(model.dim, spec["indices"])
     elif "frame" in spec:

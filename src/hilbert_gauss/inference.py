@@ -23,13 +23,10 @@ from .spectral import (
     HVector,
     SpectralModel,
     Subspace,
-    _kept,
     _residual,
     default_use_tail,
     project,
     row_inner,
-    sup_eig_on,
-    top_multiplicity,
     trace_q_on,
 )
 
@@ -95,11 +92,12 @@ class FunctionalPlan(Plan):
     shape (rows, dim), or (dim,) for a single observation; results come one
     per row.  Each constant is computed on first use, so a plan costs only
     what its procedures need: `variance_factor` <Q b, P_U b> (needs b),
-    `variance_denominator` tr(Q (I - P_U)) under the tail convention,
+    `variance_denominator` tr(Q (I - P_U)) under the tail convention, and
     `complement_params` (tau, lam, n) of Q on the complement of U, with tau
-    the variance denominator, and the interval quantiles for the last alpha
-    asked.  A constant that raises is not kept, so it raises again on the
-    next use.  Build plans with `functional_plan`.
+    the variance denominator.  The interval quantiles come from the
+    argument-keyed quantile caches, shared with every other plan.  A
+    constant that raises is not kept, so it raises again on the next use.
+    Build plans with `functional_plan`.
     """
 
     _KEYS = ("model", "U", "b", "use_tail")
@@ -134,23 +132,7 @@ class FunctionalPlan(Plan):
 
     @cached_property
     def complement_params(self) -> tuple:
-        tau = self.variance_denominator
-        lam = sup_eig_on(self.model, self._perp)
-        if lam <= 0.0:
-            raise ValueError("Q vanishes on the truncated complement of U")
-        return tau, lam, top_multiplicity(self.model, self._perp)
-
-    def _quantile(self, kind: str, alpha: float) -> float:
-        """z_{1 - alpha/2} (kind 'z') or t_{n, 1 - alpha/2} (kind 't'), kept for the last alpha asked."""
-        if kind == "z":
-            return _kept(self, "_kept_z", alpha, FunctionalPlan._z_quantile, alpha)
-        return _kept(self, "_kept_t", alpha, FunctionalPlan._t_quantile, alpha)
-
-    def _z_quantile(self, alpha: float) -> float:
-        return norm_quantile(1.0 - alpha / 2.0)
-
-    def _t_quantile(self, alpha: float) -> float:
-        return t_quantile(float(self.complement_params[2]), 1.0 - alpha / 2.0)
+        return (self.variance_denominator, *self.complement_top)
 
     def functional(self, y: np.ndarray) -> np.ndarray:
         """The functional estimator <b, P_U y>."""
@@ -169,7 +151,7 @@ class FunctionalPlan(Plan):
         sigma = _check_positive(sigma, "sigma")
         alpha = _check_prob(alpha, "alpha")
         v = self.variance_factor
-        z = self._quantile("z", alpha)
+        z = norm_quantile(1.0 - alpha / 2.0)
         return self.functional(y), z * sigma * float(np.sqrt(v))
 
     def ci_unknown(self, y: np.ndarray, alpha: float) -> tuple:
@@ -178,7 +160,7 @@ class FunctionalPlan(Plan):
         v = self.variance_factor
         tau, lam, n = self.complement_params
         s2 = self.variance(y)
-        t = self._quantile("t", alpha)
+        t = t_quantile(float(n), 1.0 - alpha / 2.0)
         half_width = np.sqrt(tau / (lam * n)) * t * np.sqrt(s2) * np.sqrt(v)
         return self.functional(y), half_width
 

@@ -16,10 +16,8 @@ from functools import lru_cache
 import numpy as np
 
 from .inference import Interval, TestResult, ci_known, ci_unknown, test_subspace
-from .spectral import PLAN_CACHE_SIZE, HVector, SpectralModel, Subspace, _Frozen, _kept, _readonly, _set
+from .spectral import PLAN_CACHE_SIZE, HVector, SpectralModel, Subspace, _Frozen, _kept, _readonly, _set, _span
 
-# Rank threshold of the rank-revealing QR, relative to the largest pivot.
-RANK_TOL = 1e-12
 # Gram matrix conditioning bound: smallest eigenvalue must exceed this
 # multiple of the largest for A to count as injective.
 GRAM_COND_TOL = 1e-12
@@ -117,13 +115,10 @@ def _range_subspace(model: SpectralModel, mat: np.ndarray) -> Subspace:
     modes = {int(rows[0]) + 1 for rows in map(np.flatnonzero, mat.T) if rows.size == 1}
     if len(modes) == mat.shape[1]:
         return Subspace.from_indices(model.dim, modes)
-    import scipy.linalg
-    q, r, _ = scipy.linalg.qr(mat, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(r))
-    rank = int(np.count_nonzero(diag > RANK_TOL * diag[0])) if diag.size else 0
-    if rank < mat.shape[1]:
+    rows = _span(mat)
+    if len(rows) < mat.shape[1]:
         raise ValueError("design columns are rank deficient")
-    return Subspace.from_frame(model, q[:, :rank].T)
+    return Subspace.from_frame(model, rows)
 
 
 def lse(A: DesignOperator, y: HVector) -> np.ndarray:

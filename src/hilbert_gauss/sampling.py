@@ -30,6 +30,7 @@ from .spectral import (
     default_use_tail,
     difference_subspace,
     project,
+    rank_on,
     restricted_eigenvalues,
     row_inner,
     sup_eig_on,
@@ -88,16 +89,12 @@ def norm_sq_moments(law: GaussianLaw, use_tail: bool | None = None):
     Mean sigma^2 tr(Q) + ||zeta||^2 and variance
     2 sigma^4 sum(lambda_k^2) + 4 sigma^2 sum(lambda_k zeta_k^2).  The trace
     picks up the analytic tail under the tail convention; the squared sums
-    are truncated, matching what the truncated sampler can realize.
+    are truncated, matching what the truncated sampler can realize.  These
+    are the moments of ||P_S Y||^2 on the whole space S, the complement of
+    no mode.
     """
-    use_tail = default_use_tail(law.model, use_tail)
-    lam = law.model.eigenvalues
-    zeta = law.mean.coeffs
-    s2 = law.sigma**2
-    trace = float(lam.sum()) + (law.model.tail_trace if use_tail else 0.0)
-    mean = s2 * trace + float(zeta @ zeta)
-    variance = 2.0 * s2 * s2 * float(lam @ lam) + 4.0 * s2 * float(lam @ (zeta * zeta))
-    return mean, variance
+    whole = Subspace.from_indices(law.model.dim, ()).complement()
+    return transformed_norm_sq_moments(law, whole, default_use_tail(law.model, use_tail))
 
 
 def transformed_norm_sq_moments(law: GaussianLaw, T_subspace: Subspace, use_tail: bool | None = None):
@@ -205,6 +202,15 @@ class Plan:
         _check_model_subspace(self.model, self.U)
         self._perp = self.U.complement()  # y - P_U y is one projection onto it (spectral._residual)
 
+    @cached_property
+    def complement_top(self) -> tuple:
+        """(lam, n), the top eigenvalue of Q on the truncated complement of U and its
+        multiplicity; a tail alone does not give them, so Q must not vanish there."""
+        eigs = restricted_eigenvalues(self.model, self._perp)
+        if eigs.size == 0 or eigs.max() <= 0.0:
+            raise ValueError("Q vanishes on the truncated complement of U")
+        return float(eigs.max()), top_multiplicity(self.model, self._perp)
+
     def head(self, width: int):
         """The plan of the keys cut to modes 1..width (index-set subspaces only), kept
         for the last width asked, for a statistic that reads no later mode: it gives
@@ -223,35 +229,28 @@ class NoisePlan(Plan):
     statistics on coefficient arrays of shape (rows, dim) or (dim,).
 
     Each constant is built on first use, so a statistic needs only its own;
-    one that raises is not kept.  The F quantile is kept for the last alpha
-    asked.  Build plans with `noise_plan(model, U, U0)`.
+    one that raises is not kept.  The F quantile comes from the
+    argument-keyed quantile cache, shared with every other plan.  Build plans
+    with `noise_plan(model, U, U0)`.
     """
 
     _KEYS = ("model", "U", "U0")
 
     @cached_property
-    def difference(self) -> tuple:
+    def difference(self) -> Subspace:
         if self.U0 is None:
             raise ValueError("the whitened statistic needs the hypothesis subspace U0")
-        diff = difference_subspace(self.model, self.U, self.U0)
-        return diff, restricted_eigenvalues(self.model, diff)
+        return difference_subspace(self.model, self.U, self.U0)
 
     @cached_property
     def decomposition(self) -> NoiseDecomposition:
-        comp = self._perp
-        if trace_q_on(self.model, comp, use_tail=False) <= 0.0:
-            # Even with a positive tail trace, lam and n are not readable from
-            # a scalar tail, so an empty or Q-null truncated complement is out.
-            raise ValueError("Q vanishes on the truncated complement of U")
-        lam = sup_eig_on(self.model, comp)
-        n = top_multiplicity(self.model, comp)
+        lam, n = self.complement_top
         if self.U0 is None:
             return NoiseDecomposition(lam=lam, n=n)
-        eigs = self.difference[1]
-        mu = float(eigs.max())
-        if mu <= 0.0:
+        m = rank_on(self.model, self.difference)
+        if m == 0:
             raise ValueError("Q vanishes on the difference of U and U0")
-        return NoiseDecomposition(lam=lam, n=n, mu=mu, m=int(np.count_nonzero(eigs > 0.0)))
+        return NoiseDecomposition(lam=lam, n=n, mu=sup_eig_on(self.model, self.difference), m=m)
 
     @cached_property
     def leading(self) -> Subspace:
@@ -260,13 +259,13 @@ class NoisePlan(Plan):
     @cached_property
     def whitening(self) -> tuple:
         """(coordinates, eigenvalues, mu) of the nonzero spectrum on U minus U0."""
-        diff, eigs = self.difference
+        diff, lam = self.difference, self.model.eigenvalues
         if diff.kind != "indices":
             raise ValueError("whitening requires index-set subspaces")
-        keep = eigs > 0.0
-        if not keep.any():
+        coords = np.flatnonzero(diff.index_mask() & (lam > 0.0))
+        if coords.size == 0:
             raise ValueError("Q vanishes on the difference of U and U0")
-        return np.flatnonzero(diff.index_mask())[keep], eigs[keep], float(eigs.max())
+        return coords, lam[coords], float(lam[coords].max())
 
     def leading_norm_sq(self, y: np.ndarray, sigma: float) -> np.ndarray:
         """||S(Y / sigma)||^2 per row, S the projection onto `leading`."""
@@ -286,12 +285,8 @@ class NoisePlan(Plan):
 
     def threshold(self, alpha: float) -> float:
         """The Fisher quantile F_{m, n, 1 - alpha} of the subspace test."""
-        self._test_decomposition()
+        dec = self._test_decomposition()
         alpha = _check_prob(alpha, "alpha")
-        return _kept(self, "_kept_threshold", alpha, NoisePlan._f_quantile, alpha)
-
-    def _f_quantile(self, alpha: float) -> float:
-        dec = self.decomposition
         return f_quantile(float(dec.m), float(dec.n), 1.0 - alpha)
 
     def statistic(self, y: np.ndarray) -> np.ndarray:
@@ -300,7 +295,7 @@ class NoisePlan(Plan):
         if self.U.kind == "indices" and self.U0.kind == "indices":
             # One projection each, bit for bit: P_U y - P_U0 y is y - y = +0.0 on U0,
             # y - 0.0 = y on U minus U0 and 0.0 - 0.0 = +0.0 off U.
-            residual, shift = project(y, self._perp), project(y, self.difference[0])
+            residual, shift = project(y, self._perp), project(y, self.difference)
         else:
             # A frame difference is re-orthonormalised, so its projection has other
             # bits; P_U y serves both terms.

@@ -24,6 +24,9 @@ FRAME_ORTHO_TOL = 1e-10
 FRAME_INVARIANCE_TOL = 1e-10
 # Mean vectors attached to a law must satisfy ||zeta - P_U zeta|| <= this.
 MEAN_IN_SUBSPACE_TOL = 1e-10
+# Pivots of the rank-revealing QR at or below this multiple of the largest
+# count as zero: the one rank threshold for the span of a set of vectors.
+RANK_TOL = 1e-10
 # An index-set projection copies (or zeroes) one slice per run of consecutive
 # modes while the array holds at least this many doubles per run, else takes
 # np.where over the mask.  Slices against np.where on two vCPUs (numpy 2.4):
@@ -519,19 +522,17 @@ def top_multiplicity(model: SpectralModel, S: Subspace, rel_tol: float = DEFAULT
 
 
 def rank_on(model: SpectralModel, S: Subspace) -> int:
-    """Number of strictly positive eigenvalues of P_S Q P_S.
+    """Number of positive eigenvalues of P_S Q P_S: above zero on an index
+    set, above DEFAULT_REL_TOL times the largest lambda on a frame, whose
+    eigenvalues carry rounding.
 
     Only finite-dimensional subspaces are supported; complements are
     rejected because their rank is not determined by the truncation.
     """
     if S.is_complement:
         raise ValueError("rank of Q on a complement subspace is unsupported")
-    _check_model_subspace(model, S)
-    if S.kind == "indices":
-        lam = model.eigenvalues[S.index_mask()]
-        return int(np.count_nonzero(lam > 0.0))
-    eigs = restricted_eigenvalues(model, S)
-    return int(np.count_nonzero(eigs > DEFAULT_REL_TOL * max(model.max_eigenvalue(), 0.0)))
+    tol = 0.0 if S.kind == "indices" else DEFAULT_REL_TOL * model.max_eigenvalue()
+    return int(np.count_nonzero(restricted_eigenvalues(model, S) > tol))
 
 
 def top_eigenspace(model: SpectralModel, S: Subspace, rel_tol: float = DEFAULT_REL_TOL) -> Subspace:
@@ -558,6 +559,16 @@ def _frame_rows(S: Subspace) -> np.ndarray:
     return rows
 
 
+def _span(columns: np.ndarray, scale: float | None = None) -> np.ndarray:
+    """Orthonormal rows spanning the columns: the leading columns of a
+    pivoted QR, one per pivot above RANK_TOL times `scale` (by default the
+    largest pivot)."""
+    import scipy.linalg
+    q, r, _ = scipy.linalg.qr(columns, mode="economic", pivoting=True)
+    diag = np.abs(np.diag(r))
+    return q[:, : np.count_nonzero(diag > RANK_TOL * (diag[0] if scale is None else scale))].T
+
+
 def difference_subspace(model: SpectralModel, V: Subspace, U0: Subspace) -> Subspace:
     """The subspace V intersect U0-perp, defined when U0 is contained in V.
 
@@ -582,11 +593,8 @@ def difference_subspace(model: SpectralModel, V: Subspace, U0: Subspace) -> Subs
     resid = f0 - (f0 @ fv.T) @ fv
     if resid.size and np.linalg.norm(resid, ord=2) > FRAME_ORTHO_TOL:
         raise ValueError("U0 is not contained in V")
-    import scipy.linalg
-    g = fv - (fv @ f0.T) @ f0
-    q, r, _ = scipy.linalg.qr(g.T, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(r))
-    keep = diag > FRAME_ORTHO_TOL * max(diag[0], 1.0) if diag.size else np.zeros(0, bool)
-    if not keep.any():
+    # Unit rows projected off U0: what a row of U0 leaves is rounding, small against 1.
+    rows = _span((fv - (fv @ f0.T) @ f0).T, scale=1.0)
+    if not len(rows):
         raise ValueError("difference subspace is zero-dimensional")
-    return Subspace.from_frame(model, q.T[keep])
+    return Subspace.from_frame(model, rows)

@@ -535,6 +535,7 @@ def test_model_file_with_non_numeric_values_exits_two(runner, tmp_path, model):
         {"frame": [["1.0", 0.0]]},
         {"frame": [[True, 0.0]]},
         5,
+        {"indices": [1], "frame": [[0.0, 1.0]]},
     ),
 )
 def test_bad_subspace_file_exits_two(runner, tmp_path, subspace):

@@ -20,10 +20,12 @@ import json
 import os
 import sys
 
+import numpy as np
 import pytest
 
 from hilbert_gauss import harness
-from hilbert_gauss.harness import CHUNK_SIZE, EXPERIMENT_KINDS, ExperimentConfig, run_experiment
+from hilbert_gauss.harness import CHUNK_SIZE, EXPERIMENT_KINDS, ExperimentConfig, ReplicateStreams, derive_stream
+from hilbert_gauss.harness import run_experiment
 
 FIXTURE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_reports.json")
 DIM = 64
@@ -112,6 +114,37 @@ def wide_config(name: str) -> ExperimentConfig:
     elif name == "complement_coverage_unknown":
         data.update(subspace={"indices": list(range(7, WIDE_DIM + 1)), "complement": True}, use_tail=False)
     return ExperimentConfig.from_dict(data)
+
+
+# sha256 of the first STREAM_NORMALS standard normals (float64 bytes) of
+# derive_stream(seed, replicate), recorded under numpy 2.4.6: the first and
+# last replicates of the golden configs, and the extreme keys.  numpy keeps a
+# bit generator's raw stream fixed across versions (NEP 19), but not what
+# Generator.standard_normal makes of it, and every sha256 above rests on it.
+STREAM_NORMALS = 64
+STREAM_FINGERPRINTS = {
+    (MASTER_SEED, 0): "40cebb0ef47ac043fcea28cf50508a346a744fccf627a19f7699f3417c65345b",
+    (MASTER_SEED, 1): "866fa334c9affac940ad1ec1e2484442cd5ec36e2f8c2d68f9ee11b25d095be0",
+    (MASTER_SEED, REPLICATES - 1): "30ae066a203df78029f95d70b689da48202817aa453b8be9a7a1611c8c1240e1",
+    (0, 0): "4ab6795e6c089114c2bc5596c4cb82299db54790e4d6dd882f53e5d74201c2b5",
+    (2**64 - 1, 2**64 - 1): "cc0281299a3031dbc0ab740be1ff845e742961647667a97cffab070b148c3744",
+}
+
+
+def test_normal_stream_fingerprint():
+    rows = {key: derive_stream(*key).standard_normal(STREAM_NORMALS) for key in STREAM_FINGERPRINTS}
+    got = {key: hashlib.sha256(row.tobytes()).hexdigest() for key, row in rows.items()}
+    assert got == STREAM_FINGERPRINTS, (
+        f"numpy {np.__version__} moved the normal stream of derive_stream: Generator.standard_normal "
+        "no longer gives the bytes recorded under numpy 2.4.6, so the golden sha256 pins cannot hold "
+        "whatever the package does"
+    )
+    # The batched runner re-keys one generator per seed, row after row: same rows.
+    for seed in {seed for seed, _ in rows}:
+        replicates = [replicate for key, replicate in rows if key == seed]
+        batched = np.empty((len(replicates), STREAM_NORMALS))
+        ReplicateStreams(seed).standard_normal_rows(replicates, batched)
+        assert batched.tobytes() == np.vstack([rows[seed, r] for r in replicates]).tobytes(), seed
 
 
 def digest(report) -> dict:

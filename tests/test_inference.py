@@ -13,9 +13,9 @@ from hilbert_gauss.inference import (
     ci_unknown,
     functional_plan,
 )
-from hilbert_gauss.processes import wiener_model
+from hilbert_gauss.processes import custom_model, wiener_model
 from hilbert_gauss.sampling import noise_plan
-from hilbert_gauss.spectral import HVector, SpectralModel, Subspace, project
+from hilbert_gauss.spectral import HVector, SpectralModel, Subspace, difference_subspace, project, rank_on
 
 WIENER_EIG_4 = 0.008271117032027573
 
@@ -190,6 +190,20 @@ def test_test_subspace_statistic_identity():
     assert res.threshold == pytest.approx(199.5, abs=1e-6)
     assert res.reject == (res.statistic >= res.threshold)
     assert res.params == {"lam": 4.0 / np.pi**2, "mu": 1.0 / (4.5**2 * np.pi**2), "n": 1, "m": 2}
+
+
+def test_rank_of_a_frame_difference_skips_its_q_null_direction():
+    # U minus U0 is spanned by e_2 and (e_3 + e_4) / sqrt(2), which Q sends to
+    # 0.5 e_2 and 0: m is 1, though rounding leaves the null eigenvalue at 3.5e-18.
+    model = custom_model([1.0, 0.5, 0.0, 0.0, 0.25])
+    c, t, s = np.cos(0.2), np.sin(0.2), 2.0**-0.5
+    u = Subspace.from_frame(model, [[1, 0, 0, 0, 0], [0, c, s * t, s * t, 0], [0, -t, c * s, c * s, 0]])
+    u0 = Subspace.from_indices(5, [1])
+    assert rank_on(model, difference_subspace(model, u, u0)) == 1
+    assert inference.test_params(model, u, u0)[3] == 1
+    res = inference.test_subspace(HVector([0.3, -1.0, 2.0, 0.5, 0.7]), model, u, u0, alpha=0.05)
+    assert res.params["m"] == 1
+    assert res.threshold == f_quantile(1.0, 1.0, 0.95) == pytest.approx(161.4476, abs=1e-4)
 
 
 def test_test_subspace_zero_residual():

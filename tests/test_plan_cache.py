@@ -1,6 +1,6 @@
 """The plan caches and their keys: immutable, once-hashed models, vectors and
-subspaces; bounded factories that never cache a failure; quantiles built once
-per plan and alpha."""
+subspaces; bounded factories that never cache a failure; quantiles cached by
+their arguments and shared by every plan."""
 
 import gc
 import pickle
@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hilbert_gauss import inference, processes, regression, sampling
+from hilbert_gauss import distributions, inference, processes, regression, sampling
 from hilbert_gauss.distributions import f_quantile, norm_quantile, t_quantile
 from hilbert_gauss.estimators import est_variance
 from hilbert_gauss.harness import ExperimentConfig, run_experiment
@@ -26,6 +26,7 @@ FACTORIES = (
     wiener_model,
     bridge_model,
 )
+QUANTILES = (norm_quantile, t_quantile, f_quantile)
 
 
 KEYS = ("model", "vector", "index_subspace", "frame_complement", "design")
@@ -51,10 +52,10 @@ def slots(obj):
 
 @pytest.fixture
 def cold_caches():
-    for factory in FACTORIES:
+    for factory in FACTORIES + QUANTILES:
         factory.cache_clear()
     yield
-    for factory in FACTORIES:
+    for factory in FACTORIES + QUANTILES:
         factory.cache_clear()
 
 
@@ -125,7 +126,7 @@ def test_signed_zeros_hash_equal():
 
 
 def test_factories_are_bounded():
-    for factory in FACTORIES:
+    for factory in FACTORIES + QUANTILES:
         maxsize = factory.cache_info().maxsize
         assert maxsize is not None and 0 < maxsize <= PLAN_CACHE_SIZE
 
@@ -252,8 +253,8 @@ def count_calls(monkeypatch, module, name):
     "kind, quantile",
     (("coverage_known", "norm_quantile"), ("coverage_unknown", "t_quantile"), ("level", "f_quantile")),
 )
-def test_quantile_once_per_run(cold_caches, monkeypatch, kind, quantile):
-    calls = count_calls(monkeypatch, sampling if kind == "level" else inference, quantile)
+def test_quantile_once_per_run(cold_caches, kind, quantile):
+    cache = getattr(distributions, quantile)
     data = {
         "kind": kind,
         "model": {"basis_id": "wiener", "dim": 64},
@@ -264,9 +265,9 @@ def test_quantile_once_per_run(cold_caches, monkeypatch, kind, quantile):
     }
     config = ExperimentConfig.from_dict(data)
     run_experiment(config)
-    assert len(calls) == 1
-    run_experiment(config)  # the cached plan keeps its quantile
-    assert len(calls) == 1
+    assert cache.cache_info().misses == 1
+    run_experiment(config)  # a warm run makes no miss
+    assert cache.cache_info().misses == 1 and cache.cache_info().hits > 0
 
 
 LEVEL_PAIR = {"model": {"basis_id": "wiener", "dim": 64}, "subspace": [4, 5, 6], "subspace0": [4], "replicates": 100}
@@ -291,15 +292,27 @@ def test_warm_noise_law_run_rebuilds_no_constant(cold_caches, monkeypatch):
 
 def test_kept_quantile_follows_alpha(cold_caches):
     model = wiener_model(32)
-    U, U3 = Subspace.from_indices(32, [4]), Subspace.from_indices(32, [4, 5, 6])
-    plan = functional_plan(model, U, HVector.basis_vector(32, 4))
-    test_plan = noise_plan(model, U3, U)
-    n = float(plan.complement_params[2])
-    dec = test_plan.decomposition
-    for alpha in (0.05, 0.1, 0.05, 0.01):
-        assert plan._quantile("z", alpha) == norm_quantile(1.0 - alpha / 2.0)
-        assert plan._quantile("t", alpha) == t_quantile(n, 1.0 - alpha / 2.0)
-        assert test_plan.threshold(alpha) == f_quantile(float(dec.m), float(dec.n), 1.0 - alpha)
+    y = np.linspace(-1.0, 1.0, 32)
+
+    def ask(k, alpha):
+        # An interval plan on U = {k} and a test plan on {k, k+1, k+2} against U:
+        # n = 1 and m = 2 whatever k.
+        U = Subspace.from_indices(32, [k])
+        plan = functional_plan(model, U, HVector.basis_vector(32, k))
+        test_plan = noise_plan(model, Subspace.from_indices(32, [k, k + 1, k + 2]), U)
+        return plan.ci_known(y, 1.0, alpha)[1], plan.ci_unknown(y, alpha)[1], test_plan.threshold(alpha)
+
+    first = {}
+    for alpha, misses in ((0.05, 1), (0.1, 2), (0.05, 2), (0.01, 3)):
+        first.setdefault(alpha, ask(4, alpha))
+        assert first[alpha] == ask(4, alpha)
+        assert [q.cache_info().misses for q in QUANTILES] == [misses] * 3
+    # Fresh plans with the same n and m reuse every quantile.
+    hits = [q.cache_info().hits for q in QUANTILES]
+    threshold = ask(5, 0.05)[2]
+    assert [q.cache_info().misses for q in QUANTILES] == [3] * 3
+    assert all(q.cache_info().hits > h for q, h in zip(QUANTILES, hits))
+    assert threshold == first[0.05][2] == f_quantile(2.0, 1.0, 0.95)
 
 
 def footprint_of(burst) -> int:
