@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from .inference import Interval, TestResult, ci_known, ci_unknown, test_subspace
-from .spectral import PLAN_CACHE_SIZE, HVector, SpectralModel, Subspace, _Frozen, _kept, _readonly, _set, _span
+from .spectral import PLAN_CACHE_SIZE, HVector, SpectralModel, Subspace, _Frozen, _readonly, _set, _span
 
 # Gram matrix conditioning bound: smallest eigenvalue must exceed this
 # multiple of the largest for A to count as injective.
@@ -86,9 +86,9 @@ class DesignOperator(_Frozen):
 
 class DesignPlan:
     """Constants of a design that do not depend on the observation: the Gram
-    matrix (checked to be invertible), the range subspace, and the pullback
-    b and hypothesis subspace U0 for the last c and G0 asked.  Build plans
-    with `design_plan`.
+    matrix (checked to be invertible) and the range subspace.  The pullback b
+    and hypothesis subspace U0 of each c and G0 come from bounded caches keyed
+    by this plan.  Build plans with `design_plan`.
     """
 
     def __init__(self, A: DesignOperator):
@@ -100,14 +100,19 @@ class DesignPlan:
         self.range = _range_subspace(A.model, A.columns)
         self.model, self.columns = A.model, A.columns
 
-    def _pullback(self, c: np.ndarray) -> HVector:
-        return HVector(self.columns @ np.linalg.solve(self.gram, c))
-
-    def _hypothesis(self, g0_mat: np.ndarray) -> Subspace:
-        return _range_subspace(self.model, self.columns @ g0_mat)
-
 
 design_plan = lru_cache(maxsize=PLAN_CACHE_SIZE)(DesignPlan)
+
+
+# Keyed by the plan and a copy of the array's bytes: a caller's later writes cannot reach it.
+@lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _pullback(plan: DesignPlan, c: bytes) -> HVector:
+    return HVector(plan.columns @ np.linalg.solve(plan.gram, np.frombuffer(c)))
+
+
+@lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _hypothesis(plan: DesignPlan, shape: tuple, g0: bytes) -> Subspace:
+    return _range_subspace(plan.model, plan.columns @ np.frombuffer(g0).reshape(shape))
 
 
 def _range_subspace(model: SpectralModel, mat: np.ndarray) -> Subspace:
@@ -140,7 +145,7 @@ def pullback_functional(A: DesignOperator, c) -> HVector:
     c = np.asarray(c, dtype=float)
     if c.shape != (A.n_params,):
         raise ValueError(f"c must have shape ({A.n_params},)")
-    return _kept(A._plan, "_kept_b", (c.shape, c.tobytes()), DesignPlan._pullback, c)
+    return _pullback(A._plan, c.tobytes())
 
 
 def ci_beta_known(c, A: DesignOperator, y: HVector, sigma: float, alpha: float) -> Interval:
@@ -167,5 +172,4 @@ def test_beta(y: HVector, A: DesignOperator, G0_columns, alpha: float) -> TestRe
         raise ValueError(f"G0 vectors must have length {A.n_params}")
     if g0_mat.shape[1] >= A.n_params:
         raise ValueError("G0 must span a proper subspace of the parameter space")
-    U0 = _kept(A._plan, "_kept_U0", (g0_mat.shape, g0_mat.tobytes()), DesignPlan._hypothesis, g0_mat)
-    return test_subspace(y, A.model, A.range, U0, alpha)
+    return test_subspace(y, A.model, A.range, _hypothesis(A._plan, g0_mat.shape, g0_mat.tobytes()), alpha)

@@ -25,7 +25,6 @@ from .spectral import (
     SpectralModel,
     Subspace,
     _check_model_subspace,
-    _kept,
     _residual,
     default_use_tail,
     difference_subspace,
@@ -110,7 +109,7 @@ def transformed_norm_sq_moments(law: GaussianLaw, T_subspace: Subspace, use_tail
         use_tail = T_subspace.is_complement and default_use_tail(law.model)
     lam = law.model.eigenvalues
     s2 = law.sigma**2
-    proj_mean = project(law.mean, T_subspace).coeffs
+    proj_mean = project(law.mean.coeffs, T_subspace)
     mean = s2 * trace_q_on(law.model, T_subspace, use_tail=use_tail) + float(proj_mean @ proj_mean)
     eigs = restricted_eigenvalues(law.model, T_subspace)
     variance = 2.0 * s2 * s2 * float(eigs @ eigs) + 4.0 * s2 * float(lam @ (proj_mean * proj_mean))
@@ -212,15 +211,15 @@ class Plan:
         return float(eigs.max()), top_multiplicity(self.model, self._perp)
 
     def head(self, width: int):
-        """The plan of the keys cut to modes 1..width (index-set subspaces only), kept
-        for the last width asked, for a statistic that reads no later mode: it gives
-        the same values on a draw's head."""
-        if width == self.model.dim:
-            return self
-        return _kept(self, "_kept_head", width, Plan._cut, width)
+        """The plan of the keys cut to modes 1..width (index-set subspaces only), from
+        a bounded cache keyed by this plan and width, for a statistic that reads no
+        later mode: it gives the same values on a draw's head."""
+        return self if width == self.model.dim else _head(self, width)
 
-    def _cut(self, width: int):
-        return type(self)(*(cut(getattr(self, k), width) for k in self._KEYS))
+
+@lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _head(plan: Plan, width: int) -> Plan:
+    return type(plan)(*(cut(getattr(plan, k), width) for k in plan._KEYS))
 
 
 class NoisePlan(Plan):
@@ -265,7 +264,7 @@ class NoisePlan(Plan):
         coords = np.flatnonzero(diff.index_mask() & (lam > 0.0))
         if coords.size == 0:
             raise ValueError("Q vanishes on the difference of U and U0")
-        return coords, lam[coords], float(lam[coords].max())
+        return coords, lam[coords], sup_eig_on(self.model, diff)
 
     def leading_norm_sq(self, y: np.ndarray, sigma: float) -> np.ndarray:
         """||S(Y / sigma)||^2 per row, S the projection onto `leading`."""

@@ -44,19 +44,6 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _kept(owner, name: str, key, build, arg):
-    """build(owner, arg) for the last key asked under `name`, kept on `owner`
-    as that attribute; a build that raises keeps nothing.  The key must
-    compare by value: an array is keyed by its shape and a copy of its bytes,
-    so a caller mutating the array cannot make the kept value stale."""
-    kept = owner.__dict__.get(name)
-    if kept is not None and kept[0] == key:
-        return kept[1]
-    value = build(owner, arg)
-    setattr(owner, name, (key, value))
-    return value
-
-
 class _Frozen:
     """Immutable value object, usable as a cache key.  Attributes are set once,
     with _set in __init__.  The constructor arguments, _fields(), define

@@ -240,7 +240,7 @@ def test_c11_optimality():
     assert risk_violations == 0
 
 
-def test_c12_regression():
+def test_c12_regression(tmp_path):
     dim = 64
     model = wiener_model(dim)
     design = DesignOperator(
@@ -266,31 +266,50 @@ def test_c12_regression():
         width /= 20.0
     assert np.max(np.abs(center - beta_hat)) <= 1e-6
 
+    # The paper's reduction: with b = A Gram^-1 c, U = ran A and U0 = A(G0), the
+    # intervals for <c, beta> and the test of beta in G0 are the functional
+    # intervals and the subspace test, so the harness kinds run them.
     m = 100_000
     c = np.array([1.0, 0.0])
     truth = float(c @ beta)
     tol = 3.0 * np.sqrt(0.05 * 0.95 / m)
+    null_beta, g0 = np.array([2.0, 0.0]), [np.array([1.0, 0.0])]
+    U0 = Subspace.from_indices(dim, [4])  # A(G0) for this design
+    y = sample(GaussianLaw(model, design.apply(null_beta), 1.0), derive_stream(103, 0))
+    reduced = inference.test_subspace(y, model, design.range, U0, 0.05)
+    assert regression.test_beta(y, design, g0, 0.05).to_dict() == reduced.to_dict()
 
-    law = GaussianLaw(model, design.apply(beta), 1.0)
-    hits = sum(
-        ci_beta_known(c, design, sample(law, derive_stream(101, i)), 1.0, 0.05).covers(truth)
-        for i in range(m)
-    )
-    assert abs(hits / m - 0.95) <= tol
+    def harness_run(kind, seed, mean, subspace0=None):
+        config = ExperimentConfig(
+            kind=kind,
+            model=model,
+            subspace=design.range,
+            subspace0=subspace0,
+            zeta=design.apply(mean),
+            b=None if kind == "level" else regression.pullback_functional(design, c),
+            sigma=1.0,
+            alpha=0.05,
+            replicates=m,
+            master_seed=seed,
+        )
+        path = tmp_path / f"{kind}.csv"
+        report = run_experiment(config, stream_path=path)
+        # The scalar path gives each of the first replicates' outcomes.
+        head = np.loadtxt(path, delimiter=",", skiprows=1, max_rows=2_000)[:, 1]
+        law = GaussianLaw(model, design.apply(mean), 1.0)
+        return report.estimates, head.astype(bool), [sample(law, derive_stream(seed, i)) for i in range(head.size)]
 
-    hits = sum(
-        ci_beta_unknown(c, design, sample(law, derive_stream(102, i)), 0.05).covers(truth)
-        for i in range(m)
-    )
-    assert hits / m >= 0.95 - tol
+    estimates, covered, ys = harness_run("coverage_known", 101, beta)
+    assert [ci_beta_known(c, design, y, 1.0, 0.05).covers(truth) for y in ys] == covered.tolist()
+    assert abs(estimates["coverage"] - 0.95) <= tol
 
-    null_law = GaussianLaw(model, design.apply(np.array([2.0, 0.0])), 1.0)
-    g0 = [np.array([1.0, 0.0])]
-    rejects = sum(
-        regression.test_beta(sample(null_law, derive_stream(103, i)), design, g0, 0.05).reject
-        for i in range(m)
-    )
-    assert rejects / m <= 0.05 + tol
+    estimates, covered, ys = harness_run("coverage_unknown", 102, beta)
+    assert [ci_beta_unknown(c, design, y, 0.05).covers(truth) for y in ys] == covered.tolist()
+    assert estimates["coverage"] >= 0.95 - tol
+
+    estimates, rejects, ys = harness_run("level", 103, null_beta, U0)
+    assert [regression.test_beta(y, design, g0, 0.05).reject for y in ys] == rejects.tolist()
+    assert estimates["rejection_rate"] <= 0.05 + tol
 
 
 def test_c13_determinism():

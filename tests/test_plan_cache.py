@@ -23,6 +23,9 @@ FACTORIES = (
     inference._functional_plan,
     noise_plan,
     regression.design_plan,
+    sampling._head,
+    regression._pullback,
+    regression._hypothesis,
     wiener_model,
     bridge_model,
 )
@@ -240,6 +243,39 @@ def test_mutating_the_callers_keys_does_not_poison_the_plan(cold_caches):
     regression.design_plan.cache_clear()
     expected = design_outputs(DesignOperator(DEGENERATE, DEGENERATE_COLUMNS), c, g0, y)
     assert design_outputs(A, c, g0, y) == expected != first
+
+
+def test_heads_pullbacks_and_hypotheses_hit_once_built(cold_caches):
+    model = wiener_model(16)
+    plan = functional_plan(model, Subspace.from_indices(16, [4]), HVector.basis_vector(16, 4))
+    head = plan.head(5)
+    assert plan.head(5) is head and plan.head(16) is plan
+    A = DesignOperator(DEGENERATE, DEGENERATE_COLUMNS)
+    c, g0, y = np.array([0.5, -2.0, 1.0]), [np.array([1.0, 0.0, 0.0])], HVector(np.linspace(-1.0, 1.0, 8))
+    b = pullback_functional(A, c)
+    assert pullback_functional(A, c.copy()) is b
+    first = regression.test_beta(y, A, g0, 0.05)
+    assert regression.test_beta(y, A, [g0[0].copy()], 0.05) == first
+    for cache in (sampling._head, regression._pullback, regression._hypothesis):
+        info = cache.cache_info()
+        assert (info.currsize, info.misses, info.hits) == (1, 1, 1), cache
+
+
+def test_failing_head_pullback_and_hypothesis_are_not_cached(cold_caches):
+    plan = functional_plan(wiener_model(16), Subspace.from_indices(16, [4]), HVector.basis_vector(16, 4))
+    A = DesignOperator(DEGENERATE, DEGENERATE_COLUMNS)
+    y = HVector(np.linspace(-1.0, 1.0, 8))
+    dependent = [np.array([1.0, 0.0, 0.0]), np.array([2.0, 0.0, 0.0])]  # A(G0) has rank 1
+    for _ in range(2):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            plan.head(17)
+        with pytest.raises(ValueError):
+            regression._pullback(A._plan, np.zeros(2).tobytes())  # c of the wrong length
+        with pytest.raises(ValueError, match="rank deficient"):
+            regression.test_beta(y, A, dependent, 0.05)
+    for cache in (sampling._head, regression._pullback, regression._hypothesis):
+        info = cache.cache_info()
+        assert (info.currsize, info.misses, info.hits) == (0, 2, 0), cache
 
 
 def count_calls(monkeypatch, module, name):
