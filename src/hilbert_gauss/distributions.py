@@ -14,6 +14,7 @@ method for shapes above 1) divided by the rate, behind argument checks.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -31,7 +32,7 @@ def _check_prob(value: float, name: str) -> float:
 
 def _check_positive(value: float, name: str) -> float:
     value = float(value)
-    if not np.isfinite(value) or value <= 0.0:
+    if not math.isfinite(value) or value <= 0.0:
         raise ValueError(f"{name} must be a positive real, got {value}")
     return value
 

@@ -42,13 +42,10 @@ class DesignOperator(_Frozen):
     __slots__ = ("model", "columns", "_plan")
 
     def __init__(self, model: SpectralModel, columns):
-        cols = [c.coeffs if isinstance(c, HVector) else np.asarray(c, dtype=float) for c in columns]
-        if not cols:
+        mat = _column_matrix(columns, model.dim, "column")
+        if not mat.shape[1]:
             raise ValueError("design needs at least one column")
-        mat = np.column_stack(cols)
-        if mat.shape[0] != model.dim:
-            raise ValueError(f"columns have dim {mat.shape[0]}, model has {model.dim}")
-        if not np.all(np.isfinite(mat)):
+        if not np.isfinite(mat).all():
             raise ValueError("column entries must be finite")
         _set(self, "model", model)
         _set(self, "columns", _readonly(mat))
@@ -102,6 +99,19 @@ class DesignPlan:
 
 
 design_plan = lru_cache(maxsize=PLAN_CACHE_SIZE)(DesignPlan)
+
+
+def _column_matrix(columns, rows: int, what: str) -> np.ndarray:
+    """The C-ordered (rows, p) matrix of np.column_stack(columns), filled in
+    one pass.  A column that is not a 1-d vector of `rows` numbers is a
+    ValueError naming its index and shape."""
+    cols = [c.coeffs if isinstance(c, HVector) else np.asarray(c, dtype=float) for c in columns]
+    mat = np.empty((rows, len(cols)))
+    for j, col in enumerate(cols):
+        if col.shape != (rows,):
+            raise ValueError(f"{what} {j} has shape {col.shape}, expected ({rows},)")
+        mat[:, j] = col
+    return mat
 
 
 # Keyed by the plan and a copy of the array's bytes: a caller's later writes cannot reach it.
@@ -164,12 +174,9 @@ def test_beta(y: HVector, A: DesignOperator, G0_columns, alpha: float) -> TestRe
     G0_columns must span a proper nonzero subspace of the parameter space;
     the hypothesis subspace in H is spanned by the A-images of that basis.
     """
-    g0 = [np.asarray(g, dtype=float) for g in G0_columns]
-    if not g0:
+    g0 = _column_matrix(G0_columns, A.n_params, "G0 vector")
+    if not g0.shape[1]:
         raise ValueError("G0 needs at least one parameter vector")
-    g0_mat = np.column_stack(g0)
-    if g0_mat.shape[0] != A.n_params:
-        raise ValueError(f"G0 vectors must have length {A.n_params}")
-    if g0_mat.shape[1] >= A.n_params:
+    if g0.shape[1] >= A.n_params:
         raise ValueError("G0 must span a proper subspace of the parameter space")
-    return test_subspace(y, A.model, A.range, _hypothesis(A._plan, g0_mat.shape, g0_mat.tobytes()), alpha)
+    return test_subspace(y, A.model, A.range, _hypothesis(A._plan, g0.shape, g0.tobytes()), alpha)

@@ -301,7 +301,7 @@ class NoisePlan(Plan):
             pu = project(y, self.U)
             residual, shift = y - pu, pu - project(y, self.U0)
         denom = row_inner(residual, residual)
-        if np.any(denom <= 0.0):
+        if (denom <= 0.0).any():
             raise ZeroResidualError(
                 "observation has no component outside U; the test statistic is undefined"
             )

@@ -33,6 +33,11 @@ RANK_TOL = 1e-10
 # a 16384-double block 6 vs 12 us at 1 run, even at 8-16 runs, 28 vs 16 at
 # 32; an 8192-vector even at 8-12 runs, a 2048-vector at 3-4, a 256-vector at 1.
 _RUN_DOUBLES = 1024
+# A key hash reads at most this many evenly strided entries of each array,
+# plus where a larger array's nonzero entries are (_array_hash).  On two vCPUs
+# (numpy 2.4), hashing all the bytes of 256, 1024 and 8192 doubles takes 1.0,
+# 2.3 and 16 us; the sample and positions of 1024 and 8192 take 2.6 and 3.7.
+_HASH_SAMPLE = 256
 # Entries kept by each plan cache and by each built-in model cache: above the
 # 6 distinct keys per cache that the perfbench workloads use at most.  An
 # entry keeps its key arrays alive (a rank-r frame holds r * dim floats).
@@ -47,7 +52,8 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
 class _Frozen:
     """Immutable value object, usable as a cache key.  Attributes are set once,
     with _set in __init__.  The constructor arguments, _fields(), define
-    equality, the hash (computed on first use and kept) and pickling."""
+    equality (every array entry compared), the hash (computed on first use
+    and kept; an array contributes _array_hash) and pickling."""
 
     __slots__ = ("_hash",)
 
@@ -61,17 +67,19 @@ class _Frozen:
         if type(other) is not type(self):
             return NotImplemented
         for a, b in zip(self._fields(), other._fields()):
-            if a is not b and not (
-                np.array_equal(a, b) if isinstance(a, np.ndarray) or isinstance(b, np.ndarray) else a == b
-            ):
+            if a is b:
+                continue
+            if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+                if getattr(a, "shape", None) != getattr(b, "shape", None) or np.count_nonzero(a != b):
+                    return False
+            elif not a == b:
                 return False
         return True
 
     def __hash__(self):
         h = getattr(self, "_hash", None)
         if h is None:
-            # + 0.0 turns -0.0 into 0.0: equal arrays (np.array_equal) hash equal.
-            h = hash(tuple([(f + 0.0).tobytes() if isinstance(f, np.ndarray) else f for f in self._fields()]))
+            h = hash(tuple([_array_hash(f) if isinstance(f, np.ndarray) else f for f in self._fields()]))
             _set(self, "_hash", h)
         return h
 
@@ -81,6 +89,23 @@ class _Frozen:
 
 # Sets an attribute of a _Frozen object past its refusing __setattr__.
 _set = object.__setattr__
+
+
+def _array_hash(arr: np.ndarray):
+    """What a key hash reads of an array: all its bytes if it has at most
+    _HASH_SAMPLE entries.  A larger array gives _HASH_SAMPLE evenly strided
+    entries, and the position of its first nonzero entry and the count of
+    its nonzero entries, which tell apart the basis vectors the stride
+    misses.  Each is an exact function of the values that agrees across
+    signed zeros (+ 0.0 turns -0.0 into 0.0, and -0.0 == 0.0), so equal
+    arrays hash equal.  Key arrays are C-contiguous, so the ravel is a view.
+    (argmax on the read-only array itself would copy it first.)"""
+    if arr.size <= _HASH_SAMPLE:
+        return (arr + 0.0).tobytes()
+    flat = arr.ravel()
+    nonzero = flat != 0.0
+    sample = flat[:: -(-flat.size // _HASH_SAMPLE)] + 0.0
+    return sample.tobytes(), int(nonzero.argmax()), int(np.count_nonzero(nonzero))
 
 
 class SpectralModel(_Frozen):
@@ -376,8 +401,11 @@ def row_inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     Either argument may be a single (dim,) row, which is paired with every
     row of the other.  Each product is a 1 x dim by dim x 1 matrix product,
     which runs the same dot kernel as `u @ v` on two vectors, so a row gives
-    bit for bit the value a single-vector inner product gives.
+    bit for bit the value a single-vector inner product gives.  Two (dim,)
+    rows give that product, `a @ b`, directly.
     """
+    if a.ndim == b.ndim == 1:
+        return a @ b
     return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
 

@@ -121,11 +121,59 @@ def test_hash_is_computed_once_per_instance(name):
     assert CountingArray.calls == 1
 
 
+def signed_zero_pair(name, dim):
+    """Two keys of one class at `dim` modes, equal but for the signs of their zeros."""
+    if name == "model":
+        lam = 1.0 / np.arange(1.0, dim + 1.0)
+        lam[1::3] = 0.0
+        return SpectralModel(lam), SpectralModel(np.where(lam == 0.0, -0.0, lam))
+    if name == "vector":
+        coeffs = np.zeros(dim)
+        coeffs[dim // 2] = 1.5
+        return HVector(coeffs), HVector(np.where(coeffs == 0.0, -0.0, coeffs))
+    # Q = I, so every subspace is Q-invariant.
+    model = SpectralModel(np.ones(dim))
+    rows = np.zeros((2, dim))
+    rows[0, 1], rows[1, dim - 1] = 1.0, -1.0
+    flipped = np.where(rows == 0.0, -0.0, rows)
+    if name == "frame":
+        return Subspace.from_frame(model, rows), Subspace.from_frame(model, flipped)
+    return DesignOperator(model, list(rows)), DesignOperator(model, list(flipped))
+
+
 def test_signed_zeros_hash_equal():
-    a, b = HVector([0.0, 1.0]), HVector([-0.0, 1.0])
-    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
-    model = SpectralModel([1.0, 0.0, 0.5])
-    assert hash(model) == hash(SpectralModel([1.0, -0.0, 0.5]))
+    # Arrays of 4 entries hash all their bytes, of 8192 a sample and positions.
+    for name in ("model", "vector", "frame", "design"):
+        for dim in (4, 8192):
+            a, b = signed_zero_pair(name, dim)
+            assert a == b and hash(a) == hash(b) and len({a, b}) == 1, (name, dim)
+
+
+def test_basis_vectors_off_the_hash_stride_hash_apart():
+    # A key hash reads a strided sample of a large array; the position of the
+    # first nonzero entry tells apart the basis vectors between its strides.
+    hashes = {hash(HVector.basis_vector(8192, k)) for k in range(1, 65)}
+    assert len(hashes) == 64
+
+
+@pytest.mark.parametrize("dim", (1, 64, 8192))
+def test_design_columns_are_the_column_stack(dim):
+    # Q = I, so columns in any direction have a Q-invariant range.
+    model = SpectralModel(np.ones(dim))
+    rng = np.random.default_rng(dim)
+    p = min(dim, 3)
+    arrays = list(rng.standard_normal((p, dim)))
+    stacked = np.column_stack(arrays)
+    for columns in (
+        arrays,
+        [HVector(a) for a in arrays],
+        [a.tolist() for a in arrays],
+        [HVector(arrays[0]), *(a.tolist() for a in arrays[1:2]), *arrays[2:]],
+        np.array(arrays),
+    ):
+        cols = DesignOperator(model, columns).columns
+        assert cols.shape == stacked.shape and cols.tobytes() == stacked.tobytes()
+        assert cols.flags.c_contiguous and not cols.flags.writeable
 
 
 def test_factories_are_bounded():

@@ -62,6 +62,17 @@ def test_design_validation():
     bad[0] = np.nan
     with pytest.raises(ValueError):
         DesignOperator(m, [bad])
+    # Every column is a 1-d vector of model.dim numbers: a matrix is not
+    # split into columns, a (dim, 1) array is no column, and lengths differ
+    # by column, each named by its index and shape.
+    for columns, message in (
+        ([np.ones((8, 2))], r"column 0 has shape \(8, 2\)"),
+        ([np.ones(8)[:, None]], r"column 0 has shape \(8, 1\)"),
+        ([np.eye(8)[2], np.ones(7)], r"column 1 has shape \(7,\)"),
+        ([np.eye(8)[2], [1.0] * 9], r"column 1 has shape \(9,\)"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            DesignOperator(m, columns)
 
 
 def test_lse_noiseless_recovery():
