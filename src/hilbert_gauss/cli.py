@@ -191,7 +191,7 @@ def regress(model_spec, obs_path, design_path, c_spec, null_path, alpha, sigma, 
 @main.command()
 @click.option("--config", "config_path", required=True, help="Experiment config JSON.")
 @click.option("--seed", default=None, type=int, help="Override the config master seed.")
-@click.option("--workers", default=None, type=int, help="Override the config worker count.")
+@click.option("--workers", default=None, type=int, help="Override the config worker count: the most processes to start, one per chunk of at least half a full chunk; wide blocks start none and run on threads.")
 @click.option("--out", default="-", show_default=True)
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json", show_default=True)
 @click.option("--stream", "stream_path", default=None, help="Write per-replicate values to this CSV.")

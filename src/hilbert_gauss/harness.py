@@ -941,11 +941,13 @@ def run_experiment(config: ExperimentConfig, workers: int | None = None, stream_
     """Run one experiment and return its report.
 
     `workers` overrides the configured worker count, the most processes the
-    chunks run in: one per chunk up to that count, and none besides this one
-    for a single chunk.  Each process that runs chunks draws wide blocks on
-    its share of the usable CPUs.  The report is identical either way apart
-    from the runtime field.  `stream_path` optionally writes the per-replicate
-    arrays as CSV for external plotting; a kind with none is refused.
+    chunks run in.  Wide blocks (at most THREAD_ROWS rows) start no process:
+    every chunk runs here, on threads over all usable CPUs.  Narrow blocks
+    start one process per chunk of at least CHUNK_SIZE // 2 replicates, up to
+    that count, and none besides this one if only one chunk is that large.
+    The report is identical either way apart from the runtime field.
+    `stream_path` optionally writes the per-replicate arrays as CSV for
+    external plotting; a kind with none is refused.
     """
     start_time = time.perf_counter()
     # Building the kind validates the config before any replicate is drawn.
@@ -960,8 +962,11 @@ def run_experiment(config: ExperimentConfig, workers: int | None = None, stream_
         (start, min(CHUNK_SIZE, config.replicates - start))
         for start in range(0, config.replicates, CHUNK_SIZE)
     ]
-    # The CPUs are shared by the processes that run, not by the workers allowed.
-    processes = min(workers, len(chunks))
+    # Wide blocks run on threads here; a chunk under half the full work costs
+    # less than the process it would start.  The CPUs are shared by the
+    # processes that run, not by the workers allowed.
+    large = sum(count >= CHUNK_SIZE // 2 for _, count in chunks)
+    processes = 1 if block_rows(width) <= THREAD_ROWS else max(1, min(workers, large))
     threads = max(1, _usable_cpus() // processes)
     if processes == 1:
         partials = [_run_chunk(config, start, count, apply, width, threads) for start, count in chunks]
@@ -1001,8 +1006,8 @@ def run_experiment(config: ExperimentConfig, workers: int | None = None, stream_
 
 def _write_stream(path, arrays: dict) -> None:
     keys = sorted(arrays)
-    columns = [np.asarray(arrays[k], dtype=float) for k in keys]
+    # Whole columns to Python floats at once; repr gives each the digits of repr(float(value)).
+    columns = [map(repr, np.asarray(arrays[k], dtype=float).tolist()) for k in keys]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("replicate," + ",".join(keys) + "\n")
-        for i in range(columns[0].size):
-            fh.write(str(i) + "," + ",".join(repr(float(col[i])) for col in columns) + "\n")
+        fh.writelines(f"{i},{','.join(row)}\n" for i, row in enumerate(zip(*columns)))

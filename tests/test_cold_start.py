@@ -63,8 +63,8 @@ for args in (
     except SystemExit as exc:  # mc exits with its report's outcome
         assert exc.code == 0, args
 loaded["configs and cli"] = scipy_and_pool_modules()
-# Two chunks at two workers start a pool, and give the bytes of one worker.
-config = dataclasses.replace(hilbert_gauss.ExperimentConfig.load(mc), replicates=hilbert_gauss.harness.CHUNK_SIZE + 1)
+# Two full chunks of narrow blocks at two workers start a pool, and give the bytes of one worker.
+config = dataclasses.replace(hilbert_gauss.ExperimentConfig.load(mc), replicates=2 * hilbert_gauss.harness.CHUNK_SIZE)
 pooled = hilbert_gauss.run_experiment(config, workers=2).comparable_json()
 pool = modules("concurrent", "multiprocessing")
 same = pooled == hilbert_gauss.run_experiment(config, workers=1).comparable_json()

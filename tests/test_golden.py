@@ -179,8 +179,8 @@ def test_golden_report(kind):
 
 @pytest.mark.parametrize("name", WIDE)
 def test_wide_report_is_thread_invariant(monkeypatch, name):
-    # Blocks run on threads here: neither the thread count nor the worker
-    # processes (each with cpus // workers threads) change a byte.
+    # Blocks run on threads here, in this process whatever `workers` allows:
+    # neither the thread count nor the worker count changes a byte.
     # Three threads on fewer cores, switching often, would show a block taken
     # out of order or a slot reused too soon.
     want = load_fixture()["wide_" + name]

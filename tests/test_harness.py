@@ -313,6 +313,9 @@ def test_dry_run_is_the_only_pre_draw_guard(monkeypatch):
         run_experiment(smoke_config(kind="moments"), workers=2)
 
 
+WIDE_MOMENTS = {"kind": "moments", "model": {"basis_id": "wiener", "dim": 1024}}
+
+
 class RecordingPool:
     """A stand-in for ProcessPoolExecutor that runs each task in this process
     and records the worker count it was asked for."""
@@ -334,21 +337,31 @@ class RecordingPool:
         return done
 
 
-@pytest.mark.parametrize("replicates, started", ((400, []), (CHUNK_SIZE, []), (2 * CHUNK_SIZE + 17, [3])))
+@pytest.mark.parametrize(
+    "replicates, started",
+    (
+        (400, []),
+        (CHUNK_SIZE, []),
+        (2 * CHUNK_SIZE + 17, [2]),
+        (CHUNK_SIZE + 4, []),
+        (CHUNK_SIZE + CHUNK_SIZE // 2, [2]),
+        (CHUNK_SIZE + CHUNK_SIZE // 2 - 1, []),
+    ),
+)
 def test_workers_start_one_process_per_chunk_at_most(monkeypatch, replicates, started):
     monkeypatch.setattr(RecordingPool, "started", [])
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     config = smoke_config(replicates=replicates)
     report = run_experiment(config, workers=64)
-    # A single chunk runs in this process; more start min(workers, chunks) processes.
+    # Narrow blocks start min(workers, chunks of at least CHUNK_SIZE // 2)
+    # processes, and none when only one chunk is that large.
     assert RecordingPool.started == started
     assert report.comparable_json() == run_experiment(config).comparable_json()
 
 
-@pytest.mark.parametrize("replicates, threads", ((400, [4]), (2 * CHUNK_SIZE + 17, [2, 2, 2])))
-def test_processes_started_share_the_cpus(monkeypatch, replicates, threads):
-    # One chunk at workers=2 runs in this process on every CPU; three chunks
-    # start two processes, each with half of them.
+def record_threads(monkeypatch) -> list:
+    """The thread count handed to each chunk, with 4 usable CPUs and the
+    recording pool in place of processes."""
     handed = []
     run_chunk = harness._run_chunk
 
@@ -358,9 +371,46 @@ def test_processes_started_share_the_cpus(monkeypatch, replicates, threads):
 
     monkeypatch.setattr(harness, "_run_chunk", recording)
     monkeypatch.setattr(harness, "_usable_cpus", lambda: 4)
+    monkeypatch.setattr(RecordingPool, "started", [])
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    return handed
+
+
+def test_wide_blocks_start_no_process(monkeypatch):
+    # Blocks of at most THREAD_ROWS rows run on threads: every chunk runs in
+    # this process, on every usable CPU, whatever `workers` allows.
+    handed = record_threads(monkeypatch)
+    config = smoke_config(**WIDE_MOMENTS, replicates=2 * CHUNK_SIZE)
+    assert block_rows(config.model.dim) <= harness.THREAD_ROWS
+    run_experiment(config, workers=64)
+    assert RecordingPool.started == []
+    assert handed == [4, 4]
+
+
+@pytest.mark.parametrize("replicates, threads", ((400, [4]), (2 * CHUNK_SIZE + 17, [2, 2, 2])))
+def test_processes_started_share_the_cpus(monkeypatch, replicates, threads):
+    # One chunk at workers=2 runs in this process on every CPU; three chunks,
+    # two of them full, start two processes, each with half of them.
+    handed = record_threads(monkeypatch)
     run_experiment(smoke_config(replicates=replicates), workers=2)
     assert handed == threads
+
+
+@pytest.mark.parametrize("cpus", (2, 4))
+@pytest.mark.parametrize("overrides", ({}, WIDE_MOMENTS), ids=("narrow", "wide"))
+def test_workers_give_the_bytes_of_one(monkeypatch, overrides, cpus):
+    # Replicate counts that straddle chunk boundaries: a full chunk and a
+    # small one, a full chunk and a half one, two full chunks and a small one.
+    # At two CPUs a narrow run starts real processes; at four, the chunks run
+    # here through the recording stand-in.
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
+    if cpus == 4:
+        monkeypatch.setattr(RecordingPool, "started", [])
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    for replicates in (CHUNK_SIZE + 4, CHUNK_SIZE + CHUNK_SIZE // 2, 2 * CHUNK_SIZE + 17):
+        config = smoke_config(**overrides, replicates=replicates)
+        reports = [run_experiment(config, workers=workers).comparable_json() for workers in (1, 2, 3)]
+        assert reports[1:] == reports[:1] * 2
 
 
 def test_learning_curve_default_cutoffs():
@@ -440,6 +490,27 @@ def test_stream_csv(tmp_path):
     assert header[0] == "replicate"
     assert header[1:] == sorted(header[1:])
     assert len(lines) == 51
+
+
+def test_stream_csv_has_the_bytes_of_the_row_loop(tmp_path):
+    def row_loop(arrays):
+        keys = sorted(arrays)
+        columns = [np.asarray(arrays[k], dtype=float) for k in keys]
+        text = "replicate," + ",".join(keys) + "\n"
+        for i in range(columns[0].size):
+            text += str(i) + "," + ",".join(repr(float(col[i])) for col in columns) + "\n"
+        return text
+
+    rng = np.random.default_rng(3)
+    odd = [0.0, -0.0, 0.1, 1e16, -1e-300, 5e-324, np.inf, -np.inf, np.nan, 2.0**53 + 2]
+    arrays = {
+        "z": np.concatenate([odd, rng.standard_normal(200)]),
+        "covered": np.arange(210) % 3 == 0,
+        "m": np.arange(210) - 7,
+    }
+    path = tmp_path / "stream.csv"
+    harness._write_stream(path, arrays)
+    assert path.read_bytes() == row_loop(arrays).encode()
 
 
 def test_check_sidedness():
