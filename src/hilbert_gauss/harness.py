@@ -23,6 +23,7 @@ import time
 from contextlib import suppress
 from contextvars import copy_context
 from dataclasses import asdict, dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -31,7 +32,7 @@ from .distributions import _check_positive, _check_prob, gamma_cdf, ks_critical_
 from .inference import functional_plan
 from .processes import Grid, bridge_model, coeffs_from_trajectory, wiener_model
 from .sampling import GaussianLaw, noise_plan, norm_sq_moments
-from .spectral import HVector, SpectralModel, Subspace, default_use_tail, inner, project, row_inner
+from .spectral import PLAN_CACHE_SIZE, HVector, SpectralModel, Subspace, default_use_tail, inner, project, row_inner
 from .spectral import _integer
 
 # Replicates per work unit; chunk boundaries are fixed by the replicate
@@ -486,20 +487,21 @@ def _binomial_tolerance(alpha: float, m: int) -> float:
 
 
 class ReplicateStreams:
-    """The replicate streams of one master seed, drawn through a single
-    re-keyed generator.
+    """The replicate streams of one master seed, drawn through one Philox
+    generator per thread, re-keyed for every row.
 
-    Philox is counter-based: setting its key words to
+    Philox is counter-based (Salmon et al., SC 2011): setting its key words to
     [replicate, master_seed] with a zero counter and an empty buffer yields
     exactly the stream of derive_stream(master_seed, replicate), at a
-    fraction of the cost of a new generator.  The state is kept in plain
-    ints and lists, which the state setter reads faster than uint64 arrays.
+    fraction of the cost of a new generator.  An instance keeps only that
+    state, in plain ints and lists, which the state setter reads faster than
+    uint64 arrays; each row writes all of it, so no earlier stream leaks in.
     """
+
+    _threads = threading.local()  # each thread's Philox Generator
 
     def __init__(self, master_seed: int):
         master_seed = _check_u64(master_seed, "master_seed")
-        self._bitgen = np.random.Philox(key=master_seed << 64)
-        self._generator = np.random.Generator(self._bitgen)
         # A fresh state: zero counter, empty buffer, no cached 32-bit half.
         self._key = [0, master_seed]
         self._state = {"bit_generator": "Philox", "state": {"counter": [0] * 4, "key": self._key},
@@ -509,10 +511,14 @@ class ReplicateStreams:
         """Fill row j of `out` with the standard normals of stream
         replicates[j]; each row is the first out.shape[1] draws of its
         stream."""
+        generator = getattr(self._threads, "generator", None)
+        if generator is None:  # this thread's first draw
+            generator = self._threads.generator = np.random.Generator(np.random.Philox(key=0))
+        bitgen = generator.bit_generator
         for replicate, row in zip(replicates, out):
             self._key[0] = replicate
-            self._bitgen.state = self._state
-            self._generator.standard_normal(out=row)
+            bitgen.state = self._state
+            generator.standard_normal(out=row)
         return out
 
 
@@ -560,10 +566,11 @@ def _add_rows(total: np.ndarray, values: np.ndarray) -> None:
 # experiment kinds
 #
 # Each kind is one builder and one _KINDS line.  The builder checks what its
-# plans do not and returns (apply, aggregate, width): apply maps a block of
-# draws to per-replicate outputs, aggregate(report, arrays, sums) writes the
+# plans do not and returns (apply, aggregate, width, law): apply maps a block
+# of draws to per-replicate outputs, aggregate(report, arrays, sums) writes the
 # report's estimates, standard errors, targets and checks from the reduced
-# outputs, and width is the highest mode that apply reads.  Draws hold modes
+# outputs, width is the highest mode that apply reads, and law is the sampled
+# law, with the subspace its mean must lie in attached.  Draws hold modes
 # 1..width, the head of each stream, and a kind that reads few modes uses
 # plans cut to them (Plan.head).  The _KINDS line also names the summed
 # outputs.  _build runs apply once on an empty block before any draw: that
@@ -571,10 +578,14 @@ def _add_rows(total: np.ndarray, values: np.ndarray) -> None:
 # of the config, so the blocks' threads only read the plans.
 
 
-def _law(config: ExperimentConfig, attach: Subspace | None = None) -> GaussianLaw:
-    """The sampled law; attaching a subspace checks that the mean lies in it."""
-    zeta = config.zeta if config.zeta is not None else HVector.zero(config.model.dim)
-    return GaussianLaw(config.model, zeta, config.sigma, subspace=attach)
+def _law(config: ExperimentConfig, attach: Subspace | None) -> GaussianLaw:
+    """The sampled law, from a bounded cache keyed by value; attaching a subspace checks that the mean lies in it."""
+    return _cached_law(config.model, config.zeta, float(config.sigma), attach)
+
+
+@lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _cached_law(model, zeta, sigma, attach) -> GaussianLaw:  # a law that raises is not kept
+    return GaussianLaw(model, zeta if zeta is not None else HVector.zero(model.dim), sigma, subspace=attach)
 
 
 _NEEDS = {"subspace": "a subspace", "b": "a functional vector b"}
@@ -589,7 +600,8 @@ def _require(config: ExperimentConfig, *names: str) -> None:
 def _coverage(config):
     _require(config, "subspace", "b")
     U = config.subspace
-    truth = inner(config.b, _law(config, U).mean)
+    law = _law(config, U)
+    truth = inner(config.b, law.mean)
     # The known-sigma interval reads the modes of U alone; the other reads the residual.
     narrow = config.kind == "coverage_known" and U.kind == "indices" and not U.is_complement
     width = max(U.indices, default=1) if narrow else config.model.dim
@@ -610,14 +622,14 @@ def _coverage(config):
         tol = _binomial_tolerance(config.alpha, config.replicates)
         _record(report, "coverage", rate, se, 1.0 - config.alpha, "analytic", note, tol, sided)
 
-    return apply, aggregate, width
+    return apply, aggregate, width, law
 
 
 def _level(config):
     _require(config, "subspace")
     if config.subspace0 is None:
         raise ValueError("the level experiment needs the hypothesis subspace subspace0")
-    _law(config, config.subspace0)
+    law = _law(config, config.subspace0)
     plan = noise_plan(config.model, config.subspace, config.subspace0)
     threshold = plan.threshold(config.alpha)
 
@@ -627,13 +639,14 @@ def _level(config):
         note = "conservative test, level at most alpha"
         _record(report, "rejection_rate", rate, se, config.alpha, "analytic", note, tol, "upper")
 
-    return (lambda y: {"rejects": plan.statistic(y) >= threshold}), aggregate, config.model.dim
+    return (lambda y: {"rejects": plan.statistic(y) >= threshold}), aggregate, config.model.dim, law
 
 
 def _unbiasedness(config):
     _require(config, "subspace")
     U = config.subspace
-    zeta = _law(config, U).mean.coeffs
+    law = _law(config, U)
+    zeta = law.mean.coeffs
     plan = functional_plan(config.model, U, use_tail=config.use_tail)
     # P_U y is y on the modes of a plain index set and zero off them, so only
     # those are summed; any other U sums every mode.
@@ -658,10 +671,12 @@ def _unbiasedness(config):
         s2_mean, s2_se = _mean_se(arrays["s2"])
         _record(report, "s2_mean", s2_mean, s2_se, config.sigma**2, "analytic", "unbiased variance estimator")
 
-    return apply, aggregate, config.model.dim
+    return apply, aggregate, config.model.dim, law
 
 
 def _moments(config):
+    law = _law(config, None)
+
     def aggregate(report, arrays, sums):
         vals = arrays["norm_sq"]
         m = config.replicates
@@ -670,16 +685,16 @@ def _moments(config):
         var = float(np.sum(centered**2) / (m - 1)) if m > 1 else 0.0
         mu4 = float(np.mean(centered**4))
         var_se = float(np.sqrt(max(mu4 - var**2, 0.0) / m))
-        target_mean, target_var = norm_sq_moments(_law(config), use_tail=config.use_tail)
+        target_mean, target_var = norm_sq_moments(law, use_tail=config.use_tail)
         _record(report, "norm_sq_mean", mean, mean_se, target_mean, "closed-form", "trace plus squared mean norm")
         _record(report, "norm_sq_var", var, var_se, target_var, "closed-form", "weighted chi-square variance")
 
-    return (lambda y: {"norm_sq": row_inner(y, y)}), aggregate, config.model.dim
+    return (lambda y: {"norm_sq": row_inner(y, y)}), aggregate, config.model.dim, law
 
 
 def _independence(config):
     _require(config, "subspace", "b")
-    _law(config, config.subspace)
+    law = _law(config, config.subspace)
     plan = functional_plan(config.model, config.subspace, config.b, config.use_tail)
 
     def aggregate(report, arrays, sums):
@@ -694,13 +709,13 @@ def _independence(config):
         report.targets["correlation"] = _target(0.0, "analytic", "independence of the two estimators")
         report.checks.append(_check("correlation", abs(corr), 0.0, 3.0 / float(np.sqrt(m)), "upper"))
 
-    return (lambda y: {"functional": plan.functional(y), "s2": plan.variance(y)}), aggregate, config.model.dim
+    return (lambda y: {"functional": plan.functional(y), "s2": plan.variance(y)}), aggregate, config.model.dim, law
 
 
 def _noise_law(config):
     _require(config, "subspace")
     U, U0 = config.subspace, config.subspace0
-    _law(config, U)
+    law = _law(config, U)
     plan = noise_plan(config.model, U, U0)
     width = config.model.dim
     # The statistics read the leading complement eigenspace and U minus U0; the
@@ -727,12 +742,13 @@ def _noise_law(config):
             note = f"KS distance to Gamma({shape:g}, rate {rate:g})"
             _record(report, name, d, 0.0, 0.0, "closed-form", note, crit, "upper")
 
-    return apply, aggregate, width
+    return apply, aggregate, width, law
 
 
 def _risk(config):
     _require(config, "subspace")
-    zeta = _law(config, config.subspace).mean.coeffs
+    law = _law(config, config.subspace)
+    zeta = law.mean.coeffs
     if config.use_tail:
         # The variance-estimator risk formula is exact for the truncated
         # denominator only; a tail denominator would shift the target.
@@ -757,7 +773,7 @@ def _risk(config):
         report.targets["s2_risk_bound"] = _target(bound, "closed-form", "universal cap 2 sigma^4")
         report.checks.append(_check("s2_risk_bound", s2_risk, bound, 3.0 * s2_risk_se, "upper"))
 
-    return apply, aggregate, config.model.dim
+    return apply, aggregate, config.model.dim, law
 
 
 def _learning_curve(config):
@@ -766,7 +782,7 @@ def _learning_curve(config):
         raise ValueError("learning_curve needs a plain index-set subspace")
     if config.zeta is None:
         raise ValueError("learning_curve needs an explicit mean")
-    _law(config, config.subspace)
+    law = _law(config, config.subspace)
     indices = list(config.subspace.indices)
     size = len(indices)
     cutoffs = [int(c) for c in (config.cutoffs if config.cutoffs is not None else range(1, size + 1))]
@@ -799,7 +815,7 @@ def _learning_curve(config):
         for j, c in enumerate(cutoffs):
             _record(report, f"risk_cutoff_{c}", mean[j], se[j], targets[j], "closed-form", "partial-observation risk")
 
-    return apply, aggregate, max(indices, default=1)
+    return apply, aggregate, max(indices, default=1), law
 
 
 def _head_risks(config: ExperimentConfig, order: np.ndarray, cutoffs: list) -> list:
@@ -841,15 +857,15 @@ EXPERIMENT_KINDS = tuple(_KINDS)
 
 
 def _build(config: ExperimentConfig):
-    """The kind's (apply, aggregate, width), after a dry run of apply on an empty block."""
-    apply, aggregate, width = _KINDS[config.kind][0](config)
+    """The kind's (apply, aggregate, width, law), after a dry run of apply on an empty block."""
+    apply, aggregate, width, law = _KINDS[config.kind][0](config)
     apply(np.empty((0, width)))
-    return apply, aggregate, width
+    return apply, aggregate, width, law
 
 
-def _run_chunk(config: ExperimentConfig, start: int, count: int, apply=None, width=None, threads=1) -> dict:
-    """Replicates [start, start + count) through the kind's block evaluator
-    `apply` on draws of modes 1..width, which a pool worker, passing none, builds for itself.
+def _run_chunk(config: ExperimentConfig, start: int, count: int, built=None, threads=1) -> dict:
+    """Replicates [start, start + count) through `built`, the kind's (apply, aggregate, width, law):
+    apply on draws of modes 1..width of law.  A pool worker, passing none, builds its own.
 
     Blocks of at most THREAD_ROWS rows run on up to `threads` threads, each
     owning a stripe: thread t draws and evaluates blocks t, t + threads, ...
@@ -857,9 +873,7 @@ def _run_chunk(config: ExperimentConfig, start: int, count: int, apply=None, wid
     takes every block's outputs in block order, the others' from one short
     queue per helper, so sums and arrays are built as in the serial run."""
     summed = _KINDS[config.kind][1]
-    if apply is None:
-        apply, _, width = _build(config)
-    law = _law(config)
+    apply, _, width, law = _build(config) if built is None else built
     rows = block_rows(width)
     blocks = -(-count // rows)
     threads = min(threads, blocks) if rows <= THREAD_ROWS else 1
@@ -951,7 +965,8 @@ def run_experiment(config: ExperimentConfig, workers: int | None = None, stream_
     """
     start_time = time.perf_counter()
     # Building the kind validates the config before any replicate is drawn.
-    apply, aggregate, width = _build(config)
+    built = _build(config)
+    apply, aggregate, width, _ = built
     if stream_path is not None and set(apply(np.empty((0, width)))) <= set(_KINDS[config.kind][1]):
         raise ValueError(f"experiment {config.kind!r} has no per-replicate values to stream")
     workers = config.workers if workers is None else int(workers)
@@ -969,17 +984,19 @@ def run_experiment(config: ExperimentConfig, workers: int | None = None, stream_
     processes = 1 if block_rows(width) <= THREAD_ROWS else max(1, min(workers, large))
     threads = max(1, _usable_cpus() // processes)
     if processes == 1:
-        partials = [_run_chunk(config, start, count, apply, width, threads) for start, count in chunks]
+        partials = [_run_chunk(config, start, count, built, threads) for start, count in chunks]
     else:
         # Imported here: it loads multiprocessing, which a one-process run never needs.
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=processes) as pool:
-            futures = [pool.submit(_run_chunk, config, start, count, None, None, threads) for start, count in chunks]
+            futures = [pool.submit(_run_chunk, config, start, count, None, threads) for start, count in chunks]
             partials = [f.result() for f in futures]
 
     first, rest = partials[0], partials[1:]
-    arrays = {key: np.concatenate([p["arrays"][key] for p in partials]) for key in first["arrays"]}
+    arrays = first["arrays"]  # one chunk's arrays are the run's, not copied
+    if rest:
+        arrays = {key: np.concatenate([p["arrays"][key] for p in partials]) for key in arrays}
     # Chunk sums are added one after another, in chunk order.
     sums = {key: sum((p["sums"][key] for p in rest), first["sums"][key]) for key in first["sums"]}
 

@@ -25,6 +25,7 @@ from .spectral import (
     SpectralModel,
     Subspace,
     _check_model_subspace,
+    _count_near,
     _residual,
     default_use_tail,
     difference_subspace,
@@ -34,7 +35,6 @@ from .spectral import (
     row_inner,
     sup_eig_on,
     top_eigenspace,
-    top_multiplicity,
     trace_q_on,
 )
 
@@ -92,8 +92,11 @@ def norm_sq_moments(law: GaussianLaw, use_tail: bool | None = None):
     are the moments of ||P_S Y||^2 on the whole space S, the complement of
     no mode.
     """
-    whole = Subspace.from_indices(law.model.dim, ()).complement()
-    return transformed_norm_sq_moments(law, whole, default_use_tail(law.model, use_tail))
+    return transformed_norm_sq_moments(law, _whole(law.model.dim), default_use_tail(law.model, use_tail))
+
+
+# The whole space of `dim` modes, the complement of no mode, its mask built once per dim.
+_whole = lru_cache(maxsize=PLAN_CACHE_SIZE)(lambda dim: Subspace.from_indices(dim, ()).complement())
 
 
 def transformed_norm_sq_moments(law: GaussianLaw, T_subspace: Subspace, use_tail: bool | None = None):
@@ -204,11 +207,12 @@ class Plan:
     @cached_property
     def complement_top(self) -> tuple:
         """(lam, n), the top eigenvalue of Q on the truncated complement of U and its
-        multiplicity; a tail alone does not give them, so Q must not vanish there."""
+        multiplicity, from one spectrum; a tail alone does not give them, so Q must not vanish there."""
         eigs = restricted_eigenvalues(self.model, self._perp)
-        if eigs.size == 0 or eigs.max() <= 0.0:
+        top = float(eigs.max()) if eigs.size else 0.0
+        if top <= 0.0:
             raise ValueError("Q vanishes on the truncated complement of U")
-        return float(eigs.max()), top_multiplicity(self.model, self._perp)
+        return top, _count_near(eigs, top)
 
     def head(self, width: int):
         """The plan of the keys cut to modes 1..width (index-set subspaces only), from

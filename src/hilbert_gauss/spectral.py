@@ -532,7 +532,11 @@ def top_multiplicity(model: SpectralModel, S: Subspace, rel_tol: float = DEFAULT
     eigs = restricted_eigenvalues(model, S)
     if eigs.size == 0:
         raise ValueError("empty subspace has no top eigenvalue multiplicity")
-    top = float(eigs.max())
+    return _count_near(eigs, float(eigs.max()), rel_tol)
+
+
+def _count_near(eigs: np.ndarray, top: float, rel_tol: float = DEFAULT_REL_TOL) -> int:
+    """Number of eigenvalues within rel_tol of `top`, the largest."""
     return int(np.count_nonzero(np.abs(eigs - top) <= rel_tol * abs(top)))
 
 

@@ -440,7 +440,7 @@ def test_block_error_propagates_and_every_thread_ends(monkeypatch, on_caller):
     queue_full = threading.Event()
 
     def failing(config):
-        apply, aggregate, width = build(config)
+        apply, aggregate, width, law = build(config)
 
         def wrapped(y):
             if not y.shape[0]:  # the dry run on an empty block, before any thread starts
@@ -457,7 +457,7 @@ def test_block_error_propagates_and_every_thread_ends(monkeypatch, on_caller):
                     queue_full.set()
             return apply(y)
 
-        return wrapped, aggregate, width
+        return wrapped, aggregate, width, law
 
     monkeypatch.setitem(harness._KINDS, "moments", (failing, harness._KINDS["moments"][1]))
     monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
@@ -495,8 +495,8 @@ def applied(kind: str, subspace: str, readonly: bool = False):
               "complement": lambda: complement_config(kind)}[subspace]()
     inference._functional_plan.cache_clear()  # fresh plans: no constant left by an earlier run
     sampling.noise_plan.cache_clear()
-    apply, _, width = harness._build(config)
-    y = harness._law(config).from_normals(ReplicateStreams(3).standard_normal_rows(range(8), np.empty((8, width))))
+    apply, _, width, law = harness._build(config)
+    y = law.from_normals(ReplicateStreams(3).standard_normal_rows(range(8), np.empty((8, width))))
     y.flags.writeable = not readonly
 
     def attributes(plan):

@@ -1,6 +1,7 @@
 import concurrent.futures
 import json
 import re
+import threading
 
 import numpy as np
 import pytest
@@ -84,6 +85,43 @@ def test_replicate_streams_validation():
         ReplicateStreams(-1)
     with pytest.raises(ValueError):
         ReplicateStreams(2**64)
+
+
+def stream_rows(master_seed, replicates, dim):
+    return np.vstack([derive_stream(master_seed, r).standard_normal(dim) for r in replicates])
+
+
+def test_streams_of_two_seeds_interleave_in_one_thread():
+    # Both instances re-key this thread's one generator, block after block,
+    # at widths that leave its buffer at different positions.
+    a, b = ReplicateStreams(11), ReplicateStreams(2**64 - 1)
+    for lo in range(0, 12, 4):
+        for seed, streams, dim in ((11, a, 5), (2**64 - 1, b, 300)):
+            rows = streams.standard_normal_rows(range(lo, lo + 4), np.empty((4, dim)))
+            assert rows.tobytes() == stream_rows(seed, range(lo, lo + 4), dim).tobytes(), (seed, lo)
+
+
+def test_streams_built_on_one_thread_draw_on_another():
+    streams = ReplicateStreams(7)
+    streams.standard_normal_rows(range(3), np.empty((3, 9)))  # this thread's generator first
+    drawn = []
+
+    def draw():
+        drawn.append(streams.standard_normal_rows(STREAM_REPLICATES, np.empty((len(STREAM_REPLICATES), 9))))
+
+    worker = threading.Thread(target=draw)
+    worker.start()
+    worker.join(10.0)
+    assert not worker.is_alive() and len(drawn) == 1
+    assert drawn[0].tobytes() == stream_rows(7, STREAM_REPLICATES, 9).tobytes()
+
+
+def test_report_does_not_depend_on_the_run_before_it():
+    # The run between draws another seed at another width, on this thread and helpers.
+    config = smoke_config(replicates=300)
+    want = run_experiment(config).comparable_json()
+    run_experiment(smoke_config(**WIDE_MOMENTS, master_seed=99, replicates=37))
+    assert run_experiment(config).comparable_json() == want
 
 
 def test_block_rows():
@@ -301,7 +339,7 @@ def test_dry_run_is_the_only_pre_draw_guard(monkeypatch):
         def apply(y):
             raise ValueError("no block is accepted")
 
-        return apply, None, config.model.dim
+        return apply, None, config.model.dim, None
 
     def refuse(*args, **kwargs):
         raise AssertionError("validation must come before drawing or pooling")
@@ -365,9 +403,9 @@ def record_threads(monkeypatch) -> list:
     handed = []
     run_chunk = harness._run_chunk
 
-    def recording(config, start, count, apply=None, width=None, threads=1):
+    def recording(config, start, count, built=None, threads=1):
         handed.append(threads)
-        return run_chunk(config, start, count, apply, width, threads)
+        return run_chunk(config, start, count, built, threads)
 
     monkeypatch.setattr(harness, "_run_chunk", recording)
     monkeypatch.setattr(harness, "_usable_cpus", lambda: 4)

@@ -9,15 +9,22 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hilbert_gauss import distributions, inference, processes, regression, sampling
+from hilbert_gauss import distributions, harness, inference, processes, regression, sampling, spectral
 from hilbert_gauss.distributions import f_quantile, norm_quantile, t_quantile
 from hilbert_gauss.estimators import est_variance
-from hilbert_gauss.harness import ExperimentConfig, run_experiment
+from hilbert_gauss.harness import ExperimentConfig, _build, run_experiment
 from hilbert_gauss.inference import ci_known, ci_unknown, functional_plan
 from hilbert_gauss.processes import bridge_model, wiener_model
 from hilbert_gauss.regression import DesignOperator, ci_beta_known, ci_beta_unknown, pullback_functional
 from hilbert_gauss.sampling import noise_plan
-from hilbert_gauss.spectral import PLAN_CACHE_SIZE, HVector, SpectralModel, Subspace
+from hilbert_gauss.spectral import (
+    PLAN_CACHE_SIZE,
+    HVector,
+    SpectralModel,
+    Subspace,
+    restricted_eigenvalues,
+    top_multiplicity,
+)
 
 FACTORIES = (
     inference._functional_plan,
@@ -28,6 +35,8 @@ FACTORIES = (
     regression._hypothesis,
     wiener_model,
     bridge_model,
+    harness._cached_law,
+    sampling._whole,
 )
 QUANTILES = (norm_quantile, t_quantile, f_quantile)
 
@@ -457,3 +466,58 @@ def test_burst_of_distinct_frames_stays_bounded(cold_caches):
     # kept unbounded would hold 4 times as much.
     key_bytes = rank * dim * 8 + dim * 8
     assert PLAN_CACHE_SIZE * key_bytes <= used < PLAN_CACHE_SIZE * key_bytes * 1.25, used
+
+
+# A model with a double top eigenvalue 1.0 and a double 0.5, and a U of each kind.
+TOP_MODEL = SpectralModel([1.0, 1.0, 0.5, 0.5, 0.25], tail_trace=0.1)
+TOP_SUBSPACES = {
+    "indices": Subspace.from_indices(5, [5]),
+    "frame": Subspace.from_frame(TOP_MODEL, [[0.0, 0.0, 0.6, 0.8, 0.0]]),
+    "complement": Subspace.from_indices(5, [1, 2]).complement(),
+}
+
+
+@pytest.mark.parametrize("kind", TOP_SUBSPACES)
+def test_complement_top_reads_one_spectrum(monkeypatch, kind):
+    U = TOP_SUBSPACES[kind]
+    perp = U.complement()
+    old = (float(restricted_eigenvalues(TOP_MODEL, perp).max()), top_multiplicity(TOP_MODEL, perp))
+    calls = [count_calls(monkeypatch, module, "restricted_eigenvalues") for module in (sampling, spectral)]
+    assert sampling.NoisePlan(TOP_MODEL, U, None).complement_top == old  # a fresh plan, not the cached one
+    assert sum(map(len, calls)) == 1
+    assert old[1] == 2
+
+
+LAW_CONFIG = {"kind": "unbiasedness", "model": "wiener:64", "subspace": [4, 5], "zeta": "4:0.7", "replicates": 3}
+
+
+def test_rebuilt_config_gets_the_same_law(cold_caches, monkeypatch):
+    made = []
+    law = sampling.GaussianLaw
+    monkeypatch.setattr(harness, "GaussianLaw", lambda *args, **kwargs: made.append(args) or law(*args, **kwargs))
+    laws = [_build(ExperimentConfig.from_dict(LAW_CONFIG))[3] for _ in range(2)]
+    assert laws[0] is laws[1] and len(made) == 1
+    # The run's chunk scales with the builder's law; it builds none of its own.
+    run_experiment(ExperimentConfig.from_dict(LAW_CONFIG))
+    assert len(made) == 1 and harness._cached_law.cache_info().currsize == 1
+
+
+def test_mean_outside_u_raises_on_every_run(cold_caches):
+    config = ExperimentConfig.from_dict({**LAW_CONFIG, "zeta": "6:0.7"})
+    for _ in range(2):
+        with pytest.raises(ValueError, match="mean does not lie in the attached subspace"):
+            run_experiment(config)
+    assert harness._cached_law.cache_info().currsize == 0
+
+
+def test_law_cache_stays_bounded(cold_caches):
+    for k in range(3 * PLAN_CACHE_SIZE):
+        run_experiment(ExperimentConfig.from_dict({**LAW_CONFIG, "sigma": 1.0 + k}))
+        assert harness._cached_law.cache_info().currsize == min(k + 1, PLAN_CACHE_SIZE)
+
+
+def test_law_key_takes_sigma_as_a_float(cold_caches):
+    # A 0-d array sigma, which cannot key a cache itself, finds the law of its float.
+    for sigma in (np.array(1.3), 1.3):
+        run_experiment(ExperimentConfig(kind="moments", model=wiener_model(16), sigma=sigma, replicates=10))
+    assert harness._cached_law.cache_info().currsize == 1
