@@ -4,17 +4,22 @@ normal-over-root-Gamma and Gamma-over-Gamma ratios, and the
 Kolmogorov-Smirnov statistic with its critical value.
 
 Quantiles are the inverses in scipy.special (ndtri, stdtrit, fdtri,
-gammaincinv) and the Gamma CDF is its regularized lower incomplete gamma,
-imported on first call so that importing the package does not load scipy;
-non-integer degrees of freedom work everywhere.  The normal, t and F
-quantiles are cached by their arguments, so plans asking the same one share
-it.  The sampler is the generator's standard_gamma (Marsaglia and Tsang's
-method for shapes above 1) divided by the rate, behind argument checks.
+gammaincinv) and the Gamma CDF is its regularized lower incomplete gamma;
+non-integer degrees of freedom work everywhere.  These ufuncs load on first
+call from the compiled scipy.special._ufuncs alone (see _special): importing
+the package loads no scipy, and a quantile runs no scipy.special package
+init.  The normal, t and F quantiles are cached by their arguments, so plans
+asking the same one share it.  The sampler is the generator's standard_gamma
+(Marsaglia and Tsang's method for shapes above 1) divided by the rate, behind
+argument checks.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import sys
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -41,17 +46,50 @@ def _maybe_scalar(x, out):
     return float(out) if np.ndim(x) == 0 else out
 
 
+_UFUNCS = ("ndtri", "stdtrit", "fdtri", "gammainc", "gammaincinv")
+_special_lock = threading.Lock()
+
+
+@lru_cache(maxsize=1)
+def _special():
+    """The module the package calls the scipy.special ufuncs in _UFUNCS from.
+
+    scipy.special's package init loads about 280 modules (numpy.testing,
+    logging, socket, ...) to export these compiled ufuncs, so they are loaded
+    from the extension scipy.special._ufuncs alone.  For that one import,
+    under a lock and only while no scipy.special is loaded, an unexecuted
+    module of scipy.special's spec stands in for the package in sys.modules,
+    so that the extension's relative imports resolve; a finally removes it.
+    A later real `import scipy.special` exports the same ufunc objects.  A
+    scipy.special already loaded is used as it is; an ImportError or a
+    missing name falls back to importing scipy.special.  Another thread's
+    own `import scipy.special` that starts in the few milliseconds the
+    stand-in is in place gets the stand-in, which has no functions.
+    """
+    with _special_lock:
+        if "scipy.special" not in sys.modules:
+            sys.modules["scipy.special"] = importlib.util.module_from_spec(importlib.util.find_spec("scipy.special"))
+            try:
+                ufuncs = importlib.import_module("scipy.special._ufuncs")
+            except ImportError:
+                ufuncs = None
+            finally:
+                del sys.modules["scipy.special"]
+            if all(hasattr(ufuncs, name) for name in _UFUNCS):
+                return ufuncs
+    return importlib.import_module("scipy.special")
+
+
 # ---------------------------------------------------------------------------
 # CDF
 
 
 def gamma_cdf(x, alpha, beta):
     """Gamma CDF with shape alpha and rate beta (regularized lower gamma)."""
-    from scipy import special
     alpha = _check_positive(alpha, "alpha")
     beta = _check_positive(beta, "beta")
     x = np.asarray(x, dtype=float)
-    out = special.gammainc(alpha, beta * np.clip(x, 0.0, None))
+    out = _special().gammainc(alpha, beta * np.clip(x, 0.0, None))
     return _maybe_scalar(x, out)
 
 
@@ -62,37 +100,33 @@ def gamma_cdf(x, alpha, beta):
 @lru_cache(maxsize=PLAN_CACHE_SIZE)
 def norm_quantile(a: float) -> float:
     """Standard normal a-quantile, |CDF(result) - a| below 1e-12."""
-    from scipy import special
     a = _check_prob(a, "probability")
-    return float(special.ndtri(a))
+    return float(_special().ndtri(a))
 
 
 @lru_cache(maxsize=PLAN_CACHE_SIZE)
 def t_quantile(dof: float, a: float) -> float:
     """Student-t a-quantile for real dof >= 1, |CDF(result) - a| below 1e-10."""
-    from scipy import special
     dof = _check_positive(dof, "dof")
     a = _check_prob(a, "probability")
-    return float(special.stdtrit(dof, a))
+    return float(_special().stdtrit(dof, a))
 
 
 @lru_cache(maxsize=PLAN_CACHE_SIZE)
 def f_quantile(m: float, n: float, a: float) -> float:
     """Fisher F a-quantile for real dofs, |CDF(result) - a| below 1e-9."""
-    from scipy import special
     m = _check_positive(m, "m")
     n = _check_positive(n, "n")
     a = _check_prob(a, "probability")
-    return float(special.fdtri(m, n, a))
+    return float(_special().fdtri(m, n, a))
 
 
 def gamma_quantile(alpha: float, beta: float, a: float) -> float:
     """Gamma a-quantile with shape alpha and rate beta."""
-    from scipy import special
     alpha = _check_positive(alpha, "alpha")
     beta = _check_positive(beta, "beta")
     a = _check_prob(a, "probability")
-    return float(special.gammaincinv(alpha, a) / beta)
+    return float(_special().gammaincinv(alpha, a) / beta)
 
 
 # ---------------------------------------------------------------------------

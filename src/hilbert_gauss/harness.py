@@ -94,6 +94,11 @@ class ExperimentConfig:
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
         _check_u64(self.master_seed, "master_seed")
+        # Plain Python numbers, as from_dict gives: the config hashes and its report writes as JSON.
+        object.__setattr__(self, "sigma", float(self.sigma))
+        object.__setattr__(self, "alpha", float(self.alpha))
+        for name in ("replicates", "master_seed", "workers"):
+            object.__setattr__(self, name, _integer(getattr(self, name), f"{name} must be an integer"))
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":

@@ -1,4 +1,5 @@
 import concurrent.futures
+import dataclasses
 import json
 import re
 import threading
@@ -485,6 +486,37 @@ def test_config_load_roundtrip(tmp_path):
     assert cfg.kind == "moments"
     assert cfg.replicates == 250
     assert cfg.master_seed == 9
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    (
+        ("sigma", np.float32(1.3)),
+        ("sigma", np.array(1.3)),
+        ("sigma", 1),
+        ("alpha", np.float32(0.1)),
+        ("replicates", np.int64(10)),
+        ("master_seed", np.uint64(2**63 + 5)),
+        ("workers", np.int32(1)),
+    ),
+)
+def test_config_built_in_python_holds_python_numbers(field, value):
+    # As from_dict gives them: the config hashes and its report writes as JSON.
+    config = dataclasses.replace(smoke_config(replicates=10), **{field: value})
+    stored = getattr(config, field)
+    assert stored == value and type(stored) is (float if field in ("sigma", "alpha") else int)
+    hash(config)
+    data = json.loads(run_experiment(config).to_json())
+    if field in ("sigma", "alpha"):
+        assert data["config_summary"][field] == stored and type(data["config_summary"][field]) is float
+    else:
+        assert data.get(field, stored) == stored
+
+
+@pytest.mark.parametrize("field, value", (("replicates", 10.0), ("replicates", True), ("master_seed", 1.5), ("workers", True)))
+def test_config_counts_must_be_integers(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        dataclasses.replace(smoke_config(), **{field: value})
 
 
 def test_run_deterministic():
