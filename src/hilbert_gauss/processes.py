@@ -98,14 +98,20 @@ def _freq(basis_id: str, k):
 
 
 @functools.lru_cache(maxsize=1)
-def _basis_matrix(basis_id: str, dim: int, points: bytes) -> np.ndarray:
-    """Read-only (dim, grid points) matrix of e_k(t_j), keyed on the raw
-    grid bytes.  One entry is kept, so at most one basis stays alive;
-    repeated calls on one (model, grid) pair reuse it."""
+def _basis(basis_id: str, dim: int, points: bytes) -> tuple:
+    """Read-only (dim, grid points) matrix of e_k(t_j) and trapezoid weights,
+    keyed on the raw grid bytes.  One entry is kept, so at most one basis
+    stays alive; repeated calls on one (model, grid) pair reuse both."""
     k = np.arange(1, dim + 1, dtype=float)
     t = np.frombuffer(points, dtype=float)
+    # Trapezoid weights: half of each interval goes to both of its ends; a
+    # one-point grid has weight 0, so its coefficients are 0.
+    half = np.diff(t) / 2.0
+    weights = np.zeros(t.size)
+    weights[:-1] += half
+    weights[1:] += half
     # rows: modes, columns: grid points
-    return _readonly(np.sqrt(2.0) * np.sin(np.outer(_freq(basis_id, k), np.pi * t)))
+    return _readonly(np.sqrt(2.0) * np.sin(np.outer(_freq(basis_id, k), np.pi * t))), _readonly(weights)
 
 
 def eval_basis(model: SpectralModel, k: int, t):
@@ -127,7 +133,7 @@ def eval_vector(model: SpectralModel, y: HVector, grid: Grid) -> np.ndarray:
     _check_analytic(model)
     if y.dim != model.dim:
         raise ValueError(f"dimension mismatch: vector {y.dim} vs model {model.dim}")
-    return y.coeffs @ _basis_matrix(model.basis_id, model.dim, grid.points.tobytes())
+    return y.coeffs @ _basis(model.basis_id, model.dim, grid.points.tobytes())[0]
 
 
 def coeffs_from_trajectory(model: SpectralModel, grid: Grid, values) -> HVector:
@@ -136,19 +142,13 @@ def coeffs_from_trajectory(model: SpectralModel, grid: Grid, values) -> HVector:
     Trapezoidal quadrature of <y, e_k> over the grid.  This is the inverse
     of eval_vector up to quadrature error and is meant for round-tripping
     simulated trajectories, not for high-accuracy analysis.  The basis
-    matrix is built once per (basis, modes, grid) and reused.
+    matrix and weights are built once per (basis, modes, grid) and reused.
     """
     _check_analytic(model)
     vals = np.asarray(values, dtype=float)
     if vals.shape != grid.points.shape:
         raise ValueError("trajectory values must match the grid size")
-    # Trapezoid weights: half of each interval goes to both of its ends; a
-    # one-point grid has weight 0, so its coefficients are 0.
-    half = np.diff(grid.points) / 2.0
-    weights = np.zeros(grid.size)
-    weights[:-1] += half
-    weights[1:] += half
-    basis = _basis_matrix(model.basis_id, model.dim, grid.points.tobytes())
+    basis, weights = _basis(model.basis_id, model.dim, grid.points.tobytes())
     return HVector(basis @ (weights * vals))
 
 

@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from .inference import Interval, TestResult, ci_known, ci_unknown, test_subspace
-from .spectral import PLAN_CACHE_SIZE, HVector, SpectralModel, Subspace, _Frozen, _readonly, _set, _span
+from .spectral import PLAN_CACHE_SIZE, HVector, SpectralModel, Subspace, _all_finite, _Frozen, _readonly, _set, _span
 
 # Gram matrix conditioning bound: smallest eigenvalue must exceed this
 # multiple of the largest for A to count as injective.
@@ -45,7 +45,7 @@ class DesignOperator(_Frozen):
         mat = _column_matrix(columns, model.dim, "column")
         if not mat.shape[1]:
             raise ValueError("design needs at least one column")
-        if not np.isfinite(mat).all():
+        if not _all_finite(mat):
             raise ValueError("column entries must be finite")
         _set(self, "model", model)
         _set(self, "columns", _readonly(mat))
@@ -103,8 +103,10 @@ design_plan = lru_cache(maxsize=PLAN_CACHE_SIZE)(DesignPlan)
 
 def _column_matrix(columns, rows: int, what: str) -> np.ndarray:
     """The C-ordered (rows, p) matrix of np.column_stack(columns), filled in
-    one pass.  A column that is not a 1-d vector of `rows` numbers is a
-    ValueError naming its index and shape."""
+    one pass (one copy for a (p, rows) array).  A column that is not a 1-d
+    vector of `rows` numbers is a ValueError naming its index and shape."""
+    if isinstance(columns, np.ndarray) and columns.ndim == 2 and columns.shape[1] == rows:
+        return np.array(columns.T, dtype=float, order="C")
     cols = [c.coeffs if isinstance(c, HVector) else np.asarray(c, dtype=float) for c in columns]
     mat = np.empty((rows, len(cols)))
     for j, col in enumerate(cols):

@@ -26,6 +26,7 @@ from .spectral import (
     Subspace,
     _check_model_subspace,
     _count_near,
+    _rank_threshold,
     _residual,
     default_use_tail,
     difference_subspace,
@@ -261,11 +262,12 @@ class NoisePlan(Plan):
 
     @cached_property
     def whitening(self) -> tuple:
-        """(coordinates, eigenvalues, mu) of the nonzero spectrum on U minus U0."""
+        """(coordinates, eigenvalues, mu) of the spectrum on U minus U0 above the rank
+        threshold: the m coordinates that `rank_on` counts."""
         diff, lam = self.difference, self.model.eigenvalues
         if diff.kind != "indices":
             raise ValueError("whitening requires index-set subspaces")
-        coords = np.flatnonzero(diff.index_mask() & (lam > 0.0))
+        coords = np.flatnonzero(diff.index_mask() & (lam > _rank_threshold(self.model)))
         if coords.size == 0:
             raise ValueError("Q vanishes on the difference of U and U0")
         return coords, lam[coords], sup_eig_on(self.model, diff)

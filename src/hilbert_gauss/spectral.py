@@ -12,7 +12,9 @@ construction).
 
 from __future__ import annotations
 
+import math
 import operator
+from functools import lru_cache
 
 import numpy as np
 
@@ -52,10 +54,12 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
 class _Frozen:
     """Immutable value object, usable as a cache key.  Attributes are set once,
     with _set in __init__.  The constructor arguments, _fields(), define
-    equality (every array entry compared), the hash (computed on first use
-    and kept; an array contributes _array_hash) and pickling."""
+    equality, the hash and pickling.  The hash and its parts (the fields, each
+    array as _array_hash reads it) are computed on first use and kept.  Equal
+    keys have equal parts; with equal parts, arrays of more than _HASH_SAMPLE
+    entries are compared entry by entry, and smaller ones are equal."""
 
-    __slots__ = ("_hash",)
+    __slots__ = ("_hash", "_parts")
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable; cannot set {name!r}")
@@ -66,20 +70,19 @@ class _Frozen:
     def __eq__(self, other) -> bool:
         if type(other) is not type(self):
             return NotImplemented
+        if hash(self) != hash(other) or self._parts != other._parts:
+            return False
         for a, b in zip(self._fields(), other._fields()):
-            if a is b:
-                continue
-            if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-                if getattr(a, "shape", None) != getattr(b, "shape", None) or np.count_nonzero(a != b):
-                    return False
-            elif not a == b:
+            if isinstance(a, np.ndarray) and a.size > _HASH_SAMPLE and a is not b and np.count_nonzero(a != b):
                 return False
         return True
 
     def __hash__(self):
         h = getattr(self, "_hash", None)
         if h is None:
-            h = hash(tuple([_array_hash(f) if isinstance(f, np.ndarray) else f for f in self._fields()]))
+            parts = tuple([_array_hash(f) if isinstance(f, np.ndarray) else f for f in self._fields()])
+            h = hash(parts)
+            _set(self, "_parts", parts)
             _set(self, "_hash", h)
         return h
 
@@ -92,20 +95,20 @@ _set = object.__setattr__
 
 
 def _array_hash(arr: np.ndarray):
-    """What a key hash reads of an array: all its bytes if it has at most
-    _HASH_SAMPLE entries.  A larger array gives _HASH_SAMPLE evenly strided
-    entries, and the position of its first nonzero entry and the count of
-    its nonzero entries, which tell apart the basis vectors the stride
-    misses.  Each is an exact function of the values that agrees across
-    signed zeros (+ 0.0 turns -0.0 into 0.0, and -0.0 == 0.0), so equal
-    arrays hash equal.  Key arrays are C-contiguous, so the ravel is a view.
-    (argmax on the read-only array itself would copy it first.)"""
+    """What a key hash reads of an array: its shape, and all its bytes if it
+    has at most _HASH_SAMPLE entries.  A larger array gives _HASH_SAMPLE
+    evenly strided entries, and the position of its first nonzero entry and
+    the count of its nonzero entries, which tell apart the basis vectors the
+    stride misses.  Each is an exact function of the values that agrees
+    across signed zeros (+ 0.0 turns -0.0 into 0.0, and -0.0 == 0.0), so
+    equal arrays hash equal.  Key arrays are C-contiguous, so the ravel is a
+    view.  (argmax on the read-only array itself would copy it first.)"""
     if arr.size <= _HASH_SAMPLE:
-        return (arr + 0.0).tobytes()
+        return arr.shape, (arr + 0.0).tobytes()
     flat = arr.ravel()
     nonzero = flat != 0.0
     sample = flat[:: -(-flat.size // _HASH_SAMPLE)] + 0.0
-    return sample.tobytes(), int(nonzero.argmax()), int(np.count_nonzero(nonzero))
+    return arr.shape, sample.tobytes(), int(nonzero.argmax()), int(np.count_nonzero(nonzero))
 
 
 class SpectralModel(_Frozen):
@@ -176,7 +179,7 @@ class HVector(_Frozen):
         arr = np.array(coeffs, dtype=float)
         if arr.ndim != 1:
             raise ValueError("coefficients must be a 1-d sequence")
-        if not np.isfinite(arr).all():
+        if not _all_finite(arr):
             raise ValueError("coefficients must be finite")
         _set(self, "coeffs", _readonly(arr))
 
@@ -223,6 +226,12 @@ class HVector(_Frozen):
 
     def __repr__(self) -> str:
         return f"HVector(dim={self.dim})"
+
+
+def _all_finite(arr: np.ndarray) -> bool:
+    """Whether every entry is finite: a finite sum of squares (a BLAS dot, which
+    warns of no overflow) proves it; only a non-finite one checks each entry."""
+    return math.isfinite(np.vdot(arr, arr)) or bool(np.isfinite(arr).all())
 
 
 def _check_same_dim(u, v) -> None:
@@ -272,20 +281,14 @@ class Subspace(_Frozen):
         """Subspace spanned by the eigenvectors e_k, k in `indices` (1-based).
 
         Indices and dim must be integers (Python or numpy); floats and
-        bools are refused rather than truncated.
+        bools are refused rather than truncated.  A plain int dim and a list
+        or tuple of plain ints give an instance shared by equal lists in the
+        same order while among the last PLAN_CACHE_SIZE interned, so plan
+        caches find it by identity; a refused input is never interned.
         """
-        dim = _integer(dim, "subspace dim must be an integer")
-        if dim < 1:
-            raise ValueError("dim must be positive")
-        try:
-            idx = tuple(sorted(_integer(k, "subspace indices must be integers") for k in indices))
-        except TypeError:  # indices is not iterable
-            raise ValueError(f"subspace indices must be a list of integers, got {indices!r}") from None
-        if len(set(idx)) != len(idx):
-            raise ValueError("duplicate indices")
-        if idx and (idx[0] < 1 or idx[-1] > dim):
-            raise ValueError(f"indices must lie in 1..{dim}")
-        return cls(dim=dim, kind="indices", indices=idx)
+        if type(dim) is int and type(indices) in (list, tuple) and all(type(k) is int for k in indices):
+            return _interned_indices(dim, tuple(indices))
+        return _index_subspace(dim, indices)
 
     @classmethod
     def from_frame(cls, model: SpectralModel, vectors) -> "Subspace":
@@ -362,6 +365,25 @@ class Subspace(_Frozen):
         inner = f"indices={self.indices}" if self.kind == "indices" else f"frame_rank={self.frame.shape[0]}"
         tag = ", complement" if self.is_complement else ""
         return f"Subspace(dim={self.dim}, {inner}{tag})"
+
+
+def _index_subspace(dim, indices) -> Subspace:
+    dim = _integer(dim, "subspace dim must be an integer")
+    if dim < 1:
+        raise ValueError("dim must be positive")
+    try:
+        idx = tuple(sorted(_integer(k, "subspace indices must be integers") for k in indices))
+    except TypeError:  # indices is not iterable
+        raise ValueError(f"subspace indices must be a list of integers, got {indices!r}") from None
+    if len(set(idx)) != len(idx):
+        raise ValueError("duplicate indices")
+    if idx and (idx[0] < 1 or idx[-1] > dim):
+        raise ValueError(f"indices must lie in 1..{dim}")
+    return Subspace(dim=dim, kind="indices", indices=idx)
+
+
+# One index subspace per (dim, plain-int index tuple), for Subspace.from_indices.
+_interned_indices = lru_cache(maxsize=PLAN_CACHE_SIZE)(_index_subspace)
 
 
 def _check_q_invariance(model: SpectralModel, frame: np.ndarray) -> None:
@@ -541,17 +563,21 @@ def _count_near(eigs: np.ndarray, top: float, rel_tol: float = DEFAULT_REL_TOL) 
 
 
 def rank_on(model: SpectralModel, S: Subspace) -> int:
-    """Number of positive eigenvalues of P_S Q P_S: above zero on an index
-    set, above DEFAULT_REL_TOL times the largest lambda on a frame, whose
-    eigenvalues carry rounding.
+    """Number of positive eigenvalues of P_S Q P_S: those above the rank
+    threshold, DEFAULT_REL_TOL times the largest lambda, on an index set and
+    a frame alike, since a frame's eigenvalues carry rounding.
 
     Only finite-dimensional subspaces are supported; complements are
     rejected because their rank is not determined by the truncation.
     """
     if S.is_complement:
         raise ValueError("rank of Q on a complement subspace is unsupported")
-    tol = 0.0 if S.kind == "indices" else DEFAULT_REL_TOL * model.max_eigenvalue()
-    return int(np.count_nonzero(restricted_eigenvalues(model, S) > tol))
+    return int(np.count_nonzero(restricted_eigenvalues(model, S) > _rank_threshold(model)))
+
+
+def _rank_threshold(model: SpectralModel) -> float:
+    """The eigenvalue at or below which a direction counts as Q-null."""
+    return DEFAULT_REL_TOL * model.max_eigenvalue()
 
 
 def top_eigenspace(model: SpectralModel, S: Subspace, rel_tol: float = DEFAULT_REL_TOL) -> Subspace:

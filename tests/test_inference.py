@@ -206,6 +206,37 @@ def test_rank_of_a_frame_difference_skips_its_q_null_direction():
     assert res.threshold == f_quantile(1.0, 1.0, 0.95) == pytest.approx(161.4476, abs=1e-4)
 
 
+# lambda_2 = 1e-14 lies below the rank threshold, DEFAULT_REL_TOL times the largest lambda.
+TINY_MODEL = custom_model([1.0, 1e-14, 0.5, 0.25])
+
+
+def tiny_pair(form, modes, modes0):
+    if form == "indices":
+        return Subspace.from_indices(4, modes), Subspace.from_indices(4, modes0)
+    eye = np.eye(4)
+    return Subspace.from_frame(TINY_MODEL, eye[np.array(modes) - 1]), Subspace.from_frame(TINY_MODEL, eye[np.array(modes0) - 1])
+
+
+@pytest.mark.parametrize("form", ("indices", "frames"))
+def test_index_sets_and_frames_share_one_rank_rule(form):
+    y = HVector([0.3, -1.0, 2.0, 0.5])
+    # U minus U0 = {2} is Q-null in both forms.
+    u, u0 = tiny_pair(form, [1, 2], [1])
+    assert rank_on(TINY_MODEL, difference_subspace(TINY_MODEL, u, u0)) == 0
+    for _ in range(2):
+        with pytest.raises(ValueError, match="Q vanishes on the difference of U and U0"):
+            inference.test_subspace(y, TINY_MODEL, u, u0, 0.05)
+    # U minus U0 = {2, 3} has rank 1 in both forms, and the whitening reads that one mode.
+    u, u0 = tiny_pair(form, [1, 2, 3], [1])
+    assert rank_on(TINY_MODEL, difference_subspace(TINY_MODEL, u, u0)) == 1
+    res = inference.test_subspace(y, TINY_MODEL, u, u0, 0.05)
+    assert res.params["m"] == 1 and res.params["mu"] == 0.5
+    assert res.threshold == f_quantile(1.0, 1.0, 0.95)
+    if form == "indices":
+        coords, lam, mu = noise_plan(TINY_MODEL, u, u0).whitening
+        assert coords.tolist() == [2] and lam.tolist() == [0.5] and mu == 0.5
+
+
 def test_test_subspace_zero_residual():
     m = wiener_model(16)
     u = Subspace.from_indices(16, [4, 5, 6])

@@ -5,6 +5,7 @@ their arguments and shared by every plan."""
 import gc
 import pickle
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -37,6 +38,7 @@ FACTORIES = (
     bridge_model,
     harness._cached_law,
     sampling._whole,
+    spectral._interned_indices,
 )
 QUANTILES = (norm_quantile, t_quantile, f_quantile)
 
@@ -98,7 +100,7 @@ def test_pickle_round_trip(name):
     back = pickle.loads(pickle.dumps(obj))
     assert back == obj and hash(back) == hash(obj) and type(back) is type(obj)
     for name in slots(obj):
-        if name not in ("_hash", "_mask", "_plan"):
+        if name not in ("_hash", "_parts", "_mask", "_plan"):
             assert np.array_equal(getattr(back, name), getattr(obj, name))
     with pytest.raises(AttributeError):
         back.dim = 3
@@ -156,6 +158,7 @@ def test_signed_zeros_hash_equal():
         for dim in (4, 8192):
             a, b = signed_zero_pair(name, dim)
             assert a == b and hash(a) == hash(b) and len({a, b}) == 1, (name, dim)
+            assert {a: name}[b] == name and {b: name}[a] == name  # a probe compares the parts
 
 
 def test_basis_vectors_off_the_hash_stride_hash_apart():
@@ -163,6 +166,80 @@ def test_basis_vectors_off_the_hash_stride_hash_apart():
     # first nonzero entry tells apart the basis vectors between its strides.
     hashes = {hash(HVector.basis_vector(8192, k)) for k in range(1, 65)}
     assert len(hashes) == 64
+
+
+def test_large_keys_with_equal_hash_parts_compare_every_entry():
+    # e_1 + e_3 and e_1 + e_5 agree on the strided sample, the first nonzero
+    # position and the nonzero count, so they hash equal but are not equal.
+    dim = 8192
+    a, b = HVector(np.eye(1, dim, 0)[0] + np.eye(1, dim, 2)[0]), HVector(np.eye(1, dim, 0)[0] + np.eye(1, dim, 4)[0])
+    assert hash(a) == hash(b) and a != b and len({a, b}) == 2
+    assert a == HVector(a.coeffs.copy())
+
+
+NON_FINITE = ([np.nan], [np.inf], [-np.inf], [np.inf, -np.inf], [1.0, np.nan, 1e308], [1e308, 1e308, np.inf])
+
+
+@pytest.mark.parametrize("entries", NON_FINITE)
+def test_non_finite_entries_are_refused(entries):
+    with pytest.raises(ValueError, match="coefficients must be finite"):
+        HVector(entries)
+    with pytest.raises(ValueError, match="column entries must be finite"):
+        DesignOperator(SpectralModel(np.ones(len(entries))), [entries])
+
+
+def test_finite_entries_whose_sum_overflows_are_accepted():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for entries in ([1e308, 1e308], [-1e308, -1e308, 1.0], [1e200, 1e-300], []):
+            assert HVector(entries).coeffs.tolist() == entries
+        # Each column's squared norm is finite; their sum is not.
+        columns = [[1e154, 0.0], [0.0, 1e154]]
+        A = DesignOperator(SpectralModel([1.0, 0.5]), columns)
+        assert A.columns.T.tolist() == columns and A.range.indices == (1, 2)
+
+
+def test_equal_index_lists_share_one_instance(cold_caches):
+    U = Subspace.from_indices(16, [4, 5])
+    assert Subspace.from_indices(16, [4, 5]) is U and Subspace.from_indices(16, (4, 5)) is U
+    # Another order, numpy integers or a range give an equal subspace, built afresh.
+    for other in ([5, 4], [np.int64(4), 5], range(4, 6)):
+        assert Subspace.from_indices(16, other) == U and Subspace.from_indices(16, other) is not U
+    assert Subspace.from_indices(np.int64(16), [4, 5]) is not U
+    assert spectral._interned_indices.cache_info().currsize == 2  # (4, 5) and (5, 4)
+    # A plan finds a fresh index subspace by identity.
+    b = HVector.basis_vector(16, 4)
+    plan = functional_plan(wiener_model(16), U, b)
+    assert functional_plan(wiener_model(16), Subspace.from_indices(16, [4, 5]), b) is plan
+
+
+@pytest.mark.parametrize(
+    "dim, indices, message",
+    (
+        (16, [4.0], "must be integers"),
+        (16, [True], "must be integers"),
+        (16, [4, 4], "duplicate"),
+        (16, [0], "must lie in"),
+        (16, [17], "must lie in"),
+        (0, [1], "positive"),
+        (16.0, [1], "dim must be an integer"),
+        (True, [1], "dim must be an integer"),
+        (16, 4, "list of integers"),
+    ),
+)
+def test_refused_index_lists_are_not_interned(cold_caches, dim, indices, message):
+    for _ in range(2):
+        with pytest.raises(ValueError, match=message):
+            Subspace.from_indices(dim, indices)
+    assert spectral._interned_indices.cache_info().currsize == 0
+
+
+def test_interned_index_subspaces_stay_bounded(cold_caches):
+    first = Subspace.from_indices(64, [1])
+    for k in range(2, 3 * PLAN_CACHE_SIZE):
+        Subspace.from_indices(64, [k])
+    assert spectral._interned_indices.cache_info().currsize == PLAN_CACHE_SIZE
+    assert Subspace.from_indices(64, [1]) == first and Subspace.from_indices(64, [1]) is not first
 
 
 @pytest.mark.parametrize("dim", (1, 64, 8192))

@@ -4,7 +4,7 @@ from scipy.integrate import quad
 
 from hilbert_gauss.processes import (
     Grid,
-    _basis_matrix,
+    _basis,
     bridge_model,
     coeffs_from_trajectory,
     custom_model,
@@ -142,13 +142,29 @@ def test_trajectory_basis_cache_is_keyed_on_basis_modes_and_grid():
 def test_cached_basis_is_read_only_and_not_aliased():
     m = wiener_model(8)
     grid = Grid.uniform(20)
-    basis = _basis_matrix(m.basis_id, m.dim, grid.points.tobytes())
+    basis, weights = _basis(m.basis_id, m.dim, grid.points.tobytes())
     assert basis.shape == (8, 20) and not basis.flags.writeable
+    assert weights.shape == (20,) and not weights.flags.writeable
     with pytest.raises(ValueError):
         basis[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        weights[0] = 1.0
     y = coeffs_from_trajectory(m, grid, np.ones(grid.size))
-    assert not np.shares_memory(y.coeffs, basis)
-    assert _basis_matrix(m.basis_id, m.dim, grid.points.tobytes()) is basis
+    assert not np.shares_memory(y.coeffs, basis) and not np.shares_memory(y.coeffs, weights)
+    cached = _basis(m.basis_id, m.dim, grid.points.tobytes())
+    assert cached[0] is basis and cached[1] is weights
+
+
+@pytest.mark.parametrize("points", ([0.4], [0.0, 1.0], np.linspace(0.0, 1.0, 7), [0.05, 0.3, 0.31, 0.9]))
+def test_cached_trapezoid_weights_have_the_bits_of_the_interval_halves(points):
+    # Half of each interval added to both of its ends, bit for bit.
+    grid = Grid(points)
+    half = np.diff(grid.points) / 2.0
+    want = np.zeros(grid.size)
+    want[:-1] += half
+    want[1:] += half
+    got = _basis("wiener", 4, grid.points.tobytes())[1]
+    assert got.tobytes() == want.tobytes()
 
 
 def test_one_point_grid_gives_zero_coefficients():
