@@ -6,16 +6,12 @@ intervals, subspace tests, and a Monte Carlo verification harness.
 from .spectral import (
     HVector,
     SpectralModel,
+    Spectrum,
     Subspace,
     default_use_tail,
     difference_subspace,
     inner,
     project,
-    rank_on,
-    restricted_eigenvalues,
-    sup_eig_on,
-    top_eigenspace,
-    top_multiplicity,
     trace_q_on,
 )
 from .processes import (

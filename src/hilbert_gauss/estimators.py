@@ -21,11 +21,11 @@ from .inference import functional_plan
 from .spectral import (
     HVector,
     SpectralModel,
+    Spectrum,
     Subspace,
     _residual,
     inner,
     project,
-    restricted_eigenvalues,
     trace_q_on,
 )
 
@@ -75,14 +75,10 @@ def est_variance(y: HVector, model: SpectralModel, U: Subspace, use_tail: bool |
     return float(functional_plan(model, U, use_tail=use_tail).variance(y.coeffs))
 
 
-def risk_mean(model: SpectralModel, U: Subspace, sigma: float, use_tail: bool = False) -> float:
-    """Risk sigma^2 tr(Q P_U) of the mean estimator.
-
-    use_tail only matters when U is a complement variant; finite index sets
-    and frames never include the tail.
-    """
+def risk_mean(model: SpectralModel, U: Subspace, sigma: float) -> float:
+    """Risk sigma^2 tr(Q P_U) of the mean estimator, over the truncated modes."""
     sigma = _check_positive(sigma, "sigma")
-    return sigma * sigma * trace_q_on(model, U, use_tail=use_tail)
+    return sigma * sigma * trace_q_on(model, U)
 
 
 def risk_partial(model: SpectralModel, V: Subspace, zeta: HVector, sigma: float) -> RiskReport:
@@ -96,22 +92,14 @@ def risk_partial(model: SpectralModel, V: Subspace, zeta: HVector, sigma: float)
     return RiskReport.from_parts(bias=missed.norm(), variance=sigma * sigma * trace_q_on(model, V))
 
 
-def learning_gap(
-    model: SpectralModel,
-    U: Subspace,
-    zeta: HVector,
-    sigma: float,
-    cutoff: int,
-    use_tail: bool = False,
-) -> float:
+def learning_gap(model: SpectralModel, U: Subspace, zeta: HVector, sigma: float, cutoff: int) -> float:
     """Excess risk of observing only the first `cutoff` modes of U.
 
     For an index-set subspace with ordered indices k_1 < k_2 < ..., the gap
     between the truncated estimator and the full projection is
     sum over the skipped modes of (zeta_k^2 - sigma^2 lambda_k), computed
-    over the eigenpairs of Q restricted to U.  With use_tail set, the
-    analytic tail joins the skipped noise term, standing in for the part of
-    U beyond the truncation.  The gap tends to zero as the cutoff grows.
+    over the eigenpairs of Q restricted to U.  The gap tends to zero as the
+    cutoff grows.
     """
     if U.kind != "indices" or U.is_complement:
         raise ValueError("learning_gap is defined for plain index-set subspaces")
@@ -123,10 +111,7 @@ def learning_gap(
     skipped = np.array(U.indices[cutoff:], dtype=int) - 1
     lam = model.eigenvalues[skipped]
     z = zeta.coeffs[skipped]
-    gap = float(np.sum(z * z) - sigma * sigma * np.sum(lam))
-    if use_tail:
-        gap -= sigma * sigma * model.tail_trace
-    return gap
+    return float(np.sum(z * z) - sigma * sigma * np.sum(lam))
 
 
 def variance_est_risk(model: SpectralModel, U: Subspace, sigma: float) -> float:
@@ -137,7 +122,7 @@ def variance_est_risk(model: SpectralModel, U: Subspace, sigma: float) -> float:
     when the complement carries a single nonzero eigenvalue.
     """
     sigma = _check_positive(sigma, "sigma")
-    eigs = restricted_eigenvalues(model, U.complement())
+    eigs = Spectrum(model, U.complement()).eigenvalues
     l1 = float(eigs.sum())
     if l1 <= 0.0:
         raise ValueError("Q vanishes on the complement of U")

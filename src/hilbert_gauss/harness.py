@@ -99,6 +99,9 @@ class ExperimentConfig:
         object.__setattr__(self, "alpha", float(self.alpha))
         for name in ("replicates", "master_seed", "workers"):
             object.__setattr__(self, name, _integer(getattr(self, name), f"{name} must be an integer"))
+        if self.cutoffs is not None:
+            cutoffs = tuple(_integer(c, "cutoffs must be a list of integers") for c in self.cutoffs)
+            object.__setattr__(self, "cutoffs", cutoffs)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
@@ -178,24 +181,25 @@ def _is_int_list(value) -> bool:
     return value is None or (isinstance(value, (list, tuple)) and all(_is_int(v) for v in value))
 
 
-# The scalar config fields: field -> (accepts, what it must be, conversion).
+# The scalar config fields: field -> (accepts, what it must be).  The config's
+# __post_init__ normalises the values accepted.
 _SCALARS = {
-    "sigma": (_is_number, "a finite number", float),
-    "alpha": (_is_number, "a finite number", float),
-    "replicates": (_is_int, "an integer", int),
-    "master_seed": (_is_int, "an integer", int),
-    "use_tail": (_is_optional_bool, "true, false or null", lambda value: value),
-    "cutoffs": (_is_int_list, "a list of integers", lambda value: None if value is None else tuple(map(int, value))),
-    "workers": (_is_int, "an integer", int),
+    "sigma": (_is_number, "a finite number"),
+    "alpha": (_is_number, "a finite number"),
+    "replicates": (_is_int, "an integer"),
+    "master_seed": (_is_int, "an integer"),
+    "use_tail": (_is_optional_bool, "true, false or null"),
+    "cutoffs": (_is_int_list, "a list of integers"),
+    "workers": (_is_int, "an integer"),
 }
 
 
 def _scalar(key: str, value):
-    """The converted value of a scalar config field if it is accepted, else a ValueError."""
-    accepts, expected, convert = _SCALARS[key]
+    """The value of a scalar config field if it is accepted, else a ValueError."""
+    accepts, expected = _SCALARS[key]
     if not accepts(value):
         raise ValueError(f"config field {key!r} must be {expected}, got {value!r}")
-    return convert(value)
+    return value
 
 
 def _named(label: str, parse, spec, arg):
@@ -790,7 +794,7 @@ def _learning_curve(config):
     law = _law(config, config.subspace)
     indices = list(config.subspace.indices)
     size = len(indices)
-    cutoffs = [int(c) for c in (config.cutoffs if config.cutoffs is not None else range(1, size + 1))]
+    cutoffs = list(config.cutoffs if config.cutoffs is not None else range(1, size + 1))
     if not cutoffs:
         raise ValueError("learning_curve needs at least one cutoff")
     seen = set()

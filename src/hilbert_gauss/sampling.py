@@ -23,19 +23,14 @@ from .spectral import (
     PLAN_CACHE_SIZE,
     HVector,
     SpectralModel,
+    Spectrum,
     Subspace,
     _check_model_subspace,
-    _count_near,
-    _rank_threshold,
     _residual,
     default_use_tail,
     difference_subspace,
     project,
-    rank_on,
-    restricted_eigenvalues,
     row_inner,
-    sup_eig_on,
-    top_eigenspace,
     trace_q_on,
 )
 
@@ -115,7 +110,7 @@ def transformed_norm_sq_moments(law: GaussianLaw, T_subspace: Subspace, use_tail
     s2 = law.sigma**2
     proj_mean = project(law.mean.coeffs, T_subspace)
     mean = s2 * trace_q_on(law.model, T_subspace, use_tail=use_tail) + float(proj_mean @ proj_mean)
-    eigs = restricted_eigenvalues(law.model, T_subspace)
+    eigs = Spectrum(law.model, T_subspace).eigenvalues
     variance = 2.0 * s2 * s2 * float(eigs @ eigs) + 4.0 * s2 * float(lam @ (proj_mean * proj_mean))
     return mean, variance
 
@@ -206,14 +201,21 @@ class Plan:
         self._perp = self.U.complement()  # y - P_U y is one projection onto it (spectral._residual)
 
     @cached_property
+    def _complement(self) -> tuple:
+        """(top, multiplicity, 0-based modes near the top, None for a frame) of Q on the
+        truncated complement of U, from one spectrum."""
+        spectrum = Spectrum(self.model, self._perp)
+        near = spectrum.near_top()
+        return spectrum.top, int(np.count_nonzero(near)), None if spectrum.modes is None else spectrum.modes[near]
+
+    @property
     def complement_top(self) -> tuple:
         """(lam, n), the top eigenvalue of Q on the truncated complement of U and its
-        multiplicity, from one spectrum; a tail alone does not give them, so Q must not vanish there."""
-        eigs = restricted_eigenvalues(self.model, self._perp)
-        top = float(eigs.max()) if eigs.size else 0.0
+        multiplicity; a tail alone does not give them, so Q must not vanish there."""
+        top, n, _ = self._complement
         if top <= 0.0:
             raise ValueError("Q vanishes on the truncated complement of U")
-        return top, _count_near(eigs, top)
+        return top, n
 
     def head(self, width: int):
         """The plan of the keys cut to modes 1..width (index-set subspaces only), from
@@ -247,30 +249,42 @@ class NoisePlan(Plan):
         return difference_subspace(self.model, self.U, self.U0)
 
     @cached_property
+    def _difference(self) -> tuple:
+        """(m, mu, the 0-based modes of the m positive eigenvalues or None for a
+        frame) of Q on U minus U0, from one spectrum."""
+        spectrum = Spectrum(self.model, self.difference)
+        ranked = spectrum.ranked()
+        m = int(np.count_nonzero(ranked))
+        if m == 0:
+            raise ValueError("Q vanishes on the difference of U and U0")
+        return m, spectrum.top, None if spectrum.modes is None else spectrum.modes[ranked]
+
+    @cached_property
     def decomposition(self) -> NoiseDecomposition:
         lam, n = self.complement_top
         if self.U0 is None:
             return NoiseDecomposition(lam=lam, n=n)
-        m = rank_on(self.model, self.difference)
-        if m == 0:
-            raise ValueError("Q vanishes on the difference of U and U0")
-        return NoiseDecomposition(lam=lam, n=n, mu=sup_eig_on(self.model, self.difference), m=m)
+        m, mu, _ = self._difference
+        return NoiseDecomposition(lam=lam, n=n, mu=mu, m=m)
 
     @cached_property
     def leading(self) -> Subspace:
-        return top_eigenspace(self.model, self._perp)
+        """The index set of the modes at the top of Q on the complement of U."""
+        _, n, modes = self._complement
+        if modes is None:
+            raise ValueError("the leading eigenspace is defined for index-set subspaces only")
+        if n == 0:
+            raise ValueError("empty subspace has no top eigenspace")
+        return Subspace.from_indices(self.model.dim, (modes + 1).tolist())
 
     @cached_property
     def whitening(self) -> tuple:
         """(coordinates, eigenvalues, mu) of the spectrum on U minus U0 above the rank
-        threshold: the m coordinates that `rank_on` counts."""
-        diff, lam = self.difference, self.model.eigenvalues
-        if diff.kind != "indices":
+        threshold: the m coordinates of the decomposition."""
+        if self.difference.kind != "indices":
             raise ValueError("whitening requires index-set subspaces")
-        coords = np.flatnonzero(diff.index_mask() & (lam > _rank_threshold(self.model)))
-        if coords.size == 0:
-            raise ValueError("Q vanishes on the difference of U and U0")
-        return coords, lam[coords], sup_eig_on(self.model, diff)
+        _, mu, coords = self._difference
+        return coords, self.model.eigenvalues[coords], mu
 
     def leading_norm_sq(self, y: np.ndarray, sigma: float) -> np.ndarray:
         """||S(Y / sigma)||^2 per row, S the projection onto `leading`."""

@@ -18,7 +18,8 @@ from functools import lru_cache
 
 import numpy as np
 
-# Relative tolerance for deciding that two eigenvalues are equal.
+# Relative tolerance of Spectrum's rules: an eigenvalue this close to the top
+# one equals it, and one at or below this multiple of the largest lambda is 0.
 DEFAULT_REL_TOL = 1e-12
 # Frame orthonormality and Q-invariance tolerances from the construction
 # contract: Gram = identity to 1e-10, ||(I - P) Q P|| <= 1e-10 * max lambda.
@@ -479,37 +480,54 @@ def _frame_support(frame: np.ndarray) -> np.ndarray:
     return np.flatnonzero(np.abs(frame).max(axis=0) > 0.0)
 
 
-def restricted_eigenvalues(model: SpectralModel, S: Subspace) -> np.ndarray:
-    """Eigenvalues of P_S Q P_S restricted to S.
+class Spectrum:
+    """The spectrum of P_S Q P_S restricted to S, the one reader of it.
 
-    For an index set these are just the lambda_k, k in S.  For a frame the
+    `eigenvalues` are the lambda_k, k in S, in mode order for an index set,
+    and `modes` their 0-based modes (None for a frame).  For a frame the
     nonzero spectrum of P Q P equals the spectrum of the r x r matrix
     F Q F^T.  For the complement of a frame, coordinates outside the frame
     support contribute their diagonal entries directly; inside the support
     block the restriction is diagonalized on an orthonormal basis of the
-    frame's orthogonal complement, so the count of returned eigenvalues
-    always equals the truncated dimension of S.
+    frame's orthogonal complement, so the count of eigenvalues always equals
+    the truncated dimension of S.  `top` is the largest, 0.0 on an empty S.
+    Not cached: a plan keeps only the scalars and modes it reads.
     """
-    _check_model_subspace(model, S)
-    lam = model.eigenvalues
-    if S.kind == "indices":
-        return lam[S.index_mask()]
-    frame = S.frame
-    if not S.is_complement:
-        block = frame @ (lam[None, :] * frame).T
-        return np.linalg.eigvalsh(block)
-    support = _frame_support(frame)
-    outside = np.delete(lam, support)
-    if support.size == 0:
-        return outside
-    import scipy.linalg
-    fs = frame[:, support]
-    # Orthonormal basis of the orthogonal complement of the frame rows
-    # within the support block: the trailing singular directions.
-    u, _, _ = scipy.linalg.svd(fs.T, full_matrices=True)
-    basis = u[:, frame.shape[0]:]
-    block = basis.T @ (lam[support, None] * basis)
-    return np.concatenate([outside, np.linalg.eigvalsh(block)])
+
+    __slots__ = ("model", "eigenvalues", "modes", "top")
+
+    def __init__(self, model: SpectralModel, S: Subspace):
+        _check_model_subspace(model, S)
+        lam = model.eigenvalues
+        self.model = model
+        self.modes = np.flatnonzero(S.index_mask()) if S.kind == "indices" else None
+        if self.modes is not None:
+            eigs = lam[self.modes]
+        elif not S.is_complement:
+            eigs = np.linalg.eigvalsh(S.frame @ (lam[None, :] * S.frame).T)
+        else:
+            support = _frame_support(S.frame)
+            eigs = np.delete(lam, support)
+            if support.size:
+                import scipy.linalg
+                # Orthonormal basis of the orthogonal complement of the frame rows
+                # within the support block: the trailing singular directions.
+                u, _, _ = scipy.linalg.svd(S.frame[:, support].T, full_matrices=True)
+                basis = u[:, S.frame.shape[0]:]
+                block = basis.T @ (lam[support, None] * basis)
+                eigs = np.concatenate([eigs, np.linalg.eigvalsh(block)])
+        self.eigenvalues = eigs
+        self.top = float(eigs.max()) if eigs.size else 0.0
+
+    def near_top(self) -> np.ndarray:
+        """Mask of the eigenvalues within DEFAULT_REL_TOL times `top` of it."""
+        return np.abs(self.eigenvalues - self.top) <= DEFAULT_REL_TOL * abs(self.top)
+
+    def ranked(self) -> np.ndarray:
+        """Mask of the eigenvalues above DEFAULT_REL_TOL times the model's largest
+        lambda, the positive ones: a frame's carry rounding, so one rule counts
+        the rank on index sets and frames alike."""
+        return self.eigenvalues > DEFAULT_REL_TOL * self.model.max_eigenvalue()
 
 
 def trace_q_on(model: SpectralModel, S: Subspace, use_tail: bool = False) -> float:
@@ -534,65 +552,6 @@ def trace_q_on(model: SpectralModel, S: Subspace, use_tail: bool = False) -> flo
     if use_tail:
         total += model.tail_trace
     return total
-
-
-def sup_eig_on(model: SpectralModel, S: Subspace) -> float:
-    """Largest eigenvalue of P_S Q P_S.
-
-    The truncated spectrum decides the value; for the built-in decreasing
-    spectra the tail never attains the supremum, so the truncated value is
-    exact whenever the restricted set is nonempty.
-    """
-    eigs = restricted_eigenvalues(model, S)
-    if eigs.size == 0:
-        raise ValueError("empty subspace has no largest eigenvalue")
-    return float(eigs.max())
-
-
-def top_multiplicity(model: SpectralModel, S: Subspace, rel_tol: float = DEFAULT_REL_TOL) -> int:
-    """Number of restricted eigenvalues within rel_tol of the largest one."""
-    eigs = restricted_eigenvalues(model, S)
-    if eigs.size == 0:
-        raise ValueError("empty subspace has no top eigenvalue multiplicity")
-    return _count_near(eigs, float(eigs.max()), rel_tol)
-
-
-def _count_near(eigs: np.ndarray, top: float, rel_tol: float = DEFAULT_REL_TOL) -> int:
-    """Number of eigenvalues within rel_tol of `top`, the largest."""
-    return int(np.count_nonzero(np.abs(eigs - top) <= rel_tol * abs(top)))
-
-
-def rank_on(model: SpectralModel, S: Subspace) -> int:
-    """Number of positive eigenvalues of P_S Q P_S: those above the rank
-    threshold, DEFAULT_REL_TOL times the largest lambda, on an index set and
-    a frame alike, since a frame's eigenvalues carry rounding.
-
-    Only finite-dimensional subspaces are supported; complements are
-    rejected because their rank is not determined by the truncation.
-    """
-    if S.is_complement:
-        raise ValueError("rank of Q on a complement subspace is unsupported")
-    return int(np.count_nonzero(restricted_eigenvalues(model, S) > _rank_threshold(model)))
-
-
-def _rank_threshold(model: SpectralModel) -> float:
-    """The eigenvalue at or below which a direction counts as Q-null."""
-    return DEFAULT_REL_TOL * model.max_eigenvalue()
-
-
-def top_eigenspace(model: SpectralModel, S: Subspace, rel_tol: float = DEFAULT_REL_TOL) -> Subspace:
-    """Index-set subspace of the coordinates attaining the largest restricted
-    eigenvalue (index-set subspaces only)."""
-    if S.kind != "indices":
-        raise ValueError("top_eigenspace is defined for index-set subspaces only")
-    _check_model_subspace(model, S)
-    mask = S.index_mask()
-    lam = model.eigenvalues
-    if not mask.any():
-        raise ValueError("empty subspace has no top eigenspace")
-    top = lam[mask].max()
-    hit = mask & (np.abs(lam - top) <= rel_tol * abs(top))
-    return Subspace.from_indices(model.dim, (np.flatnonzero(hit) + 1).tolist())
 
 
 def _frame_rows(S: Subspace) -> np.ndarray:

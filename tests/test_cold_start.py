@@ -11,7 +11,7 @@ def first_calls():
 
     from hilbert_gauss.distributions import f_quantile, gamma_cdf, gamma_quantile, norm_quantile, t_quantile
     from hilbert_gauss.regression import DesignOperator
-    from hilbert_gauss.spectral import SpectralModel, Subspace, difference_subspace, restricted_eigenvalues
+    from hilbert_gauss.spectral import SpectralModel, Spectrum, Subspace, difference_subspace
 
     # Modes 2 and 3 share an eigenvalue, so rotated frames in them are Q-invariant.
     model = SpectralModel([1.0, 0.5, 0.5, 0.25])
@@ -25,7 +25,7 @@ def first_calls():
         gamma_quantile(2.5, 2.0, 0.7),
         gamma_cdf(1.3, 2.5, 2.0),
         difference_subspace(model, plane, diagonal).frame.tolist(),
-        restricted_eigenvalues(model, diagonal.complement()).tolist(),
+        Spectrum(model, diagonal.complement()).eigenvalues.tolist(),
         DesignOperator(model, [[0.0, 1.0, 1.0, 0.0], [0.0, 1.0, -1.0, 0.0]]).range.frame.tolist(),
     )
     return [repr(v) for v in values]

@@ -498,13 +498,18 @@ def test_config_load_roundtrip(tmp_path):
         ("replicates", np.int64(10)),
         ("master_seed", np.uint64(2**63 + 5)),
         ("workers", np.int32(1)),
+        ("cutoffs", [1, 2]),
+        ("cutoffs", (np.int64(1), 2)),
     ),
 )
 def test_config_built_in_python_holds_python_numbers(field, value):
     # As from_dict gives them: the config hashes and its report writes as JSON.
     config = dataclasses.replace(smoke_config(replicates=10), **{field: value})
     stored = getattr(config, field)
-    assert stored == value and type(stored) is (float if field in ("sigma", "alpha") else int)
+    if field == "cutoffs":  # a tuple of Python ints
+        assert stored == (1, 2) and type(stored) is tuple and all(type(c) is int for c in stored)
+    else:
+        assert stored == value and type(stored) is (float if field in ("sigma", "alpha") else int)
     hash(config)
     data = json.loads(run_experiment(config).to_json())
     if field in ("sigma", "alpha"):
@@ -513,9 +518,21 @@ def test_config_built_in_python_holds_python_numbers(field, value):
         assert data.get(field, stored) == stored
 
 
-@pytest.mark.parametrize("field, value", (("replicates", 10.0), ("replicates", True), ("master_seed", 1.5), ("workers", True)))
+@pytest.mark.parametrize(
+    "field, value",
+    (
+        ("replicates", 10.0),
+        ("replicates", True),
+        ("master_seed", 1.5),
+        ("workers", True),
+        ("cutoffs", (1.5, 2)),
+        ("cutoffs", (True, 2)),
+    ),
+)
 def test_config_counts_must_be_integers(field, value):
-    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+    # Refused, not truncated: int(1.5) and int(True) would run as cutoff 1.
+    message = "cutoffs must be a list of integers" if field == "cutoffs" else f"{field} must be an integer"
+    with pytest.raises(ValueError, match=message):
         dataclasses.replace(smoke_config(), **{field: value})
 
 

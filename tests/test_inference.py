@@ -15,7 +15,7 @@ from hilbert_gauss.inference import (
 )
 from hilbert_gauss.processes import custom_model, wiener_model
 from hilbert_gauss.sampling import noise_plan
-from hilbert_gauss.spectral import HVector, SpectralModel, Subspace, difference_subspace, project, rank_on
+from hilbert_gauss.spectral import HVector, SpectralModel, Spectrum, Subspace, difference_subspace, project
 
 WIENER_EIG_4 = 0.008271117032027573
 
@@ -199,7 +199,7 @@ def test_rank_of_a_frame_difference_skips_its_q_null_direction():
     c, t, s = np.cos(0.2), np.sin(0.2), 2.0**-0.5
     u = Subspace.from_frame(model, [[1, 0, 0, 0, 0], [0, c, s * t, s * t, 0], [0, -t, c * s, c * s, 0]])
     u0 = Subspace.from_indices(5, [1])
-    assert rank_on(model, difference_subspace(model, u, u0)) == 1
+    assert np.count_nonzero(Spectrum(model, difference_subspace(model, u, u0)).ranked()) == 1
     assert inference.test_params(model, u, u0)[3] == 1
     res = inference.test_subspace(HVector([0.3, -1.0, 2.0, 0.5, 0.7]), model, u, u0, alpha=0.05)
     assert res.params["m"] == 1
@@ -222,13 +222,13 @@ def test_index_sets_and_frames_share_one_rank_rule(form):
     y = HVector([0.3, -1.0, 2.0, 0.5])
     # U minus U0 = {2} is Q-null in both forms.
     u, u0 = tiny_pair(form, [1, 2], [1])
-    assert rank_on(TINY_MODEL, difference_subspace(TINY_MODEL, u, u0)) == 0
+    assert not Spectrum(TINY_MODEL, difference_subspace(TINY_MODEL, u, u0)).ranked().any()
     for _ in range(2):
         with pytest.raises(ValueError, match="Q vanishes on the difference of U and U0"):
             inference.test_subspace(y, TINY_MODEL, u, u0, 0.05)
     # U minus U0 = {2, 3} has rank 1 in both forms, and the whitening reads that one mode.
     u, u0 = tiny_pair(form, [1, 2, 3], [1])
-    assert rank_on(TINY_MODEL, difference_subspace(TINY_MODEL, u, u0)) == 1
+    assert np.count_nonzero(Spectrum(TINY_MODEL, difference_subspace(TINY_MODEL, u, u0)).ranked()) == 1
     res = inference.test_subspace(y, TINY_MODEL, u, u0, 0.05)
     assert res.params["m"] == 1 and res.params["mu"] == 0.5
     assert res.threshold == f_quantile(1.0, 1.0, 0.95)

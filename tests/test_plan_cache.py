@@ -22,9 +22,8 @@ from hilbert_gauss.spectral import (
     PLAN_CACHE_SIZE,
     HVector,
     SpectralModel,
+    Spectrum,
     Subspace,
-    restricted_eigenvalues,
-    top_multiplicity,
 )
 
 FACTORIES = (
@@ -492,6 +491,8 @@ def footprint_of(burst) -> int:
         gc.collect()
         return tracemalloc.get_traced_memory()[0]
 
+    # Loaded here, not by the burst's first quantile: the module stays loaded.
+    distributions._special()
     tracemalloc.start()
     try:
         start = allocated()
@@ -557,12 +558,42 @@ TOP_SUBSPACES = {
 @pytest.mark.parametrize("kind", TOP_SUBSPACES)
 def test_complement_top_reads_one_spectrum(monkeypatch, kind):
     U = TOP_SUBSPACES[kind]
-    perp = U.complement()
-    old = (float(restricted_eigenvalues(TOP_MODEL, perp).max()), top_multiplicity(TOP_MODEL, perp))
-    calls = [count_calls(monkeypatch, module, "restricted_eigenvalues") for module in (sampling, spectral)]
+    spectrum = Spectrum(TOP_MODEL, U.complement())
+    old = (spectrum.top, int(np.count_nonzero(spectrum.near_top())))
+    calls = [count_calls(monkeypatch, module, "Spectrum") for module in (sampling, spectral)]
     assert sampling.NoisePlan(TOP_MODEL, U, None).complement_top == old  # a fresh plan, not the cached one
     assert sum(map(len, calls)) == 1
     assert old[1] == 2
+
+
+# Pairs U0 in U of each form: modes {1, 4} or a line in the top eigenspace, beyond U0 = e_3.
+_C, _S = np.cos(0.3), np.sin(0.3)
+TOP_PAIRS = {
+    "indices": (Subspace.from_indices(5, [1, 3, 4]), Subspace.from_indices(5, [3])),
+    "frames": (
+        Subspace.from_frame(TOP_MODEL, [[_C, _S, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0, 0.0]]),
+        Subspace.from_frame(TOP_MODEL, [[0.0, 0.0, 1.0, 0.0, 0.0]]),
+    ),
+}
+
+
+@pytest.mark.parametrize("form", TOP_PAIRS)
+def test_noise_plan_miss_reads_one_spectrum_per_subspace(cold_caches, monkeypatch, form):
+    U, U0 = TOP_PAIRS[form]
+    y = HVector([0.3, -1.0, 2.0, 0.5, 0.7])
+    built = count_calls(monkeypatch, sampling, "Spectrum")
+    res = inference.test_subspace(y, TOP_MODEL, U, U0, 0.05)
+    plan = noise_plan(TOP_MODEL, U, U0)
+    for statistic in (plan.leading_norm_sq, plan.whitened_norm_sq):
+        if form == "indices":
+            assert statistic(y.coeffs, 1.0) > 0.0
+        else:
+            with pytest.raises(ValueError, match="index-set subspaces"):
+                statistic(y.coeffs, 1.0)
+    # The complement of U gives lam, n and the leading modes; U minus U0 gives m, mu and the whitening.
+    assert [S for _, S in built] == [U.complement(), plan.difference]
+    assert res.params["lam"] == pytest.approx(1.0) and res.params["mu"] == pytest.approx(1.0)
+    assert (res.params["n"], res.params["m"]) == (1, 2 if form == "indices" else 1)
 
 
 LAW_CONFIG = {"kind": "unbiasedness", "model": "wiener:64", "subspace": [4, 5], "zeta": "4:0.7", "replicates": 3}

@@ -14,18 +14,14 @@ from hilbert_gauss.sampling import noise_plan
 from hilbert_gauss.spectral import (
     HVector,
     SpectralModel,
+    Spectrum,
     Subspace,
     _residual,
     default_use_tail,
     difference_subspace,
     inner,
     project,
-    rank_on,
-    restricted_eigenvalues,
     row_inner,
-    sup_eig_on,
-    top_eigenspace,
-    top_multiplicity,
     trace_q_on,
 )
 
@@ -399,33 +395,38 @@ def test_one_pass_statistics_keep_the_two_pass_bits(name, rows):
 
 def test_restricted_eigenvalues_indices():
     m = small_model()
-    s = Subspace.from_indices(DIM, [1, 3])
-    assert np.allclose(sorted(restricted_eigenvalues(m, s)), [1.0 / 9.0, 1.0])
-    comp = restricted_eigenvalues(m, s.complement())
-    assert len(comp) == DIM - 2
-    assert 1.0 not in comp
+    s = Subspace.from_indices(DIM, [3, 1])
+    spec = Spectrum(m, s)
+    assert spec.eigenvalues.tolist() == [1.0, 1.0 / 9.0] and spec.modes.tolist() == [0, 2]
+    comp = Spectrum(m, s.complement())
+    assert len(comp.eigenvalues) == DIM - 2 and comp.modes.tolist() == [1] + list(range(3, DIM))
+    assert 1.0 not in comp.eigenvalues
+    assert np.array_equal(comp.eigenvalues, m.eigenvalues[comp.modes])
 
 
 def test_restricted_eigenvalues_frame_rotation():
     m = rotation_block_model()
     f = HVector(np.array([1.0, 1.0, 0, 0, 0]) / np.sqrt(2.0))
     s = Subspace.from_frame(m, [f])
-    assert np.allclose(restricted_eigenvalues(m, s), [2.0])
-    comp = np.sort(restricted_eigenvalues(m, s.complement()))
-    assert np.allclose(comp, [0.25, 0.5, 1.0, 2.0])
+    spec = Spectrum(m, s)
+    assert np.allclose(spec.eigenvalues, [2.0]) and spec.modes is None
+    comp = Spectrum(m, s.complement())
+    assert np.allclose(np.sort(comp.eigenvalues), [0.25, 0.5, 1.0, 2.0]) and comp.modes is None
+    assert comp.top == pytest.approx(2.0)
 
 
 def test_sup_and_multiplicity_and_rank():
     m = SpectralModel([3.0, 3.0, 3.0, 1.0, 0.0])
     s = Subspace.from_indices(5, [4, 5])
-    comp = s.complement()
-    assert sup_eig_on(m, comp) == 3.0
-    assert top_multiplicity(m, comp) == 3
-    assert rank_on(m, s) == 1  # eigenvalue 0 contributes no rank
-    with pytest.raises(ValueError):
-        rank_on(m, comp)
-    top = top_eigenspace(m, comp)
-    assert top.indices == (1, 2, 3)
+    comp = Spectrum(m, s.complement())
+    assert comp.top == 3.0
+    assert np.count_nonzero(comp.near_top()) == 3
+    assert comp.modes[comp.near_top()].tolist() == [0, 1, 2]
+    assert Spectrum(m, s).ranked().tolist() == [True, False]  # eigenvalue 0 contributes no rank
+    empty = Spectrum(m, Subspace.from_indices(5, range(1, 6)).complement())
+    assert empty.top == 0.0 and empty.eigenvalues.size == 0 and not empty.near_top().any()
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        Spectrum(m, Subspace.from_indices(4, [1]))
 
 
 def test_trace_q_on_tail_rules():
