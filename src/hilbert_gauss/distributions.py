@@ -25,19 +25,21 @@ from functools import lru_cache
 
 import numpy as np
 
-from .spectral import PLAN_CACHE_SIZE
+from .spectral import PLAN_CACHE_SIZE, _real
 
 
 def _check_prob(value: float, name: str) -> float:
-    value = float(value)
+    if type(value) is not float:  # a plain float needs only the range check
+        value = _real(value, name)
     if not 0.0 < value < 1.0:
         raise ValueError(f"{name} must lie strictly between 0 and 1, got {value}")
     return value
 
 
 def _check_positive(value: float, name: str) -> float:
-    value = float(value)
-    if not math.isfinite(value) or value <= 0.0:
+    if type(value) is not float:  # a plain float needs only the range check
+        value = _real(value, name)
+    if not 0.0 < value < math.inf:
         raise ValueError(f"{name} must be a positive real, got {value}")
     return value
 

@@ -23,6 +23,7 @@ from .spectral import (
     SpectralModel,
     Spectrum,
     Subspace,
+    _integer,
     _residual,
     inner,
     project,
@@ -103,6 +104,7 @@ def learning_gap(model: SpectralModel, U: Subspace, zeta: HVector, sigma: float,
     """
     if U.kind != "indices" or U.is_complement:
         raise ValueError("learning_gap is defined for plain index-set subspaces")
+    cutoff = _integer(cutoff, "cutoff must be an integer")
     if not 0 <= cutoff <= len(U.indices):
         raise ValueError(f"cutoff must lie in 0..{len(U.indices)}")
     sigma = _check_positive(sigma, "sigma")

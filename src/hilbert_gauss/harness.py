@@ -13,16 +13,14 @@ field.
 from __future__ import annotations
 
 import json
-import numbers
 import os
 import queue
 import re
-import sys
 import threading
 import time
 from contextlib import suppress
 from contextvars import copy_context
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from functools import lru_cache
 
 import numpy as np
@@ -33,7 +31,7 @@ from .inference import functional_plan
 from .processes import Grid, bridge_model, coeffs_from_trajectory, wiener_model
 from .sampling import GaussianLaw, noise_plan, norm_sq_moments
 from .spectral import PLAN_CACHE_SIZE, HVector, SpectralModel, Subspace, default_use_tail, inner, project, row_inner
-from .spectral import _integer
+from .spectral import _integer, _is_number, _real
 
 # Replicates per work unit; chunk boundaries are fixed by the replicate
 # count alone so serial and concurrent runs reduce identically.
@@ -56,7 +54,7 @@ def derive_stream(master_seed: int, replicate: int) -> np.random.Generator:
 
 
 def _check_u64(value, what: str) -> int:
-    value = int(value)
+    value = _integer(value, f"{what} must be an integer")
     if not 0 <= value < 2**64:
         raise ValueError(f"{what} must fit in an unsigned 64-bit integer")
     return value
@@ -85,23 +83,12 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self):
+        # One rule per scalar field, JSON or Python; a plain value is stored, so the config hashes and writes as JSON.
         if self.kind not in EXPERIMENT_KINDS:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
-        if self.replicates < 1:
-            raise ValueError("replicates must be at least 1")
-        _check_prob(self.alpha, "alpha")
-        _check_positive(self.sigma, "sigma")
-        if self.workers < 1:
-            raise ValueError("workers must be at least 1")
-        _check_u64(self.master_seed, "master_seed")
-        # Plain Python numbers, as from_dict gives: the config hashes and its report writes as JSON.
-        object.__setattr__(self, "sigma", float(self.sigma))
-        object.__setattr__(self, "alpha", float(self.alpha))
-        for name in ("replicates", "master_seed", "workers"):
-            object.__setattr__(self, name, _integer(getattr(self, name), f"{name} must be an integer"))
-        if self.cutoffs is not None:
-            cutoffs = tuple(_integer(c, "cutoffs must be a list of integers") for c in self.cutoffs)
-            object.__setattr__(self, "cutoffs", cutoffs)
+        for name, rule in _FIELD_RULES.items():
+            object.__setattr__(self, name, _named(f"config field {name!r}", rule, getattr(self, name), name))
+        _named("config field 'use_tail'", default_use_tail, self.model, self.use_tail)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
@@ -120,9 +107,8 @@ class ExperimentConfig:
         subspace0 = spec("subspace0", _parse_subspace, model)
         zeta = spec("zeta", _parse_vector, model.dim)
         b = spec("b", _parse_vector, model.dim)
-        _check_fields(data, _SCALARS, "config")
-        scalars = {key: _scalar(key, data[key]) for key in _SCALARS if key in data}  # absent: the dataclass default
-        return cls(kind=kind, model=model, subspace=subspace, subspace0=subspace0, zeta=zeta, b=b, **scalars)
+        _check_fields(data, [f.name for f in fields(cls)], "config")  # the parsed fields are popped
+        return cls(kind=kind, model=model, subspace=subspace, subspace0=subspace0, zeta=zeta, b=b, **data)
 
     @classmethod
     def load(cls, path) -> "ExperimentConfig":
@@ -158,48 +144,33 @@ def _check_fields(data: dict, allowed, what: str) -> None:
         raise ValueError(f"unknown {what} fields: {sorted(unknown, key=str)}")
 
 
-def _is_number(value) -> bool:
-    """A number that fits a finite double; bools (an int subclass) are refused."""
-    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-    return real and abs(value) <= sys.float_info.max
-
-
 def _is_number_list(value) -> bool:
     return isinstance(value, (list, tuple)) and all(_is_number(v) for v in value)
 
 
-def _is_int(value) -> bool:
-    """A JSON integer: floats are refused, not truncated, and so is bool (an int subclass)."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-def _is_optional_bool(value) -> bool:
-    return value is None or isinstance(value, bool)
-
-
-def _is_int_list(value) -> bool:
-    return value is None or (isinstance(value, (list, tuple)) and all(_is_int(v) for v in value))
-
-
-# The scalar config fields: field -> (accepts, what it must be).  The config's
-# __post_init__ normalises the values accepted.
-_SCALARS = {
-    "sigma": (_is_number, "a finite number"),
-    "alpha": (_is_number, "a finite number"),
-    "replicates": (_is_int, "an integer"),
-    "master_seed": (_is_int, "an integer"),
-    "use_tail": (_is_optional_bool, "true, false or null"),
-    "cutoffs": (_is_int_list, "a list of integers"),
-    "workers": (_is_int, "an integer"),
-}
-
-
-def _scalar(key: str, value):
-    """The value of a scalar config field if it is accepted, else a ValueError."""
-    accepts, expected = _SCALARS[key]
-    if not accepts(value):
-        raise ValueError(f"config field {key!r} must be {expected}, got {value!r}")
+def _count(value, name: str) -> int:
+    value = _integer(value, f"{name} must be an integer")
+    if value < 1:
+        raise ValueError(f"{name} must be at least 1")
     return value
+
+
+def _cutoffs(value, name: str) -> tuple | None:
+    if value is not None and not isinstance(value, (list, tuple)):
+        raise ValueError(f"cutoffs must be a list of integers, got {value!r}")
+    return None if value is None else tuple(_integer(c, "cutoffs must be a list of integers") for c in value)
+
+
+# The rule of each scalar config field but use_tail, which default_use_tail checks:
+# rule(value, name) is the value as the config stores it, or a ValueError.
+_FIELD_RULES = {
+    "sigma": _check_positive,
+    "alpha": _check_prob,
+    "replicates": _count,
+    "master_seed": _check_u64,
+    "cutoffs": _cutoffs,
+    "workers": _count,
+}
 
 
 def _named(label: str, parse, spec, arg):
@@ -253,10 +224,7 @@ def _parse_model(spec, default_dim: int) -> SpectralModel:
         _check_fields(spec, ("dim", "eigenvalues", "tail_trace", "basis_id"), "model")
         if not _is_number_list(spec["eigenvalues"]):
             raise ValueError("model eigenvalues must be a list of finite numbers")
-        tail_trace = spec.get("tail_trace", 0.0)
-        if not _is_number(tail_trace):
-            raise ValueError(f"model tail_trace must be a finite number, got {tail_trace!r}")
-        model = SpectralModel(spec["eigenvalues"], tail_trace=tail_trace, basis_id=spec.get("basis_id", "abstract"))
+        model = SpectralModel(spec["eigenvalues"], spec.get("tail_trace", 0.0), spec.get("basis_id", "abstract"))
         if "dim" in spec and _integer(spec["dim"], "model dim must be an integer") != model.dim:
             raise ValueError("model dim does not match the eigenvalue count")
         return model
@@ -333,9 +301,7 @@ def _parse_vector(spec, dim: int) -> HVector | None:
             k = _decimal(key, "mode")
             if not 1 <= k <= dim:
                 raise ValueError(f"mode {k} outside 1..{dim}")
-            if not _is_number(value):
-                raise ValueError(f"coordinate {key} must be a finite number, got {value!r}")
-            coeffs[k - 1] = value
+            coeffs[k - 1] = _real(value, f"coordinate {key}")
         return HVector(coeffs)
     if isinstance(spec, dict):
         _check_fields(spec, ("coeffs",), "vector")
@@ -589,7 +555,7 @@ def _add_rows(total: np.ndarray, values: np.ndarray) -> None:
 
 def _law(config: ExperimentConfig, attach: Subspace | None) -> GaussianLaw:
     """The sampled law, from a bounded cache keyed by value; attaching a subspace checks that the mean lies in it."""
-    return _cached_law(config.model, config.zeta, float(config.sigma), attach)
+    return _cached_law(config.model, config.zeta, config.sigma, attach)
 
 
 @lru_cache(maxsize=PLAN_CACHE_SIZE)
@@ -973,14 +939,12 @@ def run_experiment(config: ExperimentConfig, workers: int | None = None, stream_
     external plotting; a kind with none is refused.
     """
     start_time = time.perf_counter()
+    workers = config.workers if workers is None else _named("config field 'workers'", _count, workers, "workers")
     # Building the kind validates the config before any replicate is drawn.
     built = _build(config)
     apply, aggregate, width, _ = built
     if stream_path is not None and set(apply(np.empty((0, width)))) <= set(_KINDS[config.kind][1]):
         raise ValueError(f"experiment {config.kind!r} has no per-replicate values to stream")
-    workers = config.workers if workers is None else int(workers)
-    if workers < 1:
-        raise ValueError("workers must be at least 1")
 
     chunks = [
         (start, min(CHUNK_SIZE, config.replicates - start))

@@ -15,7 +15,7 @@ import functools
 
 import numpy as np
 
-from .spectral import PLAN_CACHE_SIZE, HVector, SpectralModel, _readonly
+from .spectral import PLAN_CACHE_SIZE, HVector, SpectralModel, _integer, _readonly, _real
 
 WIENER_TOTAL_TRACE = 0.5
 BRIDGE_TOTAL_TRACE = 1.0 / 6.0
@@ -39,16 +39,18 @@ class Grid:
 
     @classmethod
     def uniform(cls, count: int) -> "Grid":
+        count = _integer(count, "count must be an integer")
         if count < 2:
             raise ValueError("a uniform grid needs at least two points")
-        return cls(np.linspace(0.0, 1.0, int(count)))
+        return cls(np.linspace(0.0, 1.0, count))
 
     @property
     def size(self) -> int:
         return int(self.points.size)
 
 
-@functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
+# typed: 16.0 and True, equal to 16 and 1, are looked up apart and refused.
+@functools.lru_cache(maxsize=PLAN_CACHE_SIZE, typed=True)
 def wiener_model(n_modes: int) -> SpectralModel:
     """Truncated spectral model of the standard Wiener process on [0, 1].
 
@@ -56,6 +58,7 @@ def wiener_model(n_modes: int) -> SpectralModel:
     total 1/2 minus the truncated sum, so trace() returns exactly 0.5.
     Repeated calls share one (immutable) instance per mode count.
     """
+    n_modes = _integer(n_modes, "n_modes must be an integer")
     if n_modes < 1:
         raise ValueError("n_modes must be at least 1")
     k = np.arange(1, n_modes + 1, dtype=float)
@@ -63,13 +66,14 @@ def wiener_model(n_modes: int) -> SpectralModel:
     return SpectralModel(lam, tail_trace=WIENER_TOTAL_TRACE - float(lam.sum()), basis_id="wiener")
 
 
-@functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
+@functools.lru_cache(maxsize=PLAN_CACHE_SIZE, typed=True)
 def bridge_model(n_modes: int) -> SpectralModel:
     """Truncated spectral model of the Brownian bridge on [0, 1].
 
     Eigenvalues 1 / (k^2 pi^2); the tail trace tops the truncated sum up to
     the closed-form total 1/6.  Repeated calls share one instance.
     """
+    n_modes = _integer(n_modes, "n_modes must be an integer")
     if n_modes < 1:
         raise ValueError("n_modes must be at least 1")
     k = np.arange(1, n_modes + 1, dtype=float)
@@ -117,6 +121,7 @@ def _basis(basis_id: str, dim: int, points: bytes) -> tuple:
 def eval_basis(model: SpectralModel, k: int, t):
     """Eigenfunction e_k evaluated at t (scalar or array), 1-based index k."""
     _check_analytic(model)
+    k = _integer(k, "mode index must be an integer")
     if not 1 <= k <= model.dim:
         raise ValueError(f"mode index {k} outside 1..{model.dim}")
     t = np.asarray(t, dtype=float)
@@ -155,8 +160,8 @@ def coeffs_from_trajectory(model: SpectralModel, grid: Grid, values) -> HVector:
 def kernel(model: SpectralModel, s: float, t: float) -> float:
     """Truncated covariance kernel sum_k lambda_k e_k(s) e_k(t)."""
     _check_analytic(model)
-    s = float(s)
-    t = float(t)
+    s = _real(s, "s")
+    t = _real(t, "t")
     freq = _freq(model.basis_id, np.arange(1, model.dim + 1, dtype=float))
     es = np.sqrt(2.0) * np.sin(freq * np.pi * s)
     et = np.sqrt(2.0) * np.sin(freq * np.pi * t)

@@ -104,8 +104,8 @@ def transformed_norm_sq_moments(law: GaussianLaw, T_subspace: Subspace, use_tail
     use_tail None takes the model's convention for a complement S and no
     tail for a plain one.
     """
-    if use_tail is None:
-        use_tail = T_subspace.is_complement and default_use_tail(law.model)
+    if use_tail is not None or T_subspace.is_complement:
+        use_tail = default_use_tail(law.model, use_tail)
     lam = law.model.eigenvalues
     s2 = law.sigma**2
     proj_mean = project(law.mean.coeffs, T_subspace)
@@ -289,13 +289,13 @@ class NoisePlan(Plan):
     def leading_norm_sq(self, y: np.ndarray, sigma: float) -> np.ndarray:
         """||S(Y / sigma)||^2 per row, S the projection onto `leading`."""
         r = project(y, self.leading)
-        return row_inner(r, r) / float(sigma) ** 2
+        return row_inner(r, r) / _check_positive(sigma, "sigma") ** 2
 
     def whitened_norm_sq(self, y: np.ndarray, sigma: float) -> np.ndarray:
         """||T(Y / sigma)||^2 per row, T the sqrt(mu)-scaled whitening on U minus U0."""
         coords, lam, mu = self.whitening
         c = y[..., coords]
-        return mu * np.sum(c * c / lam, axis=-1) / float(sigma) ** 2
+        return mu * np.sum(c * c / lam, axis=-1) / _check_positive(sigma, "sigma") ** 2
 
     def _test_decomposition(self) -> NoiseDecomposition:
         if self.U0 is None:
@@ -321,7 +321,8 @@ class NoisePlan(Plan):
             pu = project(y, self.U)
             residual, shift = y - pu, pu - project(y, self.U0)
         denom = row_inner(residual, residual)
-        if (denom <= 0.0).any():
+        # One row gives a numpy scalar, on which .any() costs more than both dots.
+        if denom <= 0.0 if denom.ndim == 0 else (denom <= 0.0).any():
             raise ZeroResidualError(
                 "observation has no component outside U; the test statistic is undefined"
             )

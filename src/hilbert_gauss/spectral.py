@@ -13,7 +13,9 @@ construction).
 from __future__ import annotations
 
 import math
+import numbers
 import operator
+import sys
 from functools import lru_cache
 
 import numpy as np
@@ -142,8 +144,8 @@ class SpectralModel(_Frozen):
             raise ValueError("eigenvalues must be finite")
         if np.any(lam < 0):
             raise ValueError("eigenvalues must be nonnegative")
-        tail = float(tail_trace)
-        if not np.isfinite(tail) or tail < 0:
+        tail = _real(tail_trace, "tail_trace")
+        if tail < 0:
             raise ValueError("tail_trace must be a finite nonnegative real")
         if basis_id not in self._BASIS_IDS:
             raise ValueError(f"unknown basis_id {basis_id!r}")
@@ -196,15 +198,17 @@ class HVector(_Frozen):
 
     @classmethod
     def zero(cls, dim: int) -> "HVector":
-        return cls(np.zeros(int(dim)))
+        return cls(np.zeros(_integer(dim, "dim must be an integer")))
 
     @classmethod
     def basis_vector(cls, dim: int, k: int, scale: float = 1.0) -> "HVector":
         """Coefficient vector `scale * e_k` with a 1-based mode index k."""
+        dim = _integer(dim, "dim must be an integer")
+        k = _integer(k, "mode index must be an integer")
         if not 1 <= k <= dim:
             raise ValueError(f"mode index {k} outside 1..{dim}")
-        coeffs = np.zeros(int(dim))
-        coeffs[k - 1] = scale
+        coeffs = np.zeros(dim)
+        coeffs[k - 1] = _real(scale, "scale")
         return cls(coeffs)
 
     def __add__(self, other: "HVector") -> "HVector":
@@ -220,7 +224,7 @@ class HVector(_Frozen):
         return HVector(self.coeffs - other.coeffs)
 
     def __rmul__(self, scalar) -> "HVector":
-        return HVector(float(scalar) * self.coeffs)
+        return HVector(_real(scalar, "scalar") * self.coeffs)
 
     def _fields(self) -> tuple:
         return (self.coeffs,)
@@ -249,6 +253,22 @@ def _integer(value, message: str) -> int:
         except TypeError:
             pass
     raise ValueError(f"{message}, got {value!r}")
+
+
+def _is_number(value) -> bool:
+    """A Python or numpy real, or a 0-d array of one, that fits a finite double; not a bool or a string."""
+    if isinstance(value, np.ndarray) and value.ndim == 0:
+        value = value[()]
+    if isinstance(value, (float, np.floating)):  # not abs(value) <= max, which overflows an np.float32
+        return math.isfinite(value)
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
+
+
+def _real(value, name: str) -> float:
+    """value as a float if _is_number accepts it, else a ValueError naming `name`, never converted."""
+    if _is_number(value):
+        return float(value)
+    raise ValueError(f"{name} must be a finite number, got {value!r}")
 
 
 class Subspace(_Frozen):
@@ -404,8 +424,11 @@ def _check_q_invariance(model: SpectralModel, frame: np.ndarray) -> None:
 
 def default_use_tail(model: SpectralModel, use_tail: bool | None = None) -> bool:
     """The tail convention in force: use_tail when given, otherwise analytic
-    spectra include their tail and custom ones do not."""
-    return model.is_analytic if use_tail is None else bool(use_tail)
+    spectra include their tail and custom ones do not.  A use_tail other than
+    None or a bool is a ValueError, not read for its truth."""
+    if not (use_tail is None or isinstance(use_tail, bool)):
+        raise ValueError(f"use_tail must be true, false or None, got {use_tail!r}")
+    return model.is_analytic if use_tail is None else use_tail
 
 
 # ---------------------------------------------------------------------------

@@ -363,6 +363,21 @@ def test_mc_config_of_wrong_json_type_exits_two(runner, tmp_path, overrides):
     assert_one_line_error(runner.invoke(main, ["mc", "--config", path]))
 
 
+@pytest.mark.parametrize(
+    "option, value, field",
+    (
+        ("--workers", "0", "workers"),
+        ("--seed", "-1", "master_seed"),
+        ("--seed", "18446744073709551616", "master_seed"),
+    ),
+)
+def test_mc_bad_override_exits_two(runner, tmp_path, option, value, field):
+    # An override meets the rule and the message of the config field it sets.
+    res = runner.invoke(main, ["mc", "--config", write_mc_config(tmp_path), option, value])
+    assert_one_line_error(res)
+    assert res.stderr.startswith(f"error: config field '{field}': ")
+
+
 def test_bad_model_spec_exits_two(runner, tmp_path):
     obs = write_obs(tmp_path, 8, {1: 1.0})
     res = runner.invoke(main, ["estimate", "--model", "ou:8", "--obs", obs, "--subspace", "1"])

@@ -536,6 +536,33 @@ def test_config_counts_must_be_integers(field, value):
         dataclasses.replace(smoke_config(), **{field: value})
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    (
+        ("use_tail", "no"),
+        ("use_tail", 1),
+        ("sigma", True),
+        ("sigma", "2"),
+        ("sigma", 2**1024),
+        ("alpha", "0.1"),
+        ("replicates", "5"),
+        ("replicates", None),
+        ("replicates", 2.7),
+        ("workers", None),
+        ("workers", True),
+        ("cutoffs", 5),
+        ("cutoffs", "12"),
+    ),
+)
+def test_config_field_has_one_rule_for_json_and_python(field, value):
+    # A JSON config and one built in Python meet the same rule and the same message.
+    with pytest.raises(ValueError, match=rf"^config field '{field}': ") as from_json:
+        smoke_config(**{field: value})
+    with pytest.raises(ValueError) as from_python:
+        dataclasses.replace(smoke_config(), **{field: value})
+    assert str(from_python.value) == str(from_json.value)
+
+
 def test_run_deterministic():
     cfg = smoke_config()
     first = run_experiment(cfg)

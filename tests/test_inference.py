@@ -244,6 +244,9 @@ def test_test_subspace_zero_residual():
     y = HVector.basis_vector(16, 5, scale=2.0)
     with pytest.raises(ZeroResidualError):
         inference.test_subspace(y, m, u, u0, alpha=0.05)
+    # In a block, one zero-residual row is enough.
+    with pytest.raises(ZeroResidualError):
+        noise_plan(m, u, u0).statistic(np.vstack([np.ones(16), y.coeffs]))
 
 
 def test_test_subspace_requires_nested():
