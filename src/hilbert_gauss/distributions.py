@@ -25,7 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .spectral import PLAN_CACHE_SIZE, _real
+from .spectral import PLAN_CACHE_SIZE, _count, _real
 
 
 def _check_prob(value: float, name: str) -> float:
@@ -246,6 +246,8 @@ def ks_critical_value(n: int, m: int | None = None, alpha: float = 0.05) -> floa
     usual sqrt((n + m) / (n * m)) scaling.
     """
     alpha = _check_prob(alpha, "alpha")
+    n = _count(n, "n")
+    m = None if m is None else _count(m, "m")
     c = float(np.sqrt(-0.5 * np.log(alpha / 2.0)))
     if m is None:
         return c / float(np.sqrt(n))

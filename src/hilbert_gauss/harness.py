@@ -12,6 +12,7 @@ field.
 
 from __future__ import annotations
 
+import binascii
 import json
 import os
 import queue
@@ -31,7 +32,7 @@ from .inference import functional_plan
 from .processes import Grid, bridge_model, coeffs_from_trajectory, wiener_model
 from .sampling import GaussianLaw, noise_plan, norm_sq_moments
 from .spectral import PLAN_CACHE_SIZE, HVector, SpectralModel, Subspace, default_use_tail, inner, project, row_inner
-from .spectral import _integer, _is_number, _real
+from .spectral import _count, _integer, _is_number_list, _real
 
 # Replicates per work unit; chunk boundaries are fixed by the replicate
 # count alone so serial and concurrent runs reduce identically.
@@ -144,17 +145,6 @@ def _check_fields(data: dict, allowed, what: str) -> None:
         raise ValueError(f"unknown {what} fields: {sorted(unknown, key=str)}")
 
 
-def _is_number_list(value) -> bool:
-    return isinstance(value, (list, tuple)) and all(_is_number(v) for v in value)
-
-
-def _count(value, name: str) -> int:
-    value = _integer(value, f"{name} must be an integer")
-    if value < 1:
-        raise ValueError(f"{name} must be at least 1")
-    return value
-
-
 def _cutoffs(value, name: str) -> tuple | None:
     if value is not None and not isinstance(value, (list, tuple)):
         raise ValueError(f"cutoffs must be a list of integers, got {value!r}")
@@ -222,8 +212,6 @@ def _parse_model(spec, default_dim: int) -> SpectralModel:
         raise ValueError("model spec must be a path, a name or a mapping")
     if "eigenvalues" in spec:
         _check_fields(spec, ("dim", "eigenvalues", "tail_trace", "basis_id"), "model")
-        if not _is_number_list(spec["eigenvalues"]):
-            raise ValueError("model eigenvalues must be a list of finite numbers")
         model = SpectralModel(spec["eigenvalues"], spec.get("tail_trace", 0.0), spec.get("basis_id", "abstract"))
         if "dim" in spec and _integer(spec["dim"], "model dim must be an integer") != model.dim:
             raise ValueError("model dim does not match the eigenvalue count")
@@ -306,11 +294,10 @@ def _parse_vector(spec, dim: int) -> HVector | None:
     if isinstance(spec, dict):
         _check_fields(spec, ("coeffs",), "vector")
         spec = spec.get("coeffs")
-    if not _is_number_list(spec):
-        raise ValueError(f"coefficient vector must be a list of {dim} finite numbers")
-    if len(spec) != dim:
+    vector = HVector(spec)  # refuses anything but a list of finite numbers (or a numeric array)
+    if vector.dim != dim:
         raise ValueError(f"coefficient vector must have length {dim}")
-    return HVector(spec)
+    return vector
 
 
 def _parse_columns(spec, dim: int) -> list:
@@ -462,8 +449,9 @@ def _binomial_tolerance(alpha: float, m: int) -> float:
 
 
 class ReplicateStreams:
-    """The replicate streams of one master seed, drawn through one Philox
-    generator per thread, re-keyed for every row.
+    """The replicate streams of one master seed: a tall narrow block in one
+    pass over all its rows, any other block through one Philox generator per
+    thread, re-keyed for every row.
 
     Philox is counter-based (Salmon et al., SC 2011): setting its key words to
     [replicate, master_seed] with a zero counter and an empty buffer yields
@@ -471,6 +459,11 @@ class ReplicateStreams:
     fraction of the cost of a new generator.  An instance keeps only that
     state, in plain ints and lists, which the state setter reads faster than
     uint64 arrays; each row writes all of it, so no earlier stream leaks in.
+
+    The one-pass path computes the Philox4x64-10 words of every row at once
+    and maps each word to a normal as numpy's ziggurat does on its fast path
+    (one word per draw); a row with a draw off that path is drawn again by
+    the re-keyed generator.  So every row has the generator's bits.
     """
 
     _threads = threading.local()  # each thread's Philox Generator
@@ -486,6 +479,19 @@ class ReplicateStreams:
         """Fill row j of `out` with the standard normals of stream
         replicates[j]; each row is the first out.shape[1] draws of its
         stream."""
+        rows, width = out.shape
+        if width > _ONE_PASS_WIDTH or rows < _ONE_PASS_ROWS:
+            return self._rekeyed_rows(replicates, out)
+        keys = (np.arange(replicates.start, replicates.stop, replicates.step, dtype=np.uint64)
+                if isinstance(replicates, range) else np.array(replicates, dtype=np.uint64))
+        words = _philox_words(keys, self._key[1], -(-width // 4))[:, :width]
+        redraw = np.flatnonzero(_ziggurat_fast_path(words, out).any(axis=1))
+        # out[redraw] is a copy: the rows are drawn into one, then written back.
+        out[redraw] = self._rekeyed_rows(keys[redraw].tolist(), np.empty((len(redraw), width)))
+        return out
+
+    def _rekeyed_rows(self, replicates, out: np.ndarray) -> np.ndarray:
+        """standard_normal_rows by re-keying this thread's generator for every row."""
         generator = getattr(self._threads, "generator", None)
         if generator is None:  # this thread's first draw
             generator = self._threads.generator = np.random.Generator(np.random.Philox(key=0))
@@ -497,6 +503,75 @@ class ReplicateStreams:
         return out
 
 
+# Blocks of at most this many columns and at least this many rows take the
+# one-pass path of ReplicateStreams.  It costs about 0.2 ms a call, and its
+# cost per row and share of redrawn rows grow with the width: against the
+# re-keyed rows it read 0.29x at width 4 and 0.49x at width 8 on 4096 rows,
+# 0.65x and 0.87x on 384, 1.07x and 1.30x on 192, and 0.70x at width 12 on 4096.
+_ONE_PASS_WIDTH = 8
+_ONE_PASS_ROWS = 384
+
+# Philox4x64-10 as numpy computes it: the multipliers and key increments of
+# counter lanes 0 and 2, shaped to act on a (lane, row, counter) array.
+_PHILOX_M = np.array([0xD2E7470EE14C6C93, 0xCA5A826395121157], dtype=np.uint64)[:, None, None]
+_PHILOX_W = np.array([0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B], dtype=np.uint64)[:, None, None]
+
+
+def _philox_words(keys: np.ndarray, master_seed: int, counters: int) -> np.ndarray:
+    """Row j: the first 4 * counters words of derive_stream(master_seed, keys[j])'s
+    Philox, that is counters 1..counters under key (keys[j], master_seed).
+
+    All arithmetic is on uint64 arrays, which wrap silently; the high word of
+    each 64 x 64-bit product is built from 32-bit halves."""
+    m_lo, m_hi = _PHILOX_M & 0xFFFFFFFF, _PHILOX_M >> 32
+    key = np.empty((2, len(keys), 1), dtype=np.uint64)
+    key[0, :, 0], key[1] = keys, master_seed
+    a = np.zeros((2, len(keys), counters), dtype=np.uint64)  # counter lanes 0 and 2
+    a[0] = np.arange(1, counters + 1, dtype=np.uint64)
+    b = np.zeros_like(a)  # lanes 1 and 3
+    # A round maps lanes (a0, b1, a2, b3) to (hi(M1 a2) ^ b1 ^ k0, lo(M1 a2), hi(M0 a0) ^ b3 ^ k1, lo(M0 a0)).
+    for round_ in range(10):
+        if round_:
+            key += _PHILOX_W
+        low, hi = a & 0xFFFFFFFF, a >> 32
+        carry = low * m_lo
+        carry >>= 32
+        carry += hi * m_lo
+        low *= m_hi
+        low += carry & 0xFFFFFFFF
+        low >>= 32
+        carry >>= 32
+        hi *= m_hi
+        hi += carry
+        hi += low  # the high words of a * M
+        a *= _PHILOX_M
+        hi ^= b[::-1]
+        hi ^= key[::-1]
+        a, b = hi[::-1], a[::-1]
+    return np.stack([a[0], b[0], a[1], b[1]], axis=-1).reshape(len(keys), 4 * counters)
+
+
+def _ziggurat_fast_path(words: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write to `out` numpy's standard normal of each word as its ziggurat's
+    fast path computes it (Marsaglia & Tsang, J. Stat. Softw. 5(8), 2000), and
+    return where a draw leaves that path, to read more words than its own."""
+    wi, ki = _ziggurat_tables()
+    layer = (words & 0xFF).view(np.int64)
+    rabs = ((words >> 9) & (2**52 - 1)).view(np.int64)
+    np.multiply(rabs, wi[layer], out=out)
+    out.view(np.uint64)[...] |= (words & 0x100) << 55  # bit 8 is the sign; rabs * wi is not negative
+    return rabs >= ki[layer]
+
+
+@lru_cache(maxsize=1)
+def _ziggurat_tables() -> tuple:
+    """numpy's 256-layer ziggurat tables of the normal, (wi_double, ki_double).
+    numpy exports neither; _ZIGGURAT_TABLES holds their bytes, read from the
+    .rodata of numpy/random/lib/libnpyrandom.a, and decoded on first use."""
+    raw = np.frombuffer(binascii.a2b_base64("".join(_ZIGGURAT_TABLES)), dtype=np.uint8)
+    return raw[:2048].view("<f8"), raw[2048:].view("<i8")
+
+
 # Doubles per block of draws: a block holds at most 128 KiB whatever the
 # dimension, so memory stays flat while the per-row work is vectorised.
 # Larger blocks make the statistics' block-sized temporaries cost page
@@ -505,10 +580,12 @@ BLOCK_DOUBLES = 2**14
 
 # Rows per block at or below which a chunk draws and evaluates its blocks on
 # threads (width 1024 and up).  numpy releases the GIL while it fills a row
-# and in ufunc and matmul loops over long rows, but the per-row re-key holds
-# it: on two CPUs, threaded over serial time per replicate was 1.6-1.7x at
-# width 256 (64 rows), 0.87-1.07x at 512, 0.69-0.84x at 1024, 0.6x at 8192
-# (measured with a pool task per block; striped threads read 0.57-0.60x at 8192).
+# and in ufunc and matmul loops over long rows, but the per-row re-key of a
+# wide block holds it (only tall narrow blocks are drawn in one pass, and
+# those run in processes): on two CPUs, threaded over serial time per
+# replicate was 1.6-1.7x at width 256 (64 rows), 0.87-1.07x at 512,
+# 0.69-0.84x at 1024, 0.6x at 8192 (measured with a pool task per block;
+# striped threads read 0.57-0.60x at 8192).
 THREAD_ROWS = 16
 
 
@@ -1001,3 +1078,58 @@ def _write_stream(path, arrays: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("replicate," + ",".join(keys) + "\n")
         fh.writelines(f"{i},{','.join(row)}\n" for i, row in enumerate(zip(*columns)))
+
+
+# base64 of numpy's wi_double (256 little-endian float64) then ki_double (256
+# little-endian uint64): the tables of numpy/random/src/distributions/ziggurat_constants.h.
+_ZIGGURAT_TABLES = (
+    "edkVeDtJzzzG9v3jC42LPLRbLDyvUJI8YTtEOLl8lTwMpy/o/AGYPLzQTC4MI5o892E4L00AnDx0cnRaL6ydPMPVTC1IMp88rbuOJzJNoDxDXQI7"
+    "BfWgPHc2QZemkqE89Rp6j6InojyA2GM4LrWiPPWRV8A/PKM8L7GiwZ69ozxVm/+N7zmkPKf+PTa7saQ8dNMaYnUlpTyWzgengJWlPOp+2c8xAqY8"
+    "PXyjYdJrpjxwBQCSotKmPKb4RtPaNqc8dyqzEK2YpzxD9UatRfinPHcKQ1PMVag8mnZ7nmSxqDyYz06pLgupPOoeLIJHY6k8RsU4jsm5qTwsp6Tc"
+    "zA6qPFnNd21nYqo8MBYQbq20qjycbBNtsQWrPCl6QoeEVas8Op9Sjjakqzwygr8q1vGrPPNOWflwPqw8YTsypROKrDyLJnL+ydSsPEi3gA6fHq08"
+    "EB/kKZ1nrTzDuCMAzq+tPFN28ak69608/u3Stes9rjwAb3oz6YOuPM6C+b06ya48JmLwhOcNrzyI9thU9lGvPK7Xh55tla88rC76fVPYrzzsNELg"
+    "Vg2wPJqPOfVALrA8/KUWnupOsDwQoHJbVm+wPAv0cZCGj7A8E2G8hH2vsDx/zEtmPc+wPGsIFkvI7rA87hWVMiAOsTy+DzEHRy2xPEGRjp8+TLE8"
+    "HiDEvwhrsTw02ngap4mxPIht7lEbqLE8yyr4+GbGsTwu1OCTi+SxPJ+gQJmKArI86cbEcmUgsjwfw+l9HT6yPPtrqQy0W7I8f9MdZip5sjwb1xnH"
+    "gZayPNouuGK7s7I8U7jhYtjQsjyOqcvo2e2yPNdIbg3BCrM8MLn04Y4nszyhXiZwRESzPNVSyrriYLM8algFvmp9szxksrJv3ZmzPAM9uL87trM8"
+    "4B1WmIbSszyDWnLevu6zPHSe4HHlCrQ8XXSmLfsmtDykMDzoAEO0PF3HynP3XrQ8NsNmnt96tDwvj0gyupa0PF1BAvaHsrQ83BGzrEnOtDwFpjgW"
+    "AOq0PGJVXu+rBbU8WosK8k0htTxPZmrV5jy1PMiyG053WLU8eF9VDgB0tTwUhQ7GgY+1PFkbJCP9qrU8PXN90XLGtTzTjC974+G1PDhen8hP/bU8"
+    "wx+jYLgYtjyisKLoHTS2PAsmtwSBT7Y8cpbJV+Jqtjw3MbGDQoa2PLGyUCmiobY8u0Oz6AG9tjxS0yhhYti2PFT4YTHE87Y862iL9ycPtzzGFGlR"
+    "jiq3PNzucNz3Rbc8H3PlNWVhtzxJ9O/61ny3PJO9ushNmLc8CRSLPMqztzz7ItvzTM+3POfec4zW6rc8H+qGpGcGuDx2hsjaACK4PBWfic6iPbg8"
+    "vfXRH05ZuDzFfnpvA3W4PC33R1/DkLg8Q8AFko6suDycDKGrZci4PCdqRFFJ5Lg8j7VzKToAuTxHgyjcOBy5PPwK7xJGOLk8iqIDeWJUuTzu1XC7"
+    "jnC5PDEqLonLjLk8v5k/kxmpuTws2dWMecW5PBF0byvs4bk8StL6JnL+uTySNvk5DBu6PFvIoiG7N7o8iLsLnn9UujykqUpyWnG6PD0xoGRMjro8"
+    "CPGfPlarujzO9VrNeMi6PDazi+G05bo8GqHDTwsDuzxbmJrwfCC7PAAM4KAKPrs8Az3OQbVbuzwniT+5fXm7PDz35fFkl7s8biWF22u1uzyiwC5r"
+    "k9O7PIOugZvc8bs8oBbsbEgQvDwtevDl1y68PBwNbhOMTbw8BYfsCGZsvDwXpuvgZou8PKuiNr2Pqrw8kNY7x+HJvDw34GgwXum8PG6PizIGCb08"
+    "IO83ENsovTxHxjMV3ki9PCPx55YQab08pfvX9HOJvTxwbiCZCaq9PA5J/PjSyr08Ny5SldHrvTwc0kn7Bg2+PPZG6sR0Lr48iNHBmRxQvjwl/pcv"
+    "AHK+PAq/KkshlL48CG/3wIG2vjw6pxB2I9m+PKnsAWEI/L48IVPCijIfvzxtTbcPpEK/PGgBySBfZr88gpeJBGaKvzy/InEYu66/PIXnL9Jg0788"
+    "C/YYwVn4vzx1oNNH1A7APEfJjwKoIcA8qwKpg6k0wDzH9T5O2kfAPH6zrfY7W8A8aCanI9BuwDwXLmOPmILAPFSi6AiXlsA8xMBxdc2qwDxI1O7R"
+    "Pb/APDA9qjTq08A8k2URz9TowDy2n6bv//3APEFwIARuE8E8NV27myEpwTxtCcRpHT/BPDsuYEhkVcE88+6dO/lrwTxhEtJ034LBPKzrTlYamsE8"
+    "ji9/d62xwTyUpnGpnMnBPDmu5Pvr4cE8Adniwp/6wTyBzASdvBPCPO7Tb3pHLcI8JJyspEVHwjzgWHbHvGHCPC5ZqPqyfMI8eA53zS6YwjxSCipT"
+    "N7TCPJfbljHU0MI89XipsQ3uwjzurlbS7AvDPKOkaF57KsM8oxKuBcRJwzxAqDN60mnDPApBVpKzisM8+oiucHWswzymBBezJ8/DPHX0YKrb8sM8"
+    "2uW5nKQXxDyUXlQVmD3EPBU6p0TOZMQ8vEOcdWKNxDwnWmudc7fEPAKJzQ0l48Q8QazpU58QxTxCfjpSEUDFPBvkSqmxccU82Y1xi8ClxTz+0Dok"
+    "itzFPEwehs9pFsY86moAe85TxjzD5Z++QJXGPDLiCY1r28Y8NHpf8CgnxzxzBglWlXnHPIzO1vQt1Mc8NPIpBQM5yDwUfKq/D6vIPJZEb5TgLsk8"
+    "q1dAAe7LyTxad5R43I/KPLH9eDgfmMs8M60JgrQ7zTxq7yWAPfMOAAAAAAAAAAAAqMb7mL4IDABCgb36VKMNAOruwX72UQ4AfvfT6VWyDgC5yn6B"
+    "S+8OAKpE+gpHGQ8AGMv/Ye03DwBcJWGVRk8PAJajG+SlYQ8ApJZTdXpwDwCaRCjssnwPANNXYwzxhg8A3iWDV6aPDwDa0E3HJJcPAAn12wepnQ8A"
+    "dPqB9WCjDwD4S1veb6gPANxU02DxrA8AD7kYZ/uwDwDGdFONn7QPAHf+ZiPstw8ADuWh6ey6DwDtCwSdq70PAFds/2AwwA8ASKI3EILCDwDRW+J6"
+    "psQPADHuepeixg8ApJYoqXrIDwCF3kteMsoPABojAunMyw8AxDn4Ek3NDwCZ7I9Ntc4PADDJHb8H0A8A5sTWTUbRDwBQ9OKoctIPAB7J8E+O0w8A"
+    "eLSQmZrUDwBTD5K4mNUPAOyZjsCJ1g8AMujIqW7XDwDoCHtUSNgPAIwsrYsX2Q8A0q2nB93ZDwCMXhBwmdoPACAuwF1N2w8A0PxbXPnbDwB9mrnr"
+    "ndwPAJ1yGIE73Q8AkC80iNLdDwBknzZkY94PAE5RjXDu3g8ALrSmAXTfDwBA7Zll9N8PAPIkvORv4A8AWKIlwubgDwBMuCg8WeEPAJk/vIzH4Q8A"
+    "qhzb6THiDwCRG9qFmOIPAIZBtY/74g8ASo1VM1vjDwAqANCZt+MPAH+tnukQ5A8ANHfURmfkDwBcCUzTuuQPACSV0q4L5Q8AeLxO91nlDwASEuTI"
+    "peUPAImGEz7v5Q8AeBDZbzbmDwB41cZ1e+YPAKoRHma+5g8A8vTlVf/mDwACpwBZPucPADmePoJ75w8AonBw47bnDwBDQneN8OcPAIzwU5Ao6A8A"
+    "Ohc1+17oDwBkCITck+gPALzO8EHH6A8A9k59OPnoDwAdm4fMKekPAOqI0wlZ6Q8AopqT+4bpDwBmSHGss+kPANW2lCbf6Q8AfOarcwnqDwCkZvGc"
+    "MuoPACyVMqta6g8AGnTVpoHqDwDwHN6Xp+oPACDZ84XM6g8APOZlePDqDwAT7C92E+sPAEoq/oU16w8AtGIxrlbrDwD6hOL0dusPABQg5l+W6w8A"
+    "fJ3P9LTrDwDQSfS40usPAD4ubrHv6w8A6L0e4wvsDwAVWrFSJ+wPANOvnQRC7A8AlvEp/VvsDwD07mxAdewPALQMUNKN7A8AEh+RtqXsDwD+J8Tw"
+    "vOwPABX7VITT7A8As8iIdOnsDwC3kX/E/uwPACiFNXcT7Q8AA0mEjyftDwBMLyQQO+0PAG5YrftN7Q8A3cOYVGDtDwDoT0Edcu0PAIKp5FeD7Q8A"
+    "yCykBpTtDwAEt4UrpO0PALRqdMiz7Q8AUmZB38LtDwBSbqRx0e0PANOKPIHf7Q8AgJmQD+3tDwAU1A8e+u0PAMRLEq4G7g8ABlrZwBLuDwDgBpBX"
+    "Hu4PACRlS3Mp7g8AvOQKFTTuDwA8m7g9Pu4PAPSCKe5H7g8AhrAdJ1HuDwBBf0DpWe4PAC60KDVi7g8A8ZdYC2ruDwB6Bz5sce4PAIJ7Mlh47g8A"
+    "ugZ7z37uDwCySkjShO4PAENjtmCK7g8AUcjMeo/uDwDaJX4glO4PAOopqFGY7g8AXEgTDpzuDwD0c3JVn+4PAK7MYiei7g8ArEJrg6TuDwBxLfxo"
+    "pu4PAPrWbten7g8ACvoEzqjuDwA7M+hLqe4PABBkKVCp7g8AXgfA2ajuDwBUdonnp+4PACQdSHim7g8Ag56iiqTuDwDa5CIdou4PACQgNS6f7g8A"
+    "Lq8mvJvuDwDk8iTFl+4PADoKPEeT7g8AFnVVQI7uDwB6nDauiO4PAP09f46C7g8AiLin3nvuDwD/N/+bdO4PAF69qcNs7g8AfgCeUmTuDwCIKKNF"
+    "W+4PALZXTplR7g8AzwYASkfuDwBQLOFTPO4PANgq4LIw7g8ABYKtYiTuDwBaPLheF+4PAEcUKqIJ7g8AzEnjJ/vtDwBsIXbq6+0PAH4EIuTb7Q8A"
+    "0znODsvtDwD0LARkue0PAMk46dym7Q8Ajek3cpPtDwA2qDgcf+0PACvAudJp7Q8AAK4GjVPtDwAipN5BPO0PANgvaucj7Q8AROYvcwrtDwA0/gfa"
+    "7+wPALi3DhDU7A8AtG6VCLfsDwDBMBK2mOwPAHipDQp57A8A/jEP9VfsDwBiyYZmNewPADWztEwR7A8A0G+OlOvrDwCStqApxOsPANwM7vWa6w8A"
+    "QoXJ4W/rDwCeH63TQusPAEstC7AT6w8A6QIaWeLqDwBXIpmuruoPACbjjo146g8A5XP9zz/qDwD22Y1MBOoPADtWL9bF6Q8ApEepO4TpDwAoRx1H"
+    "P+kPANbFdr326A8A5ujEXaroDwDqsXrgWegPAECpkPYE6A8AwDOCSKvnDwClah91TOcPAAKiKhDo5g8A2Ku2oH3mDwB+MDifDOYPAEL3OHOU5Q8A"
+    "gHKXcBTlDwBY9DbUi+QPADce/b/54w8AnLHuNV3jDwD+5C8SteIPAFdVmQMA4g8AFIN4gjzhDwCwZ+7EaOAPAKpxK7CC3w8Aqv5+xYfeDwD9O8YJ"
+    "dd0PABO/KeVG3A8AggIu+PjaDwB1urLhhdkPAATPSO/m1w8AC2W9rRPWDwAS8OJJAdQPAKzHtKeh0Q8Anh92BOLODwCyEV7YqMsPACItzW7Sxw8A"
+    "7SIeLyvDDwA6uMCBZb0PADRUAMQGtg8AdCgqWECsDwCYRQEel54PAPwdpEj6iQ8ALDDw98VmDwBKHDNLWhoPAA=="
+)

@@ -106,6 +106,8 @@ def transformed_norm_sq_moments(law: GaussianLaw, T_subspace: Subspace, use_tail
     """
     if use_tail is not None or T_subspace.is_complement:
         use_tail = default_use_tail(law.model, use_tail)
+    else:
+        use_tail = False
     lam = law.model.eigenvalues
     s2 = law.sigma**2
     proj_mean = project(law.mean.coeffs, T_subspace)

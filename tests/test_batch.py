@@ -8,6 +8,8 @@ exactly, floats to 1e-12 relative.
 
 import dataclasses
 import gc
+import os
+import struct
 import threading
 import tracemalloc
 
@@ -272,6 +274,79 @@ def test_rows_are_stream_prefixes(width):
     rows = ReplicateStreams(seed).standard_normal_rows(range(50), np.empty((50, width)))
     for i, row in enumerate(rows):
         assert np.array_equal(row, derive_stream(seed, i).standard_normal(300)[:width])
+
+
+@pytest.mark.filterwarnings("error")
+def test_one_pass_rows_are_the_rekeyed_rows(monkeypatch):
+    # A tall narrow block is drawn in one pass over its rows, and the rows with
+    # a draw off numpy's ziggurat fast path are drawn again: every row keeps
+    # the re-keyed generator's bits.  Replicates up to 2**64 - 1 and the seed
+    # 2**64 - 1 make the Philox key words wrap as the rounds bump them; a
+    # block one row short of the floor takes the re-keyed path whole.
+    rekeyed, redrawn = ReplicateStreams._rekeyed_rows, []
+
+    def spy(self, replicates, out):
+        redrawn.append(len(out))
+        return rekeyed(self, replicates, out)
+
+    monkeypatch.setattr(ReplicateStreams, "_rekeyed_rows", spy)
+    floor, tall, rows = harness._ONE_PASS_ROWS, 3000, 0
+    for seed in (0, 1003, 2**64 - 1):
+        streams = ReplicateStreams(seed)
+        for width in range(1, harness._ONE_PASS_WIDTH + 1):
+            for count in (floor - 1, floor, tall):
+                for start in (0, 2**64 - count):
+                    replicates = range(start, start + count)
+                    expected = rekeyed(streams, replicates, np.empty((count, width)))
+                    redrawn.clear()
+                    # A list of replicates, as well as a range, is read as uint64 keys.
+                    got = streams.standard_normal_rows(list(replicates) if start else replicates, np.empty((count, width)))
+                    assert got.tobytes() == expected.tobytes(), (seed, width, count, start)
+                    if count < floor:
+                        assert redrawn == [count]
+                    else:
+                        assert len(redrawn) == 1 and 0 < redrawn[0] < count / 4, (seed, width, count, start)
+                    rows += count
+    assert rows >= 100_000
+
+
+def _elf_symbols(elf: bytes, names) -> dict:
+    """The bytes of each named symbol of a little-endian ELF64 object file."""
+    shoff, = struct.unpack_from("<Q", elf, 0x28)
+    shentsize, shnum = struct.unpack_from("<HH", elf, 0x3A)
+    sections = [struct.unpack_from("<IIQQQQII", elf, shoff + i * shentsize) for i in range(shnum)]
+    found = {}
+    for _, kind, _, _, offset, size, link, _ in sections:
+        if kind != 2:  # SHT_SYMTAB
+            continue
+        strtab = sections[link][4]
+        for entry in range(offset, offset + size, 24):
+            name, _, _, shndx, value, length = struct.unpack_from("<IBBHQQ", elf, entry)
+            name = elf[strtab + name: elf.index(b"\0", strtab + name)].decode()
+            if name in names:
+                start = sections[shndx][4] + value
+                found[name] = elf[start: start + length]
+    return found
+
+
+def test_ziggurat_tables_are_numpys():
+    # The committed tables are wi_double and ki_double of the static library
+    # of numpy's distributions, found by symbol in each of its object files.
+    path = os.path.join(os.path.dirname(np.__file__), "random", "lib", "libnpyrandom.a")
+    if not os.path.isfile(path):
+        pytest.skip("this numpy ships no libnpyrandom.a")
+    with open(path, "rb") as fh:
+        archive = fh.read()
+    assert archive.startswith(b"!<arch>\n")
+    symbols, at = {}, 8
+    while at + 60 <= len(archive):
+        size = int(archive[at + 48: at + 58])
+        member = archive[at + 60: at + 60 + size]
+        if member.startswith(b"\x7fELF\x02\x01"):
+            symbols.update(_elf_symbols(member, ("wi_double", "ki_double")))
+        at += 60 + size + size % 2
+    wi, ki = harness._ziggurat_tables()
+    assert symbols == {"wi_double": wi.tobytes(), "ki_double": ki.tobytes()}
 
 
 @settings(max_examples=40, deadline=None)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import hilbert_gauss as hg
-from hilbert_gauss import harness
+from hilbert_gauss import harness, spectral
 from hilbert_gauss.distributions import _check_positive
 
 M = hg.wiener_model(16)
@@ -41,6 +41,17 @@ CASES = {
     "test_subspace_alpha": (lambda: hg.test_subspace(Y, M, U, U0, alpha="0.05"), "alpha must be"),
     "law_sigma": (lambda: hg.GaussianLaw(M, hg.HVector.zero(16), True), "sigma must be"),
     "norm_sq_moments_tail": (lambda: hg.norm_sq_moments(LAW, use_tail="no"), "use_tail must be"),
+    "trace_q_on_tail": (lambda: hg.trace_q_on(M, U.complement(), use_tail="no"), "use_tail must be"),
+    "trace_q_on_tail_none": (lambda: hg.trace_q_on(M, U.complement(), use_tail=None), "use_tail must be"),
+    "ks_critical_value_bool": (lambda: hg.ks_critical_value(True), "n must be an integer"),
+    "ks_critical_value_float": (lambda: hg.ks_critical_value(2.7), "n must be an integer"),
+    "ks_critical_value_second_count": (lambda: hg.ks_critical_value(10, 2.0), "m must be an integer"),
+    "ks_critical_value_zero": (lambda: hg.ks_critical_value(0), "n must be at least 1"),
+    "vector_strings_and_bools": (lambda: hg.HVector(["1", True]), "coefficients must be finite numbers"),
+    "vector_bool_array": (lambda: hg.HVector(np.array([True, False])), "coefficients must be finite numbers"),
+    "vector_string_array": (lambda: hg.HVector(np.array(["1", "2"])), "coefficients must be finite numbers"),
+    "model_strings": (lambda: hg.custom_model(["1", "0.5"]), "eigenvalues must be finite numbers"),
+    "model_object_array": (lambda: hg.custom_model(np.array([1.0, 0.5], dtype=object)), "eigenvalues must be"),
     "transformed_moments_tail": (
         lambda: hg.transformed_norm_sq_moments(LAW, U.complement(), use_tail="no"),
         "use_tail must be",
@@ -94,7 +105,7 @@ def test_public_function_refuses_a_scalar_it_would_convert(monkeypatch, case):
 def test_one_number_rule_without_overflow_warnings(value, accepted):
     # A JSON number, a sigma and an alpha meet this one rule; an np.float32 is
     # checked without the overflowing cast that comparing it with the largest double makes.
-    assert harness._is_number(value) == accepted
+    assert spectral._is_number(value) == accepted
     if accepted:
         assert type(_check_positive(abs(value) or 1.0, "sigma")) is float
     else:
