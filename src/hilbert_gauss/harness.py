@@ -32,7 +32,7 @@ from .inference import functional_plan
 from .processes import Grid, bridge_model, coeffs_from_trajectory, wiener_model
 from .sampling import GaussianLaw, noise_plan, norm_sq_moments
 from .spectral import PLAN_CACHE_SIZE, HVector, SpectralModel, Subspace, default_use_tail, inner, project, row_inner
-from .spectral import _count, _integer, _is_number_list, _real
+from .spectral import _count, _integer, _real
 
 # Replicates per work unit; chunk boundaries are fixed by the replicate
 # count alone so serial and concurrent runs reduce identically.
@@ -84,9 +84,12 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self):
-        # One rule per scalar field, JSON or Python; a plain value is stored, so the config hashes and writes as JSON.
+        # One rule per field, JSON or Python; a plain scalar is stored, so the config hashes and writes as JSON.
         if self.kind not in EXPERIMENT_KINDS:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
+        for name, cls in _OBJECT_FIELDS.items():  # all but the model may be None
+            if not isinstance(value := getattr(self, name), cls) and (value is not None or name == "model"):
+                raise ValueError(f"config field {name!r}: expected {cls.__name__}, got {type(value).__name__}")
         for name, rule in _FIELD_RULES.items():
             object.__setattr__(self, name, _named(f"config field {name!r}", rule, getattr(self, name), name))
         _named("config field 'use_tail'", default_use_tail, self.model, self.use_tail)
@@ -151,6 +154,8 @@ def _cutoffs(value, name: str) -> tuple | None:
     return None if value is None else tuple(_integer(c, "cutoffs must be a list of integers") for c in value)
 
 
+# The class of each object config field.
+_OBJECT_FIELDS = {"model": SpectralModel, "subspace": Subspace, "subspace0": Subspace, "zeta": HVector, "b": HVector}
 # The rule of each scalar config field but use_tail, which default_use_tail checks:
 # rule(value, name) is the value as the config stores it, or a ValueError.
 _FIELD_RULES = {
@@ -243,10 +248,7 @@ def _parse_subspace(spec, model: SpectralModel) -> Subspace | None:
     if "indices" in spec:
         sub = Subspace.from_indices(model.dim, spec["indices"])
     elif "frame" in spec:
-        frame = spec["frame"]
-        if not isinstance(frame, (list, tuple)) or not all(_is_number_list(row) for row in frame):
-            raise ValueError("subspace frame must be a list of rows of finite numbers")
-        sub = Subspace.from_frame(model, np.asarray(frame, dtype=float))
+        sub = Subspace.from_frame(model, spec["frame"])
     else:
         raise ValueError("subspace data needs 'indices' or 'frame'")
     complement = spec.get("complement", False)
@@ -324,7 +326,7 @@ def _parse_observation(spec, model: SpectralModel) -> HVector:
                 what = f"trajectory CSV {spec!r} line {number}"
                 t_vals.append(_json_number(t_str.strip(), what))
                 y_vals.append(_json_number(y_str.strip(), what))
-    return coeffs_from_trajectory(model, Grid(np.asarray(t_vals)), np.asarray(y_vals))
+    return coeffs_from_trajectory(model, Grid(t_vals), y_vals)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ import functools
 
 import numpy as np
 
-from .spectral import PLAN_CACHE_SIZE, HVector, SpectralModel, _integer, _readonly, _real
+from .spectral import PLAN_CACHE_SIZE, HVector, SpectralModel, _integer, _readonly, _real, _real_array
 
 WIENER_TOTAL_TRACE = 0.5
 BRIDGE_TOTAL_TRACE = 1.0 / 6.0
@@ -27,15 +27,12 @@ class Grid:
     __slots__ = ("points",)
 
     def __init__(self, points):
-        pts = np.array(points, dtype=float)
+        pts = _real_array(points, "grid points")
         if pts.ndim != 1 or pts.size == 0:
             raise ValueError("grid must be a nonempty 1-d sequence")
-        if not np.all(np.isfinite(pts)):
-            raise ValueError("grid points must be finite")
         if pts[0] < 0.0 or pts[-1] > 1.0 or np.any(np.diff(pts) <= 0.0):
             raise ValueError("grid points must be strictly increasing within [0, 1]")
-        pts.flags.writeable = False
-        self.points = pts
+        self.points = _readonly(pts)
 
     @classmethod
     def uniform(cls, count: int) -> "Grid":
@@ -124,7 +121,7 @@ def eval_basis(model: SpectralModel, k: int, t):
     k = _integer(k, "mode index must be an integer")
     if not 1 <= k <= model.dim:
         raise ValueError(f"mode index {k} outside 1..{model.dim}")
-    t = np.asarray(t, dtype=float)
+    t = _real_array(t, "t")
     out = np.sqrt(2.0) * np.sin(_freq(model.basis_id, float(k)) * np.pi * t)
     return float(out) if out.ndim == 0 else out
 
@@ -150,7 +147,7 @@ def coeffs_from_trajectory(model: SpectralModel, grid: Grid, values) -> HVector:
     matrix and weights are built once per (basis, modes, grid) and reused.
     """
     _check_analytic(model)
-    vals = np.asarray(values, dtype=float)
+    vals = _real_array(values, "trajectory values")
     if vals.shape != grid.points.shape:
         raise ValueError("trajectory values must match the grid size")
     basis, weights = _basis(model.basis_id, model.dim, grid.points.tobytes())

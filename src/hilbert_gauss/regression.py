@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from .inference import Interval, TestResult, ci_known, ci_unknown, test_subspace
-from .spectral import PLAN_CACHE_SIZE, HVector, SpectralModel, Subspace, _all_finite, _Frozen, _readonly, _set, _span
+from .spectral import PLAN_CACHE_SIZE, HVector, SpectralModel, Subspace, _Frozen, _readonly, _real_array, _set, _span
 
 # Gram matrix conditioning bound: smallest eigenvalue must exceed this
 # multiple of the largest for A to count as injective.
@@ -42,11 +42,9 @@ class DesignOperator(_Frozen):
     __slots__ = ("model", "columns", "_plan")
 
     def __init__(self, model: SpectralModel, columns):
-        mat = _column_matrix(columns, model.dim, "column")
+        mat = _column_matrix(columns, model.dim, "column", "column entries")
         if not mat.shape[1]:
             raise ValueError("design needs at least one column")
-        if not _all_finite(mat):
-            raise ValueError("column entries must be finite")
         _set(self, "model", model)
         _set(self, "columns", _readonly(mat))
         _set(self, "_plan", design_plan(self))
@@ -65,7 +63,7 @@ class DesignOperator(_Frozen):
 
     def apply(self, beta) -> HVector:
         """A beta, the element of H with coefficients columns @ beta."""
-        beta = np.asarray(beta, dtype=float)
+        beta = _real_array(beta, "beta")
         if beta.shape != (self.n_params,):
             raise ValueError(f"beta must have shape ({self.n_params},)")
         return HVector(self.columns @ beta)
@@ -101,13 +99,14 @@ class DesignPlan:
 design_plan = lru_cache(maxsize=PLAN_CACHE_SIZE)(DesignPlan)
 
 
-def _column_matrix(columns, rows: int, what: str) -> np.ndarray:
-    """The C-ordered (rows, p) matrix of np.column_stack(columns), filled in
-    one pass (one copy for a (p, rows) array).  A column that is not a 1-d
-    vector of `rows` numbers is a ValueError naming its index and shape."""
+def _column_matrix(columns, rows: int, what: str, entries: str) -> np.ndarray:
+    """The C-ordered (rows, p) matrix of np.column_stack(columns), filled in one
+    pass (one copy for a (p, rows) array), column j read by _real_array as
+    entries.format(j) (a whole array as entries.format("entries")).  A column
+    not a 1-d vector of `rows` numbers is a ValueError naming `what` j and its shape."""
     if isinstance(columns, np.ndarray) and columns.ndim == 2 and columns.shape[1] == rows:
-        return np.array(columns.T, dtype=float, order="C")
-    cols = [c.coeffs if isinstance(c, HVector) else np.asarray(c, dtype=float) for c in columns]
+        return _real_array(columns.T, entries.format("entries"))
+    cols = [c.coeffs if isinstance(c, HVector) else _real_array(c, entries.format(j)) for j, c in enumerate(columns)]
     mat = np.empty((rows, len(cols)))
     for j, col in enumerate(cols):
         if col.shape != (rows,):
@@ -154,7 +153,7 @@ def pullback_functional(A: DesignOperator, c) -> HVector:
     Computed as A Gram^{-1} c; composing the least-squares estimate with
     <c, .> equals the functional estimator with this b.
     """
-    c = np.asarray(c, dtype=float)
+    c = _real_array(c, "c")
     if c.shape != (A.n_params,):
         raise ValueError(f"c must have shape ({A.n_params},)")
     return _pullback(A._plan, c.tobytes())
@@ -176,7 +175,7 @@ def test_beta(y: HVector, A: DesignOperator, G0_columns, alpha: float) -> TestRe
     G0_columns must span a proper nonzero subspace of the parameter space;
     the hypothesis subspace in H is spanned by the A-images of that basis.
     """
-    g0 = _column_matrix(G0_columns, A.n_params, "G0 vector")
+    g0 = _column_matrix(G0_columns, A.n_params, "G0 vector", "G0 vector {}")
     if not g0.shape[1]:
         raise ValueError("G0 needs at least one parameter vector")
     if g0.shape[1] >= A.n_params:

@@ -140,8 +140,6 @@ class SpectralModel(_Frozen):
         lam = _real_array(eigenvalues, "eigenvalues")
         if lam.ndim != 1 or lam.size == 0:
             raise ValueError("eigenvalues must be a nonempty 1-d sequence")
-        if not np.isfinite(lam).all():
-            raise ValueError("eigenvalues must be finite")
         if np.any(lam < 0):
             raise ValueError("eigenvalues must be nonnegative")
         tail = _real(tail_trace, "tail_trace")
@@ -182,8 +180,6 @@ class HVector(_Frozen):
         arr = _real_array(coeffs, "coefficients")
         if arr.ndim != 1:
             raise ValueError("coefficients must be a 1-d sequence")
-        if not _all_finite(arr):
-            raise ValueError("coefficients must be finite")
         _set(self, "coeffs", _readonly(arr))
 
     @property
@@ -279,17 +275,21 @@ def _real(value, name: str) -> float:
     raise ValueError(f"{name} must be a finite number, got {value!r}")
 
 
-def _is_number_list(value) -> bool:
-    return isinstance(value, (list, tuple)) and all(_is_number(v) for v in value)
-
-
 def _real_array(values, name: str) -> np.ndarray:
-    """values as a new float array: an ndarray of integer or real dtype, or a
-    list or tuple of numbers by the rule of _is_number (a non-finite one is
-    refused here).  Bools and strings are a ValueError, never converted."""
-    if not (values.dtype.kind in "iuf" if isinstance(values, np.ndarray) else _is_number_list(values)):
+    """The one reader of a caller's numeric array: a number or a list or tuple of
+    numbers by the rule of _is_number, or an integer or real ndarray, as a new
+    C-ordered float array.  Bools, strings and non-finite entries are a
+    ValueError naming `name`, never converted."""
+    if isinstance(values, np.ndarray):
+        numbers_only = values.dtype.kind in "iuf"
+    else:
+        numbers_only = all(map(_is_number, values)) if isinstance(values, (list, tuple)) else _is_number(values)
+    if not numbers_only:
         raise ValueError(f"{name} must be finite numbers, in a list, a tuple or an integer or float array")
-    return np.array(values, dtype=float)
+    arr = np.array(values, dtype=float, order="C")
+    if not _all_finite(arr):
+        raise ValueError(f"{name} must be finite")
+    return arr
 
 
 class Subspace(_Frozen):
@@ -340,14 +340,14 @@ class Subspace(_Frozen):
         FRAME_ORTHO_TOL or when ||(I - P) Q P|| exceeds
         FRAME_INVARIANCE_TOL * max(lambda).
         """
-        rows = [v.coeffs if isinstance(v, HVector) else np.asarray(v, dtype=float) for v in vectors]
+        if not isinstance(vectors, (list, tuple, np.ndarray)):
+            raise ValueError(f"frame must be a list, a tuple or an array of vectors, got {type(vectors).__name__}")
+        rows = [v.coeffs if isinstance(v, HVector) else _real_array(v, "frame entries") for v in vectors]
         if not rows:
             raise ValueError("frame must contain at least one vector")
         frame = np.vstack(rows)
-        if frame.shape[1] != model.dim:
-            raise ValueError(f"frame vectors have dim {frame.shape[1]}, model has {model.dim}")
-        if not np.all(np.isfinite(frame)):
-            raise ValueError("frame entries must be finite")
+        if frame.shape != (len(rows), model.dim):
+            raise ValueError(f"frame vectors must be 1-d of the model's dim {model.dim}; they stack to shape {frame.shape}")
         gram = frame @ frame.T
         if np.max(np.abs(gram - np.eye(frame.shape[0]))) > FRAME_ORTHO_TOL:
             raise ValueError("frame vectors are not orthonormal")
@@ -431,11 +431,10 @@ _interned_indices = lru_cache(maxsize=PLAN_CACHE_SIZE)(_index_subspace)
 def _check_q_invariance(model: SpectralModel, frame: np.ndarray) -> None:
     lam = model.eigenvalues
     # (I - P) Q P restricted to the frame range: columns Q f_j minus their
-    # projection back onto the span.  Rows outside the frame support vanish.
+    # projection back onto the span.  Rows outside the (nonempty) frame support vanish.
     g = lam[:, None] * frame.T
     h = g - frame.T @ (frame @ g)
-    support = _frame_support(frame)
-    defect = np.linalg.svd(h[support, :], compute_uv=False)[0] if support.size else 0.0
+    defect = np.linalg.svd(h[_frame_support(frame), :], compute_uv=False)[0]
     if defect > FRAME_INVARIANCE_TOL * max(model.max_eigenvalue(), 0.0):
         raise ValueError(
             f"subspace is not Q-invariant: ||(I-P)QP|| = {defect:.3e} "
@@ -550,16 +549,13 @@ class Spectrum:
         elif not S.is_complement:
             eigs = np.linalg.eigvalsh(S.frame @ (lam[None, :] * S.frame).T)
         else:
-            support = _frame_support(S.frame)
-            eigs = np.delete(lam, support)
-            if support.size:
-                import scipy.linalg
-                # Orthonormal basis of the orthogonal complement of the frame rows
-                # within the support block: the trailing singular directions.
-                u, _, _ = scipy.linalg.svd(S.frame[:, support].T, full_matrices=True)
-                basis = u[:, S.frame.shape[0]:]
-                block = basis.T @ (lam[support, None] * basis)
-                eigs = np.concatenate([eigs, np.linalg.eigvalsh(block)])
+            support = _frame_support(S.frame)  # not empty: the frame's rows are unit vectors
+            # Orthonormal basis of the orthogonal complement of the frame rows
+            # within the support block: the trailing singular directions.
+            u, _, _ = np.linalg.svd(S.frame[:, support].T, full_matrices=True)
+            basis = u[:, S.frame.shape[0]:]
+            block = basis.T @ (lam[support, None] * basis)
+            eigs = np.concatenate([np.delete(lam, support), np.linalg.eigvalsh(block)])
         self.eigenvalues = eigs
         self.top = float(eigs.max()) if eigs.size else 0.0
 

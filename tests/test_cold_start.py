@@ -194,6 +194,26 @@ def test_quantile_calls_skip_scipy_special_package_init(tmp_path):
     assert result == {"ufuncs": True, "loaded": []}
 
 
+FRAME_CI = """
+import json, sys
+import hilbert_gauss.cli
+obs, frame, out = sys.argv[1:4]
+args = ["ci", "--model", "bridge:16", "--obs", obs, "--subspace", frame, "--b", "4:1.0", "--out", out]
+hilbert_gauss.cli.main(args, standalone_mode=False)
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("scipy.linalg"))))
+"""
+
+
+def test_ci_on_a_frame_subspace_loads_no_scipy_linalg(tmp_path):
+    # The spectrum of a frame's complement takes numpy's SVD; a pivoted QR (_span) alone loads scipy.linalg.
+    obs = tmp_path / "obs.json"
+    obs.write_text(json.dumps({"coords": {"4": 0.7, "5": -0.2, "1": 0.3}}))
+    frame = tmp_path / "frame.json"
+    frame.write_text(json.dumps({"frame": [[float(k == mode) for k in range(16)] for mode in (3, 4)]}))
+    assert run_fresh(FRAME_CI, obs, frame, tmp_path / "out.txt") == []
+    assert json.loads((tmp_path / "out.txt").read_text())["level"] == 0.95
+
+
 def test_later_scipy_special_import_exports_the_ufuncs_called():
     result = run_fresh(LATER_IMPORT)
     assert result["module"] == "scipy.special._ufuncs"

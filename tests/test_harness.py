@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hilbert_gauss import harness
+from hilbert_gauss import Subspace, harness
 from hilbert_gauss.harness import (
     CHUNK_SIZE,
     EXPERIMENT_KINDS,
@@ -561,6 +561,25 @@ def test_config_field_has_one_rule_for_json_and_python(field, value):
     with pytest.raises(ValueError) as from_python:
         dataclasses.replace(smoke_config(), **{field: value})
     assert str(from_python.value) == str(from_json.value)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    (
+        ("model", "wiener:16"),
+        ("model", None),
+        ("subspace", [4]),
+        ("subspace0", (4,)),
+        ("zeta", np.zeros(64)),
+        ("b", [0.0] * 64),
+        ("b", Subspace.from_indices(64, [4])),
+    ),
+    ids=("model_name", "model_none", "subspace_list", "subspace0_tuple", "zeta_array", "b_list", "b_subspace"),
+)
+def test_config_object_field_of_the_wrong_type_is_named(field, value):
+    # A config built in Python names the field, before any attribute of the object is read.
+    with pytest.raises(ValueError, match=rf"^config field '{field}': expected "):
+        dataclasses.replace(smoke_config(), **{field: value})
 
 
 def test_run_deterministic():

@@ -1,6 +1,8 @@
-"""Scalar inputs of the public functions: a sigma, alpha, count, index, mode
-or tail flag of the wrong kind is a ValueError naming it, never converted
-by int(), float() or bool(), and it is refused before any draw or pool."""
+"""Scalar and array inputs of the public functions: a sigma, alpha, count,
+index, mode or tail flag of the wrong kind is a ValueError naming it, never
+converted by int(), float() or bool(), and so is an array (an observation, a
+frame, a design and its c or G0, a grid or a trajectory) holding a bool, a
+string or a non-finite entry.  Each is refused before any draw or pool."""
 
 import concurrent.futures
 import fractions
@@ -18,6 +20,7 @@ U0 = hg.Subspace.from_indices(16, [1])
 Y = hg.HVector(np.linspace(1.0, 2.0, 16))
 B = hg.HVector.basis_vector(16, 1)
 LAW = hg.GaussianLaw(M, hg.HVector.zero(16), 1.0)
+A = hg.DesignOperator(M, [B.coeffs, hg.HVector.basis_vector(16, 2).coeffs])
 CONFIG = harness.ExperimentConfig(kind="moments", model=M, replicates=10)
 
 CASES = {
@@ -59,6 +62,28 @@ CASES = {
     "run_experiment_workers_float": (lambda: hg.run_experiment(CONFIG, workers=1.5), "config field 'workers'"),
     "run_experiment_workers_bool": (lambda: hg.run_experiment(CONFIG, workers=True), "config field 'workers'"),
     "run_experiment_workers_string": (lambda: hg.run_experiment(CONFIG, workers="2"), "config field 'workers'"),
+    "frame_strings": (lambda: hg.Subspace.from_frame(M, [["1"] + ["0"] * 15]), "frame entries must be finite numbers"),
+    "frame_bools": (lambda: hg.Subspace.from_frame(M, [[True] + [False] * 15]), "frame entries must be finite numbers"),
+    "frame_nan": (lambda: hg.Subspace.from_frame(M, [[np.nan] + [0.0] * 15]), "frame entries must be finite numbers"),
+    "frame_of_matrices": (lambda: hg.Subspace.from_frame(M, np.eye(16)[None, :2]), "frame vectors must be 1-d"),
+    "frame_not_a_list": (lambda: hg.Subspace.from_frame(M, "1" * 16), "frame must be a list, a tuple or an array"),
+    "design_strings": (lambda: hg.DesignOperator(M, [["0"] * 15 + ["1"]]), "column entries must be finite numbers"),
+    "apply_strings": (lambda: A.apply(["1", "0"]), "beta must be finite numbers"),
+    "pullback_bools": (lambda: hg.pullback_functional(A, [True, False]), "c must be finite numbers"),
+    "pullback_nan": (lambda: hg.pullback_functional(A, [np.nan, 0.0]), "c must be finite numbers"),
+    "test_beta_strings": (lambda: hg.test_beta(Y, A, [["1", "0"]], 0.05), "G0 vector 0 must be finite numbers"),
+    "test_beta_nan_array": (
+        lambda: hg.test_beta(Y, A, np.array([[np.nan, 1.0]]), 0.05),
+        "G0 vector entries must be finite$",
+    ),
+    "grid_strings": (lambda: hg.Grid(["0", "0.5", "1"]), "grid points must be finite numbers"),
+    "grid_bools": (lambda: hg.Grid([False, True]), "grid points must be finite numbers"),
+    "grid_nan": (lambda: hg.Grid([0.0, np.nan, 1.0]), "grid points must be finite numbers"),
+    "trajectory_strings": (
+        lambda: hg.coeffs_from_trajectory(M, hg.Grid([0.0, 0.5, 1.0]), ["0", "1", "0"]),
+        "trajectory values must be finite numbers",
+    ),
+    "eval_basis_point": (lambda: hg.eval_basis(M, 1, "0.5"), "t must be finite numbers"),
 }
 
 
