@@ -672,6 +672,8 @@ def _coverage(config):
         return {"covered": np.abs(truth - centers) <= half_widths}
 
     def aggregate(report, arrays, sums):
+        if config.kind == "coverage_unknown":
+            report.use_tail = plan.use_tail  # the convention of the denominator it read
         rate, se = _rate(arrays["covered"], config.replicates)
         tol = _binomial_tolerance(config.alpha, config.replicates)
         _record(report, "coverage", rate, se, 1.0 - config.alpha, "analytic", note, tol, sided)
@@ -712,6 +714,7 @@ def _unbiasedness(config):
         return {"coord_sum": zhat, "coord_sumsq": zhat * zhat, "s2": plan.variance(y)}
 
     def aggregate(report, arrays, sums):
+        report.use_tail = plan.use_tail  # the convention of the denominator it read
         total, total_sq = np.zeros((2, config.model.dim))
         total[modes], total_sq[modes] = sums["coord_sum"], sums["coord_sumsq"]
         mean, se = _summed_mean_se(total, total_sq, config.replicates)
@@ -752,6 +755,7 @@ def _independence(config):
     plan = functional_plan(config.model, config.subspace, config.b, config.use_tail)
 
     def aggregate(report, arrays, sums):
+        report.use_tail = plan.use_tail  # the convention of the denominator it read
         m = config.replicates
         fa_c = arrays["functional"] - arrays["functional"].sum() / m
         s2_c = arrays["s2"] - arrays["s2"].sum() / m
@@ -816,7 +820,7 @@ def _risk(config):
         return {"mean_err": row_inner(diff, diff), "s2_err": (plan.variance(y) - sigma_sq) ** 2}
 
     def aggregate(report, arrays, sums):
-        report.use_tail = False  # truncated whatever the model's default convention
+        report.use_tail = plan.use_tail  # False, whatever the model's convention
         mean_risk, mean_risk_se = _mean_se(arrays["mean_err"])
         target = risk_mean(config.model, config.subspace, config.sigma)
         _record(report, "mean_risk", mean_risk, mean_risk_se, target, "closed-form", "sigma^2 tr(Q P_U)")
@@ -911,26 +915,25 @@ EXPERIMENT_KINDS = tuple(_KINDS)
 
 
 def _build(config: ExperimentConfig):
-    """The kind's (apply, aggregate, width, law), after a dry run of apply on an empty block."""
+    """The kind's (apply, aggregate, width, law) and the output keys of apply's dry run on an empty block."""
     apply, aggregate, width, law = _KINDS[config.kind][0](config)
-    apply(np.empty((0, width)))
-    return apply, aggregate, width, law
+    return apply, aggregate, width, law, apply(np.empty((0, width))).keys()
 
 
 def _run_chunk(config: ExperimentConfig, start: int, count: int, built=None, threads=1) -> dict:
-    """Replicates [start, start + count) through `built`, the kind's (apply, aggregate, width, law):
+    """Replicates [start, start + count) through `built`, what `_build` returns:
     apply on draws of modes 1..width of law.  A pool worker, passing none, builds its own.
 
-    Blocks of at most THREAD_ROWS rows run on up to `threads` threads, each
-    owning a stripe: thread t draws and evaluates blocks t, t + threads, ...
-    with its own generator and buffer.  The calling thread is thread 0; it
-    takes every block's outputs in block order, the others' from one short
-    queue per helper, so sums and arrays are built as in the serial run."""
+    The blocks run on up to `threads` threads, each owning a stripe: thread t
+    draws and evaluates blocks t, t + threads, ... with its own generator and
+    buffer.  The calling thread is thread 0; it takes every block's outputs
+    in block order, the others' from one short queue per helper, so sums and
+    arrays are built as in the serial run."""
     summed = _KINDS[config.kind][1]
-    apply, _, width, law = _build(config) if built is None else built
+    apply, _, width, law, _ = _build(config) if built is None else built
     rows = block_rows(width)
     blocks = -(-count // rows)
-    threads = min(threads, blocks) if rows <= THREAD_ROWS else 1
+    threads = min(threads, blocks)
     arrays, sums = {}, {}
 
     def stripe(t):
@@ -1021,20 +1024,19 @@ def run_experiment(config: ExperimentConfig, workers: int | None = None, stream_
     workers = config.workers if workers is None else _named("config field 'workers'", _count, workers, "workers")
     # Building the kind validates the config before any replicate is drawn.
     built = _build(config)
-    apply, aggregate, width, _ = built
-    if stream_path is not None and set(apply(np.empty((0, width)))) <= set(_KINDS[config.kind][1]):
+    _, aggregate, width, _, keys = built
+    if stream_path is not None and set(keys) <= set(_KINDS[config.kind][1]):
         raise ValueError(f"experiment {config.kind!r} has no per-replicate values to stream")
 
     chunks = [
         (start, min(CHUNK_SIZE, config.replicates - start))
         for start in range(0, config.replicates, CHUNK_SIZE)
     ]
-    # Wide blocks run on threads here; a chunk under half the full work costs
-    # less than the process it would start.  The CPUs are shared by the
-    # processes that run, not by the workers allowed.
+    # Wide blocks run on threads here, over every usable CPU; narrow ones on the
+    # calling thread, in processes, as a chunk under half the full work costs
+    # less than the process it would start.
     large = sum(count >= CHUNK_SIZE // 2 for _, count in chunks)
-    processes = 1 if block_rows(width) <= THREAD_ROWS else max(1, min(workers, large))
-    threads = max(1, _usable_cpus() // processes)
+    processes, threads = (1, _usable_cpus()) if block_rows(width) <= THREAD_ROWS else (max(1, min(workers, large)), 1)
     if processes == 1:
         partials = [_run_chunk(config, start, count, built, threads) for start, count in chunks]
     else:

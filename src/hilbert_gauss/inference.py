@@ -112,18 +112,9 @@ class FunctionalPlan(Plan):
             raise ValueError("<Q b, P_U b> is not positive; b carries no signal inside U")
         return v
 
-    def _tail(self) -> bool:
-        """use_tail, which a complement U cannot take."""
-        if self.use_tail and self.U.is_complement:
-            raise ValueError(
-                "U is a complement, so the mass past the truncation lies inside U and "
-                "tr(Q (I - P_U)) has no tail; set use_tail false (--no-tail)"
-            )
-        return self.use_tail
-
     @cached_property
     def variance_denominator(self) -> float:
-        tail = self._tail()
+        tail = default_use_tail(self.model, self.use_tail, self._perp.is_complement)
         denom = trace_q_on(self.model, self._perp)
         if denom <= 0.0:
             # A tail alone would divide a residual that the truncated draws leave at zero.
@@ -171,8 +162,11 @@ _functional_plan = lru_cache(maxsize=PLAN_CACHE_SIZE)(FunctionalPlan)
 def functional_plan(
     model: SpectralModel, U: Subspace, b: HVector | None = None, use_tail: bool | None = None
 ) -> FunctionalPlan:
-    """The FunctionalPlan of (model, U, b, use_tail) from a bounded cache keyed
-    by value; use_tail None is resolved to the model's default first."""
+    """The FunctionalPlan of (model, U, b, use_tail) from a bounded cache keyed by value.
+    use_tail None is resolved first, for the trace over the complement of U, so None and
+    its value share one plan; an explicit True is refused only where a trace is read."""
+    if use_tail is None:
+        return _functional_plan(model, U, b, default_use_tail(model, None, not U.is_complement))
     return _functional_plan(model, U, b, default_use_tail(model, use_tail))
 
 

@@ -27,7 +27,6 @@ from .spectral import (
     Subspace,
     _check_model_subspace,
     _residual,
-    default_use_tail,
     difference_subspace,
     project,
     row_inner,
@@ -88,7 +87,7 @@ def norm_sq_moments(law: GaussianLaw, use_tail: bool | None = None):
     are the moments of ||P_S Y||^2 on the whole space S, the complement of
     no mode.
     """
-    return transformed_norm_sq_moments(law, _whole(law.model.dim), default_use_tail(law.model, use_tail))
+    return transformed_norm_sq_moments(law, _whole(law.model.dim), use_tail)
 
 
 # The whole space of `dim` modes, the complement of no mode, its mask built once per dim.
@@ -100,18 +99,14 @@ def transformed_norm_sq_moments(law: GaussianLaw, T_subspace: Subspace, use_tail
 
     Mean sigma^2 tr(Q P_S) + ||P_S zeta||^2; variance
     2 sigma^4 ||P_S Q P_S||_HS^2 + 4 sigma^2 <Q P_S zeta, P_S zeta>.  The
-    analytic tail lies past the truncation, inside a complement S only, so
-    use_tail None takes the model's convention for a complement S and no
-    tail for a plain one.
+    trace takes the analytic tail as `default_use_tail` rules over S: under
+    use_tail None, the model's convention for a complement S and no tail for
+    a plain one.
     """
-    if use_tail is not None or T_subspace.is_complement:
-        use_tail = default_use_tail(law.model, use_tail)
-    else:
-        use_tail = False
     lam = law.model.eigenvalues
     s2 = law.sigma**2
     proj_mean = project(law.mean.coeffs, T_subspace)
-    mean = s2 * trace_q_on(law.model, T_subspace, use_tail=use_tail) + float(proj_mean @ proj_mean)
+    mean = s2 * trace_q_on(law.model, T_subspace, use_tail) + float(proj_mean @ proj_mean)
     eigs = Spectrum(law.model, T_subspace).eigenvalues
     variance = 2.0 * s2 * s2 * float(eigs @ eigs) + 4.0 * s2 * float(lam @ (proj_mean * proj_mean))
     return mean, variance
@@ -222,7 +217,10 @@ class Plan:
     def head(self, width: int):
         """The plan of the keys cut to modes 1..width (index-set subspaces only), from
         a bounded cache keyed by this plan and width, for a statistic that reads no
-        later mode: it gives the same values on a draw's head."""
+        later mode.  If the width holds U, U0 and the top of Q on the complement of U,
+        a head keeps `variance_factor`, `complement_top`, `decomposition`, `leading` and
+        `whitening` bit for bit; its model counts the later modes as tail, so its traces
+        (`variance_denominator`, the tau of `complement_params`) differ and are not read."""
         return self if width == self.model.dim else _head(self, width)
 
 

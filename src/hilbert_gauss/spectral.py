@@ -442,13 +442,23 @@ def _check_q_invariance(model: SpectralModel, frame: np.ndarray) -> None:
         )
 
 
-def default_use_tail(model: SpectralModel, use_tail: bool | None = None) -> bool:
-    """The tail convention in force: use_tail when given, otherwise analytic
-    spectra include their tail and custom ones do not.  A use_tail other than
-    None or a bool is a ValueError, not read for its truth."""
-    if not (use_tail is None or isinstance(use_tail, bool)):
+def default_use_tail(model: SpectralModel, use_tail: bool | None = None, complement: bool = True) -> bool:
+    """Whether a trace of Q over a subspace S adds the model's analytic tail, the
+    package's one tail rule.  The tail is the mass past the truncation, so it lies
+    in every complement S and in no plain one (`complement` is S.is_complement).
+    None takes the model's convention over a complement (analytic spectra include
+    their tail, custom ones do not) and no tail over a plain S; True over a plain
+    S is a ValueError, and so is a value other than None or a bool."""
+    if use_tail is None:
+        return complement and model.is_analytic
+    if not isinstance(use_tail, bool):
         raise ValueError(f"use_tail must be true, false or None, got {use_tail!r}")
-    return model.is_analytic if use_tail is None else use_tail
+    if use_tail and not complement:
+        raise ValueError(
+            "the analytic tail lies in complement subspaces only: a trace over a plain subspace has none, "
+            "as tr(Q (I - P_U)) has none where U is a complement; set use_tail false (--no-tail)"
+        )
+    return use_tail
 
 
 # ---------------------------------------------------------------------------
@@ -570,30 +580,24 @@ class Spectrum:
         return self.eigenvalues > DEFAULT_REL_TOL * self.model.max_eigenvalue()
 
 
-def trace_q_on(model: SpectralModel, S: Subspace, use_tail: bool = False) -> float:
+def trace_q_on(model: SpectralModel, S: Subspace, use_tail: bool | None = False) -> float:
     """Trace of Q restricted to S.
 
     For index sets this is a partial eigenvalue sum; for frames it is
-    sum_j <Q f_j, f_j>.  When S is a complement variant and `use_tail` is
-    set, the model's analytic tail trace is added: an index set or a frame
-    lies inside the truncated modes, so the mass past the truncation lies
-    in its complement.
+    sum_j <Q f_j, f_j>.  The model's analytic tail trace is added as
+    `default_use_tail` rules over S: an index set or a frame lies inside the
+    truncated modes, so the mass past the truncation lies in its complement.
     """
     _check_model_subspace(model, S)
-    if not isinstance(use_tail, bool):  # default_use_tail's rule, without its None
-        raise ValueError(f"use_tail must be true or false, got {use_tail!r}")
-    if use_tail and not S.is_complement:
-        raise ValueError("tail trace applies to complement subspaces only")
+    tail = default_use_tail(model, use_tail, S.is_complement)
     lam = model.eigenvalues
     if S.kind == "indices":
         total = float(lam[S.index_mask()].sum())
     elif S.is_complement:
         total = float(lam.sum()) - float(np.einsum("jk,k,jk->", S.frame, lam, S.frame))
     else:
-        return float(np.einsum("jk,k,jk->", S.frame, lam, S.frame))
-    if use_tail:
-        total += model.tail_trace
-    return total
+        total = float(np.einsum("jk,k,jk->", S.frame, lam, S.frame))
+    return total + model.tail_trace if tail else total
 
 
 def _frame_rows(S: Subspace) -> np.ndarray:

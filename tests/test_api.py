@@ -2,16 +2,20 @@
 function or class of a module is exported by `hilbert_gauss` or named
 somewhere in `src/` outside its own definition.  The command line
 (`cli.py`) is an entry point, so its definitions are exempt; the names it
-reads still count as uses.
+reads still count as uses.  Every public method or property of a class is
+read as an attribute in `src/` or `perfbench/`, overrides a method of a
+framework class, or is named in the README as kept for callers.
 """
 
 import ast
+import importlib
 import pathlib
 from collections import Counter
 
 import hilbert_gauss
 
 PACKAGE = pathlib.Path(hilbert_gauss.__file__).parent
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 def names_in(node) -> Counter:
@@ -42,6 +46,34 @@ def test_every_public_definition_is_exported_or_used():
             if everywhere[node.name] - names_in(node)[node.name] == 0:
                 unused.append(f"{module[:-3]}.{node.name}")
     assert unused == []
+
+
+def attribute_reads(paths) -> set:
+    """The attribute names read under the files at `paths`: `x.rank`, not a local `rank`."""
+    return {
+        n.attr
+        for path in paths
+        for n in ast.walk(ast.parse(path.read_text()))
+        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+    }
+
+
+def test_every_public_method_is_read_or_named():
+    read = attribute_reads(PACKAGE.glob("*.py")) | attribute_reads((ROOT / "perfbench").glob("*.py"))
+    readme = (ROOT / "README.md").read_text()
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = importlib.import_module(f"hilbert_gauss.{path.stem}")
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(node, ast.ClassDef):
+                continue
+            frameworks = [b for b in getattr(module, node.name).__mro__ if not b.__module__.startswith("hilbert_gauss")]
+            for f in node.body:
+                if not isinstance(f, ast.FunctionDef) or f.name.startswith("_") or f.name in read:
+                    continue
+                if not any(f.name in vars(b) for b in frameworks) and f"`{node.name}.{f.name}`" not in readme:
+                    unread.append(f"{path.stem}.{node.name}.{f.name}")
+    assert unread == []
 
 
 def test_only_harness_reads_input():

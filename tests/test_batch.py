@@ -23,7 +23,7 @@ from hilbert_gauss.estimators import est_functional, est_mean, est_variance, ris
 from hilbert_gauss.harness import CHUNK_SIZE, ExperimentConfig, ReplicateStreams, _add_rows, block_rows, derive_stream, run_experiment
 from hilbert_gauss.processes import bridge_model, custom_model, wiener_model
 from hilbert_gauss.sampling import GaussianLaw, noise_plan, sample
-from hilbert_gauss.spectral import HVector, Subspace, default_use_tail, inner
+from hilbert_gauss.spectral import HVector, Subspace, inner
 
 REL_TOL = 1e-12
 STREAM_KINDS = (
@@ -51,9 +51,7 @@ def reference(config: ExperimentConfig) -> dict:
     model, U, U0, b = config.model, config.subspace, config.subspace0, config.b
     zeta = config.zeta if config.zeta is not None else HVector.zero(model.dim)
     law = GaussianLaw(model, zeta, config.sigma)
-    use_tail = False if config.kind == "risk" else (
-        default_use_tail(model) if config.use_tail is None else config.use_tail
-    )
+    use_tail = False if config.kind == "risk" else config.use_tail
     out = {}
 
     def put(key, value):
@@ -570,7 +568,7 @@ def applied(kind: str, subspace: str, readonly: bool = False):
               "complement": lambda: complement_config(kind)}[subspace]()
     inference._functional_plan.cache_clear()  # fresh plans: no constant left by an earlier run
     sampling.noise_plan.cache_clear()
-    apply, _, width, law = harness._build(config)
+    apply, _, width, law, _ = harness._build(config)
     y = law.from_normals(ReplicateStreams(3).standard_normal_rows(range(8), np.empty((8, width))))
     y.flags.writeable = not readonly
 

@@ -579,22 +579,28 @@ def test_subspace_dim_other_than_the_models_exits_two(runner, tmp_path, subspace
 
 @pytest.mark.parametrize("command", ("estimate", "ci", "mc"))
 def test_complement_subspace_needs_no_tail(runner, tmp_path, command):
-    # An analytic model's default tail lies inside a complement U: exit 2 with
-    # one line that names the cause and the fix; with the fix the command runs.
+    # An analytic model's tail lies inside a complement U, so tr(Q (I - P_U)) has
+    # none: the default prints what --no-tail prints, and --use-tail exits 2 with
+    # one line that names the cause and the fix.
     comp = {"indices": [1, 2, 3], "complement": True}
     obs = write_obs(tmp_path, 16, {4: 0.7, 1: 0.3})
     if command == "mc":
         config = {"kind": "unbiasedness", "model": "wiener:16", "subspace": comp, "zeta": "4:0.7", "replicates": 50}
-        args = ["mc", "--config", write_json(tmp_path, "mc.json", config)]
-        fixed = ["mc", "--config", write_json(tmp_path, "mc_fixed.json", {**config, "use_tail": False})]
+        args, fixed, tail = (
+            ["mc", "--config", write_json(tmp_path, f"mc_{name}.json", {**config, **fields})]
+            for name, fields in (("default", {}), ("fixed", {"use_tail": False}), ("tail", {"use_tail": True}))
+        )
     else:
         args = [command, "--model", "wiener:16", "--obs", obs, "--subspace", write_json(tmp_path, "comp.json", comp)]
         args += ["--b", "4:1.0"] if command == "ci" else []
-        fixed = args + ["--no-tail"]
-    res = runner.invoke(main, args)
+        fixed, tail = args + ["--no-tail"], args + ["--use-tail"]
+    got, want = runner.invoke(main, args), runner.invoke(main, fixed)
+    assert got.exit_code == want.exit_code == 0
+    drop_runtime = lambda res: [line for line in res.stdout.splitlines() if '"runtime_seconds"' not in line]
+    assert drop_runtime(got) == drop_runtime(want)
+    res = runner.invoke(main, tail)
     assert_one_line_error(res)
     assert "U is a complement" in res.stderr and "use_tail false (--no-tail)" in res.stderr
-    assert runner.invoke(main, fixed).exit_code == 0
 
 
 @pytest.mark.parametrize(

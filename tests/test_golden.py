@@ -23,7 +23,7 @@ import sys
 import numpy as np
 import pytest
 
-from hilbert_gauss import harness
+from hilbert_gauss import harness, sampling
 from hilbert_gauss.harness import CHUNK_SIZE, EXPERIMENT_KINDS, ExperimentConfig, ReplicateStreams, derive_stream
 from hilbert_gauss.harness import run_experiment
 
@@ -195,6 +195,28 @@ def test_wide_report_is_thread_invariant(monkeypatch, name):
         sys.setswitchinterval(interval)
     assert hashlib.sha256(reports[0].encode()).hexdigest() == want["sha256"]
     assert reports[1:] == reports[:1] * 3
+
+
+def test_heads_keep_the_constants_their_kinds_read(monkeypatch):
+    # The narrow kinds read their plan constants off a head of the plan; each
+    # equals the full plan's, bit for bit (a head's traces differ, and none is read).
+    heads = []
+    cut = sampling.Plan.head
+
+    def recorded(plan, width):
+        heads.append((plan, cut(plan, width)))
+        return heads[-1][1]
+
+    monkeypatch.setattr(sampling.Plan, "head", recorded)
+    for kind in ("coverage_known", "noise_law"):
+        harness._build(golden_config(kind))
+    (known, known_head), (noise, noise_head) = heads
+    assert known_head.model.dim < DIM and noise_head.model.dim < DIM
+    assert known_head.variance_factor == known.variance_factor
+    assert noise_head.decomposition == noise.decomposition  # lam, n, mu and m
+    assert noise_head.leading.indices == noise.leading.indices
+    (coords, lam, mu), (want_coords, want_lam, want_mu) = noise_head.whitening, noise.whitening
+    assert coords.tobytes() == want_coords.tobytes() and lam.tobytes() == want_lam.tobytes() and mu == want_mu
 
 
 @pytest.mark.parametrize("name", PINNED)

@@ -295,7 +295,7 @@ def test_config_validation_per_kind():
 
 
 FRAME_E4 = {"frame": [[0.0] * 3 + [1.0] + [0.0] * 60]}
-COMPLEMENT_TAIL = r"U is a complement, .* has no tail; set use_tail false \(--no-tail\)"
+COMPLEMENT_TAIL = r"U is a complement; set use_tail false \(--no-tail\)"
 
 
 @pytest.mark.parametrize(
@@ -312,8 +312,8 @@ COMPLEMENT_TAIL = r"U is a complement, .* has no tail; set use_tail false \(--no
         ("learning_curve", {"subspace": [1, 2, 3], "zeta": "2:0.5", "cutoffs": []}, "at least one cutoff"),
         ("learning_curve", {"subspace": [], "zeta": "2:0.0"}, "at least one cutoff"),
         ("learning_curve", {"subspace": [1, 2, 3], "zeta": "2:0.5", "cutoffs": [2, 2, 0]}, "cutoff 2 given twice"),
-        # The analytic model's default tail would have to lie in the complement of a complement U.
-        *((kind, {"subspace": {"indices": [1, 2, 3], "complement": True}}, COMPLEMENT_TAIL)
+        # An explicit tail would have to lie in the complement of a complement U.
+        *((kind, {"subspace": {"indices": [1, 2, 3], "complement": True}, "use_tail": True}, COMPLEMENT_TAIL)
           for kind in ("coverage_unknown", "unbiasedness", "independence")),
         # U holds every truncated mode: the residual is zero whatever the default tail adds.
         *((kind, {"subspace": list(range(1, 65))}, r"over the truncated modes is zero")
@@ -331,6 +331,22 @@ def test_config_validation_messages_per_kind(monkeypatch, kind, overrides, messa
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
     with pytest.raises(ValueError, match=message):
         run_experiment(smoke_config(kind=kind, **overrides), workers=2)
+
+
+@pytest.mark.parametrize("kind", ("coverage_unknown", "unbiasedness", "independence"))
+def test_complement_subspace_default_is_no_tail(kind):
+    # The analytic tail lies inside a complement U, so tr(Q (I - P_U)) has none:
+    # the default's report is the one of use_tail false, its use_tail field included.
+    comp = {"indices": [1, 2, 3], "complement": True}
+    got = run_experiment(smoke_config(kind=kind, subspace=comp))
+    want = run_experiment(smoke_config(kind=kind, subspace=comp, use_tail=False))
+    assert got.comparable_json() == want.comparable_json() and got.use_tail is False
+
+
+def test_complement_tail_is_refused_only_where_a_trace_is_read():
+    # coverage_known reads no trace, so an explicit tail over a complement U runs as configured.
+    report = run_experiment(smoke_config(subspace={"indices": [1, 2, 3], "complement": True}, use_tail=True))
+    assert report.passed and report.use_tail is True
 
 
 def test_dry_run_is_the_only_pre_draw_guard(monkeypatch):
@@ -426,10 +442,10 @@ def test_wide_blocks_start_no_process(monkeypatch):
     assert handed == [4, 4]
 
 
-@pytest.mark.parametrize("replicates, threads", ((400, [4]), (2 * CHUNK_SIZE + 17, [2, 2, 2])))
+@pytest.mark.parametrize("replicates, threads", ((400, [1]), (2 * CHUNK_SIZE + 17, [1, 1, 1])))
 def test_processes_started_share_the_cpus(monkeypatch, replicates, threads):
-    # One chunk at workers=2 runs in this process on every CPU; three chunks,
-    # two of them full, start two processes, each with half of them.
+    # Narrow blocks run on the calling thread: one chunk at workers=2 in this
+    # process, three chunks, two of them full, in the two processes they start.
     handed = record_threads(monkeypatch)
     run_experiment(smoke_config(replicates=replicates), workers=2)
     assert handed == threads

@@ -107,9 +107,12 @@ def test_ci_params_unknown_degenerate():
 def test_ci_params_unknown_names_no_tail_for_a_complement():
     m = wiener_model(16)
     u = Subspace.from_indices(16, [4, 5]).complement()
-    with pytest.raises(ValueError, match="--no-tail"):
-        ci_params_unknown(m, u)
+    # The tail lies inside a complement U: None takes no tail there, from the plan of False.
+    assert functional_plan(m, u) is functional_plan(m, u, use_tail=False)
+    assert ci_params_unknown(m, u) == ci_params_unknown(m, u, use_tail=False)
     assert ci_params_unknown(m, u, use_tail=False) == functional_plan(m, u, use_tail=False).complement_params
+    with pytest.raises(ValueError, match="--no-tail"):
+        ci_params_unknown(m, u, use_tail=True)
 
 
 def test_frame_complement_takes_the_tail_of_an_index_set():

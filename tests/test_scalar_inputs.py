@@ -23,6 +23,13 @@ LAW = hg.GaussianLaw(M, hg.HVector.zero(16), 1.0)
 A = hg.DesignOperator(M, [B.coeffs, hg.HVector.basis_vector(16, 2).coeffs])
 CONFIG = harness.ExperimentConfig(kind="moments", model=M, replicates=10)
 
+
+def trace_tail_none_then_true():
+    # None over a plain subspace takes no tail, where an explicit True is refused.
+    assert hg.trace_q_on(M, U, use_tail=None) == hg.trace_q_on(M, U, use_tail=False)
+    hg.trace_q_on(M, U, use_tail=True)
+
+
 CASES = {
     "derive_stream": (lambda: hg.derive_stream(1.5, 2.7), "master_seed must be an integer"),
     "wiener_model": (lambda: hg.wiener_model(16.5), "n_modes must be an integer"),
@@ -45,7 +52,7 @@ CASES = {
     "law_sigma": (lambda: hg.GaussianLaw(M, hg.HVector.zero(16), True), "sigma must be"),
     "norm_sq_moments_tail": (lambda: hg.norm_sq_moments(LAW, use_tail="no"), "use_tail must be"),
     "trace_q_on_tail": (lambda: hg.trace_q_on(M, U.complement(), use_tail="no"), "use_tail must be"),
-    "trace_q_on_tail_none": (lambda: hg.trace_q_on(M, U.complement(), use_tail=None), "use_tail must be"),
+    "trace_q_on_tail_none": (trace_tail_none_then_true, r"complement subspaces only.*use_tail false \(--no-tail\)"),
     "ks_critical_value_bool": (lambda: hg.ks_critical_value(True), "n must be an integer"),
     "ks_critical_value_float": (lambda: hg.ks_critical_value(2.7), "n must be an integer"),
     "ks_critical_value_second_count": (lambda: hg.ks_critical_value(10, 2.0), "m must be an integer"),

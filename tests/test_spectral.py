@@ -511,3 +511,8 @@ def test_default_use_tail():
     assert not default_use_tail(small_model())
     analytic = SpectralModel([0.5, 0.25], tail_trace=0.1, basis_id="wiener")
     assert default_use_tail(analytic)
+    # The tail lies in complement subspaces only: a plain one takes none, and refuses an explicit one.
+    assert default_use_tail(analytic, None, complement=True) and not default_use_tail(analytic, None, complement=False)
+    assert default_use_tail(analytic, False, complement=False) is False
+    with pytest.raises(ValueError, match=r"complement subspaces only.*use_tail false \(--no-tail\)"):
+        default_use_tail(analytic, True, complement=False)
