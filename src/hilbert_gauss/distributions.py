@@ -25,7 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .spectral import PLAN_CACHE_SIZE, _count, _real
+from .spectral import PLAN_CACHE_SIZE, _count, _real, _real_array
 
 
 def _check_prob(value: float, name: str) -> float:
@@ -90,7 +90,7 @@ def gamma_cdf(x, alpha, beta):
     """Gamma CDF with shape alpha and rate beta (regularized lower gamma)."""
     alpha = _check_positive(alpha, "alpha")
     beta = _check_positive(beta, "beta")
-    x = np.asarray(x, dtype=float)
+    x = _real_array(x, "x")
     out = _special().gammainc(alpha, beta * np.clip(x, 0.0, None))
     return _maybe_scalar(x, out)
 
@@ -229,7 +229,7 @@ def gamma_ratio_reduction(alpha: float, beta: float, gamma: float, delta: float)
 
 def ks_statistic(samples, cdf) -> float:
     """One-sample Kolmogorov-Smirnov statistic against a vectorized CDF."""
-    x = np.sort(np.asarray(samples, dtype=float))
+    x = np.sort(_real_array(samples, "samples"))
     n = x.size
     if n == 0:
         raise ValueError("need at least one sample")

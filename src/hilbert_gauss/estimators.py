@@ -27,6 +27,7 @@ from .spectral import (
     _residual,
     inner,
     project,
+    row_inner,
     trace_q_on,
 )
 
@@ -128,7 +129,7 @@ def variance_est_risk(model: SpectralModel, U: Subspace, sigma: float) -> float:
     l1 = float(eigs.sum())
     if l1 <= 0.0:
         raise ValueError("Q vanishes on the complement of U")
-    l2 = float(np.sqrt(eigs @ eigs))
+    l2 = float(np.sqrt(row_inner(eigs, eigs)))
     return 2.0 * (sigma * sigma * l2 / l1) ** 2
 
 
@@ -148,8 +149,4 @@ def gm_variances(b: HVector, c: HVector, model: SpectralModel, U: Subspace, sigm
             "competitor is biased: c and b differ inside U "
             f"(||P_U (c - b)|| = {mismatch.norm():.3e})"
         )
-    lam = model.eigenvalues
-    pb = project(b, U).coeffs
-    var_best = sigma * sigma * float(lam @ (pb * pb))
-    var_c = sigma * sigma * float(lam @ (c.coeffs * c.coeffs))
-    return var_best, var_c
+    return tuple(sigma * sigma * float(row_inner(model.eigenvalues, v * v)) for v in (project(b, U).coeffs, c.coeffs))

@@ -28,7 +28,7 @@ import numpy as np
 
 from .estimators import risk_mean, variance_est_risk
 from .distributions import _check_positive, _check_prob, gamma_cdf, ks_critical_value, ks_statistic
-from .inference import functional_plan
+from .inference import _denominator_tail, functional_plan
 from .processes import Grid, bridge_model, coeffs_from_trajectory, wiener_model
 from .sampling import GaussianLaw, noise_plan, norm_sq_moments
 from .spectral import PLAN_CACHE_SIZE, HVector, SpectralModel, Subspace, default_use_tail, inner, project, row_inner
@@ -672,8 +672,6 @@ def _coverage(config):
         return {"covered": np.abs(truth - centers) <= half_widths}
 
     def aggregate(report, arrays, sums):
-        if config.kind == "coverage_unknown":
-            report.use_tail = plan.use_tail  # the convention of the denominator it read
         rate, se = _rate(arrays["covered"], config.replicates)
         tol = _binomial_tolerance(config.alpha, config.replicates)
         _record(report, "coverage", rate, se, 1.0 - config.alpha, "analytic", note, tol, sided)
@@ -714,7 +712,6 @@ def _unbiasedness(config):
         return {"coord_sum": zhat, "coord_sumsq": zhat * zhat, "s2": plan.variance(y)}
 
     def aggregate(report, arrays, sums):
-        report.use_tail = plan.use_tail  # the convention of the denominator it read
         total, total_sq = np.zeros((2, config.model.dim))
         total[modes], total_sq[modes] = sums["coord_sum"], sums["coord_sumsq"]
         mean, se = _summed_mean_se(total, total_sq, config.replicates)
@@ -755,7 +752,6 @@ def _independence(config):
     plan = functional_plan(config.model, config.subspace, config.b, config.use_tail)
 
     def aggregate(report, arrays, sums):
-        report.use_tail = plan.use_tail  # the convention of the denominator it read
         m = config.replicates
         fa_c = arrays["functional"] - arrays["functional"].sum() / m
         s2_c = arrays["s2"] - arrays["s2"].sum() / m
@@ -881,9 +877,9 @@ def _head_risks(config: ExperimentConfig, order: np.ndarray, cutoffs: list) -> l
     where V_c spans the modes order[:c] of U, in blocks of at most block_rows(dim) cutoffs.
 
     zeta with the modes of V_c set to 0.0 has the bits of zeta - P_{V_c} zeta
-    (z - z = +0.0 and z - 0.0 = z for finite z), row_inner runs the dot kernel
-    of its norm, and the eigenvalues of V_c are summed in the order of its index
-    mask.  A cumsum of the traces, or np.sum of the squares, would move bits.
+    (z - z = +0.0 and z - 0.0 = z for finite z), its norm is row_inner's as
+    HVector.norm's is, and the eigenvalues of V_c are summed in the order of its
+    index mask.  A cumsum of the traces, or np.sum of the squares, would move bits.
     """
     zeta, sigma, dim = config.zeta.coeffs, config.sigma, config.model.dim
     lam = config.model.eigenvalues[order]
@@ -1066,7 +1062,8 @@ def run_experiment(config: ExperimentConfig, workers: int | None = None, stream_
         checks=[],
         replicates=config.replicates,
         master_seed=config.master_seed,
-        use_tail=default_use_tail(config.model, config.use_tail),
+        # The convention of tr(Q (I - P_U)), U = {0} for moments; risk's aggregate records its forced False.
+        use_tail=_denominator_tail(config.model, None if config.kind == "moments" else config.subspace, config.use_tail),
         config_summary=_config_summary(config),
     )
     aggregate(report, arrays, sums)

@@ -107,7 +107,7 @@ class FunctionalPlan(Plan):
         if self.b is None:
             raise ValueError("the functional procedures need a vector b")
         # <Q b, P_U b>; zero means b acts like an element of the complement of U.
-        v = float(self.model.eigenvalues @ (project(self.b, self.U).coeffs * self.b.coeffs))
+        v = float(row_inner(self.model.eigenvalues, project(self.b, self.U).coeffs * self.b.coeffs))
         if v <= 0.0:
             raise ValueError("<Q b, P_U b> is not positive; b carries no signal inside U")
         return v
@@ -162,12 +162,17 @@ _functional_plan = lru_cache(maxsize=PLAN_CACHE_SIZE)(FunctionalPlan)
 def functional_plan(
     model: SpectralModel, U: Subspace, b: HVector | None = None, use_tail: bool | None = None
 ) -> FunctionalPlan:
-    """The FunctionalPlan of (model, U, b, use_tail) from a bounded cache keyed by value.
-    use_tail None is resolved first, for the trace over the complement of U, so None and
-    its value share one plan; an explicit True is refused only where a trace is read."""
+    """The FunctionalPlan of (model, U, b, use_tail) from a bounded cache keyed by value,
+    use_tail resolved first (`_denominator_tail`), so None and its value share one plan."""
+    return _functional_plan(model, U, b, _denominator_tail(model, U, use_tail))
+
+
+def _denominator_tail(model: SpectralModel, U: Subspace | None, use_tail: bool | None) -> bool:
+    """The tail convention of tr(Q (I - P_U)), U None for {0}: use_tail, checked, or for None the
+    model's unless U is a complement; an explicit True is refused only where a trace is read."""
     if use_tail is None:
-        return _functional_plan(model, U, b, default_use_tail(model, None, not U.is_complement))
-    return _functional_plan(model, U, b, default_use_tail(model, use_tail))
+        return default_use_tail(model, None, U is None or not U.is_complement)
+    return default_use_tail(model, use_tail)
 
 
 def ci_params_unknown(model: SpectralModel, U: Subspace, use_tail: bool | None = None):

@@ -106,9 +106,9 @@ def transformed_norm_sq_moments(law: GaussianLaw, T_subspace: Subspace, use_tail
     lam = law.model.eigenvalues
     s2 = law.sigma**2
     proj_mean = project(law.mean.coeffs, T_subspace)
-    mean = s2 * trace_q_on(law.model, T_subspace, use_tail) + float(proj_mean @ proj_mean)
+    mean = s2 * trace_q_on(law.model, T_subspace, use_tail) + float(row_inner(proj_mean, proj_mean))
     eigs = Spectrum(law.model, T_subspace).eigenvalues
-    variance = 2.0 * s2 * s2 * float(eigs @ eigs) + 4.0 * s2 * float(lam @ (proj_mean * proj_mean))
+    variance = 2.0 * s2 * s2 * float(row_inner(eigs, eigs)) + 4.0 * s2 * float(row_inner(lam, proj_mean * proj_mean))
     return mean, variance
 
 

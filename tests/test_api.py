@@ -3,8 +3,9 @@ function or class of a module is exported by `hilbert_gauss` or named
 somewhere in `src/` outside its own definition.  The command line
 (`cli.py`) is an entry point, so its definitions are exempt; the names it
 reads still count as uses.  Every public method or property of a class is
-read as an attribute in `src/` or `perfbench/`, overrides a method of a
-framework class, or is named in the README as kept for callers.
+read as an attribute in `src/`, overrides a method of a framework class, or
+is named in the README as kept for callers.  BLAS's dot is called in one
+function, `spectral.row_inner`, and matrix products only where listed.
 """
 
 import ast
@@ -59,7 +60,7 @@ def attribute_reads(paths) -> set:
 
 
 def test_every_public_method_is_read_or_named():
-    read = attribute_reads(PACKAGE.glob("*.py")) | attribute_reads((ROOT / "perfbench").glob("*.py"))
+    read = attribute_reads(PACKAGE.glob("*.py"))
     readme = (ROOT / "README.md").read_text()
     unread = []
     for path in sorted(PACKAGE.glob("*.py")):
@@ -90,3 +91,51 @@ def test_only_harness_reads_input():
             if isinstance(n, ast.Call) and "open" in (getattr(n.func, "id", None), getattr(n.func, "attr", None)):
                 found.append(f"{path.name}:{n.lineno} calls {ast.unparse(n.func)}")
     assert found == []
+
+
+# The functions of src/ that may call BLAS or LAPACK through @, a .dot, np.vdot,
+# np.inner, np.matmul or np.linalg.norm, each with what it computes there.  Every
+# inner product of coefficients is row_inner's, so its summation order is decided once.
+BLAS_CALLERS = {
+    "spectral.row_inner": "every inner product of coefficient rows, one row or a stack",
+    "spectral._all_finite": "np.vdot(a, a), a finiteness probe that must not warn on overflow",
+    "spectral.Subspace.from_frame": "the Gram matrix F F^T of a frame's rows",
+    "spectral._check_q_invariance": "F^T (F Q F^T), Q F^T projected back onto the frame's span",
+    "spectral.project": "F^T (F y^T), the projection onto a frame",
+    "spectral.Spectrum.__init__": "F Q F^T of a frame, and B^T Q B on a frame complement's support",
+    "spectral.difference_subspace": "(F0 FV^T) FV and (FV F0^T) F0, and the matrix 2-norm of a residual",
+    "regression.DesignOperator.apply": "columns beta, the forward map of a design",
+    "regression.DesignPlan.__init__": "the Gram matrix columns^T columns",
+    "regression._pullback": "columns Gram^-1 c, a pulled-back functional",
+    "regression._hypothesis": "columns G0, the hypothesis range",
+    "regression.lse": "columns^T y, the normal equations' right-hand side",
+    "processes.eval_vector": "y^T basis, a trajectory on a grid",
+    "processes.coeffs_from_trajectory": "basis (weights * values), the quadrature of a trajectory",
+}
+BLAS_FUNCTIONS = ("np.vdot", "np.inner", "np.matmul", "np.linalg.norm")
+
+
+def blas_calls(tree, module: str) -> list:
+    """(function, line) of each @, .dot, or BLAS_FUNCTIONS name under `tree`,
+    the function by its dotted path in `module` ('module' alone at top level)."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}"
+        if isinstance(getattr(node, "op", None), ast.MatMult) or (
+            isinstance(node, ast.Attribute) and (node.attr == "dot" or ast.unparse(node) in BLAS_FUNCTIONS)
+        ):
+            found.append((scope, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, module)
+    return found
+
+
+def test_blas_is_called_only_by_row_inner_and_the_listed_products():
+    calls = [c for path in sorted(PACKAGE.glob("*.py")) for c in blas_calls(ast.parse(path.read_text()), path.stem)]
+    assert [f"{scope}:{line}" for scope, line in calls if scope not in BLAS_CALLERS] == []
+    # Each listed function still computes a product: the list names no dead entry.
+    assert set(BLAS_CALLERS) - {scope for scope, _ in calls} == set()

@@ -333,10 +333,11 @@ def test_config_validation_messages_per_kind(monkeypatch, kind, overrides, messa
         run_experiment(smoke_config(kind=kind, **overrides), workers=2)
 
 
-@pytest.mark.parametrize("kind", ("coverage_unknown", "unbiasedness", "independence"))
+@pytest.mark.parametrize("kind", ("coverage_unknown", "unbiasedness", "independence", "coverage_known", "noise_law"))
 def test_complement_subspace_default_is_no_tail(kind):
-    # The analytic tail lies inside a complement U, so tr(Q (I - P_U)) has none:
-    # the default's report is the one of use_tail false, its use_tail field included.
+    # The analytic tail lies inside a complement U, so tr(Q (I - P_U)) has none: the
+    # default's report is the one of use_tail false, its use_tail field included, also
+    # for the kinds that read no trace (a report's use_tail is that trace's convention).
     comp = {"indices": [1, 2, 3], "complement": True}
     got = run_experiment(smoke_config(kind=kind, subspace=comp))
     want = run_experiment(smoke_config(kind=kind, subspace=comp, use_tail=False))

@@ -1,8 +1,9 @@
 """Scalar and array inputs of the public functions: a sigma, alpha, count,
 index, mode or tail flag of the wrong kind is a ValueError naming it, never
 converted by int(), float() or bool(), and so is an array (an observation, a
-frame, a design and its c or G0, a grid or a trajectory) holding a bool, a
-string or a non-finite entry.  Each is refused before any draw or pool."""
+frame, a design and its c or G0, a grid, a trajectory, a KS sample or a Gamma
+CDF argument) holding a bool, a string or a non-finite entry.  Each is refused
+before any draw or pool."""
 
 import concurrent.futures
 import fractions
@@ -12,7 +13,7 @@ import pytest
 
 import hilbert_gauss as hg
 from hilbert_gauss import harness, spectral
-from hilbert_gauss.distributions import _check_positive
+from hilbert_gauss.distributions import _check_positive, gamma_cdf
 
 M = hg.wiener_model(16)
 U = hg.Subspace.from_indices(16, [1, 2, 3])
@@ -22,6 +23,7 @@ B = hg.HVector.basis_vector(16, 1)
 LAW = hg.GaussianLaw(M, hg.HVector.zero(16), 1.0)
 A = hg.DesignOperator(M, [B.coeffs, hg.HVector.basis_vector(16, 2).coeffs])
 CONFIG = harness.ExperimentConfig(kind="moments", model=M, replicates=10)
+GAMMA_CDF = lambda x: gamma_cdf(x, 2.0, 1.0)  # noqa: E731
 
 
 def trace_tail_none_then_true():
@@ -91,6 +93,12 @@ CASES = {
         "trajectory values must be finite numbers",
     ),
     "eval_basis_point": (lambda: hg.eval_basis(M, 1, "0.5"), "t must be finite numbers"),
+    "ks_statistic_bools": (lambda: hg.ks_statistic([True, False], GAMMA_CDF), "samples must be finite numbers"),
+    "ks_statistic_strings": (lambda: hg.ks_statistic(np.array(["1", "2"]), GAMMA_CDF), "samples must be finite numbers"),
+    "ks_statistic_nan": (lambda: hg.ks_statistic(np.array([0.5, np.nan]), GAMMA_CDF), "samples must be finite$"),
+    "gamma_cdf_string": (lambda: gamma_cdf("1.0", 2.0, 1.0), "x must be finite numbers"),
+    "gamma_cdf_bool_array": (lambda: gamma_cdf(np.array([True]), 2.0, 1.0), "x must be finite numbers"),
+    "gamma_cdf_inf": (lambda: gamma_cdf(np.array([1.0, np.inf]), 2.0, 1.0), "x must be finite$"),
 }
 
 
