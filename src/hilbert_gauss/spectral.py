@@ -624,13 +624,14 @@ def difference_subspace(model: SpectralModel, V: Subspace, U0: Subspace) -> Subs
 
     Realizes the projection identity P_V - P_U0 = P_(V minus U0).  Index
     sets subtract directly; frames are projected onto the complement of U0
-    and re-orthonormalized.  Raises when U0 is not contained in V or when
-    the difference is zero-dimensional.
+    and re-orthonormalized.  Raises when U0 is not contained in V, when the
+    difference is zero-dimensional, or when V or U0 is a complement.
     """
     _check_model_subspace(model, V)
     _check_model_subspace(model, U0)
-    if V.is_complement or U0.is_complement:
-        raise ValueError("difference of complement subspaces is unsupported")
+    for name, S in (("subspace", V), ("subspace0 (--null-subspace)", U0)):
+        if S.is_complement:
+            raise ValueError(f"{name} is a complement; the subspace test needs U minus U0 of finite rank")
     if V.kind == "indices" and U0.kind == "indices":
         if not set(U0.indices) <= set(V.indices):
             raise ValueError("U0 is not contained in V")

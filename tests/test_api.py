@@ -4,8 +4,9 @@ somewhere in `src/` outside its own definition.  The command line
 (`cli.py`) is an entry point, so its definitions are exempt; the names it
 reads still count as uses.  Every public method or property of a class is
 read as an attribute in `src/`, overrides a method of a framework class, or
-is named in the README as kept for callers.  BLAS's dot is called in one
-function, `spectral.row_inner`, and matrix products only where listed.
+is named in the README as kept for callers, and so is every name
+`hilbert_gauss` exports that `src/` does not read.  BLAS's dot is called in
+one function, `spectral.row_inner`, and matrix products only where listed.
 """
 
 import ast
@@ -59,21 +60,46 @@ def attribute_reads(paths) -> set:
     }
 
 
+def reads(node) -> Counter:
+    """How often each name is read under `node`, as a variable or as an attribute."""
+    return Counter(
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load)
+    )
+
+
+def kept_for_callers() -> str:
+    """The README's passage of the names that src/ does not read, kept for callers."""
+    readme = (ROOT / "README.md").read_text()
+    return readme[readme.index("are kept for callers of the Python API") :].split("\n## ")[0]
+
+
 def test_every_public_method_is_read_or_named():
     read = attribute_reads(PACKAGE.glob("*.py"))
-    readme = (ROOT / "README.md").read_text()
+    kept = kept_for_callers()
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
     unread = []
-    for path in sorted(PACKAGE.glob("*.py")):
-        module = importlib.import_module(f"hilbert_gauss.{path.stem}")
-        for node in ast.parse(path.read_text()).body:
+    for stem, tree in trees.items():
+        module = importlib.import_module(f"hilbert_gauss.{stem}")
+        for node in tree.body:
             if not isinstance(node, ast.ClassDef):
                 continue
             frameworks = [b for b in getattr(module, node.name).__mro__ if not b.__module__.startswith("hilbert_gauss")]
             for f in node.body:
                 if not isinstance(f, ast.FunctionDef) or f.name.startswith("_") or f.name in read:
                     continue
-                if not any(f.name in vars(b) for b in frameworks) and f"`{node.name}.{f.name}`" not in readme:
-                    unread.append(f"{path.stem}.{node.name}.{f.name}")
+                if not any(f.name in vars(b) for b in frameworks) and f"`{node.name}.{f.name}`" not in kept:
+                    unread.append(f"{stem}.{node.name}.{f.name}")
+    # An export is read outside its own definition; the package's import of it is no read.
+    exports = {alias.asname or alias.name for n in trees["__init__"].body if isinstance(n, ast.ImportFrom) for alias in n.names}
+    everywhere = sum((reads(tree) for stem, tree in trees.items() if stem != "__init__"), Counter())
+    for stem, tree in trees.items():
+        for node in tree.body:
+            if getattr(node, "name", None) not in exports or everywhere[node.name] > reads(node)[node.name]:
+                continue
+            if f"`{node.name}`" not in kept:
+                unread.append(f"{stem}.{node.name}")
     assert unread == []
 
 

@@ -178,6 +178,13 @@ def test_subspace_test_command(runner, tmp_path):
     assert data["threshold"] == pytest.approx(199.5, abs=1e-6)
     assert data["params"]["m"] == 2 and data["params"]["n"] == 1
     assert data["reject"] == (data["statistic"] >= data["threshold"])
+    # The test needs U minus U0 of finite rank: a complement is refused, by its option's name.
+    comp = write_json(tmp_path, "comp.json", {"indices": [1, 2, 3], "complement": True})
+    for subspace, null, name in ((comp, "4", "subspace"), ("4,5,6", comp, "subspace0 (--null-subspace)")):
+        args = ["test", "--model", "wiener:256", "--obs", obs, "--subspace", subspace, "--null-subspace", null]
+        res = runner.invoke(main, args)
+        assert_one_line_error(res)
+        assert res.stderr.startswith(f"error: {name} is a complement; the subspace test needs U minus U0 of finite rank")
 
 
 def test_regress_roundtrip(runner, tmp_path):
@@ -718,6 +725,36 @@ def test_regress_accepts_vector_format_columns(runner, tmp_path):
     ]
     assert outputs[0] == outputs[1]
     assert json.loads(outputs[0])["beta"] == pytest.approx([2.0, 1.0], abs=1e-12)
+
+
+# Input forms that no other test runs to the end: a model mapping file, an
+# eigenvalue model file with a complement subspace file, and a design of
+# sparse columns with an interval and a test in one call.  A dict is written
+# to a JSON file and passed by its path.
+OBS_COORDS = {"coords": {"1": 0.3, "4": 2.6, "5": -0.3, "9": 0.1}}
+
+
+@pytest.mark.parametrize(
+    "args",
+    (
+        ["estimate", "--model", {"basis_id": "wiener", "dim": 16}, "--obs", OBS_COORDS, "--subspace", "4", "--b", "4:1.0"],
+        [
+            "estimate", "--model", {"eigenvalues": [1.0 / k**2 for k in range(1, 17)], "tail_trace": 0.06},
+            "--obs", OBS_COORDS, "--subspace", {"complement": True, "indices": [1, 2, 3]}, "--no-tail",
+        ],
+        [
+            "regress", "--model", "wiener:16", "--obs", OBS_COORDS,
+            "--design", {"columns": [{"coords": {"4": 1.3}}, {"coords": {"5": -0.4}}]}, "--c", "1,0",
+            "--null-design", {"columns": [[1.0, 0.0]]},
+        ],
+    ),
+    ids=("model_mapping", "eigenvalue_model_complement", "sparse_design"),
+)
+def test_every_input_form_runs(runner, tmp_path, args):
+    args = [write_json(tmp_path, f"arg{i}.json", a) if isinstance(a, dict) else a for i, a in enumerate(args)]
+    res = runner.invoke(main, args)
+    assert res.exit_code == 0, res.output
+    assert json.loads(res.stdout)
 
 
 # Every entry 1e300: squared norms overflow to inf.

@@ -296,6 +296,7 @@ def test_config_validation_per_kind():
 
 FRAME_E4 = {"frame": [[0.0] * 3 + [1.0] + [0.0] * 60]}
 COMPLEMENT_TAIL = r"U is a complement; set use_tail false \(--no-tail\)"
+COMPLEMENT_123 = {"indices": [1, 2, 3], "complement": True}
 
 
 @pytest.mark.parametrize(
@@ -320,6 +321,11 @@ COMPLEMENT_TAIL = r"U is a complement; set use_tail false \(--no-tail\)"
           for kind in ("unbiasedness", "independence")),
         ("moments", {"master_seed": -1}, "master_seed must fit in an unsigned 64-bit integer"),
         ("moments", {"master_seed": 2**64}, "master_seed must fit in an unsigned 64-bit integer"),
+        # The subspace test needs U minus U0 of finite rank: one message, naming the complement.
+        *((kind, {"subspace": COMPLEMENT_123, "subspace0": [4]}, r"^subspace is a complement; the subspace test")
+          for kind in ("level", "noise_law")),
+        *((kind, {"subspace": [4, 5, 6], "subspace0": COMPLEMENT_123}, r"^subspace0 \(--null-subspace\) is a complement")
+          for kind in ("level", "noise_law")),
     ),
 )
 def test_config_validation_messages_per_kind(monkeypatch, kind, overrides, message):
@@ -348,6 +354,22 @@ def test_complement_tail_is_refused_only_where_a_trace_is_read():
     # coverage_known reads no trace, so an explicit tail over a complement U runs as configured.
     report = run_experiment(smoke_config(subspace={"indices": [1, 2, 3], "complement": True}, use_tail=True))
     assert report.passed and report.use_tail is True
+
+
+@pytest.mark.parametrize("kind", ("coverage_known", "coverage_unknown"))
+def test_complement_subspace_report_says_use_tail_false(kind):
+    # With no use_tail, the report over a complement U writes the convention of
+    # tr(Q (I - P_U)): false, whether the kind reads that trace or not.
+    data = {"kind": kind, "model": "wiener:64", "subspace": COMPLEMENT_123, "b": "4:1.0", "replicates": 200}
+    report = run_experiment(ExperimentConfig.from_dict(data))
+    assert report.passed and json.loads(report.to_json())["use_tail"] is False
+
+
+def test_noise_law_head_of_a_long_model_passes():
+    # U and U0 lie in the first six of 8192 modes, so the run draws only the head
+    # its statistics read; both KS checks hold against the laws of the full model.
+    data = {"kind": "noise_law", "model": "wiener:8192", "subspace": [4, 5, 6], "subspace0": [4], "replicates": 20000}
+    assert run_experiment(ExperimentConfig.from_dict(data)).passed
 
 
 def test_dry_run_is_the_only_pre_draw_guard(monkeypatch):

@@ -3,7 +3,11 @@ subspaces; bounded factories that never cache a failure; quantiles cached by
 their arguments and shared by every plan."""
 
 import gc
+import json
+import os
 import pickle
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
@@ -502,9 +506,27 @@ def footprint_of(burst) -> int:
         tracemalloc.stop()
 
 
+def fresh_footprint(measure) -> dict:
+    """What `measure`, a function of this module, returns when called in a
+    fresh interpreter that imports this module and nothing else: in the
+    suite another test may already have loaded a module that a burst would
+    otherwise count."""
+    tests = os.path.dirname(os.path.abspath(__file__))
+    path = [tests, os.path.join(os.path.dirname(tests), "src"), os.environ.get("PYTHONPATH")]
+    res = subprocess.run(
+        [sys.executable, "-c", f"import json, test_plan_cache; print(json.dumps(test_plan_cache.{measure.__name__}()))"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
+        timeout=120,
+    )
+    assert res.returncode == 0, res.stderr
+    return json.loads(res.stdout.splitlines()[-1])
+
+
 # The caches are bounded in entries, and each entry keeps its key alive: the
 # footprint is PLAN_CACHE_SIZE entries per cache times the size of the keys.
-def test_burst_of_distinct_index_subspaces_stays_bounded(cold_caches):
+def index_subspace_burst() -> dict:
     dim = 8192
     model = wiener_model(dim)
     y = HVector(np.linspace(-1.0, 1.0, dim))
@@ -519,15 +541,19 @@ def test_burst_of_distinct_index_subspaces_stays_bounded(cold_caches):
             noise_plan(model, U, None).leading_norm_sq(y.coeffs, 1.0)
 
     used = footprint_of(burst)
-    for factory in (inference._functional_plan, noise_plan):
-        assert factory.cache_info().currsize == PLAN_CACHE_SIZE
     # Per key: one 64 KiB vector b and the 8 KiB mask of U, shared by the
     # two caches; a burst kept unbounded would hold 8 times as much.
-    key_bytes = dim * 8 + dim
-    assert used < PLAN_CACHE_SIZE * key_bytes * 1.5, used
+    sizes = [factory.cache_info().currsize for factory in (inference._functional_plan, noise_plan)]
+    return {"used": used, "key_bytes": dim * 8 + dim, "sizes": sizes}
 
 
-def test_burst_of_distinct_frames_stays_bounded(cold_caches):
+def test_burst_of_distinct_index_subspaces_stays_bounded():
+    result = fresh_footprint(index_subspace_burst)
+    assert result["sizes"] == [PLAN_CACHE_SIZE] * 2
+    assert result["used"] < PLAN_CACHE_SIZE * result["key_bytes"] * 1.5, result
+
+
+def frame_burst() -> dict:
     dim, rank = 8192, 16
     model = wiener_model(dim)
     y = HVector(np.linspace(-1.0, 1.0, dim))
@@ -539,11 +565,16 @@ def test_burst_of_distinct_frames_stays_bounded(cold_caches):
             ci_known(HVector.basis_vector(dim, modes[0]), y, model, U, 1.0, 0.05)
 
     used = footprint_of(burst)
-    assert inference._functional_plan.cache_info().currsize == PLAN_CACHE_SIZE
     # Per key: the rank x dim frame (1 MiB) and the 64 KiB vector b; a burst
     # kept unbounded would hold 4 times as much.
-    key_bytes = rank * dim * 8 + dim * 8
-    assert PLAN_CACHE_SIZE * key_bytes <= used < PLAN_CACHE_SIZE * key_bytes * 1.25, used
+    return {"used": used, "key_bytes": rank * dim * 8 + dim * 8, "size": inference._functional_plan.cache_info().currsize}
+
+
+def test_burst_of_distinct_frames_stays_bounded():
+    result = fresh_footprint(frame_burst)
+    assert result["size"] == PLAN_CACHE_SIZE
+    key_bytes = result["key_bytes"]
+    assert PLAN_CACHE_SIZE * key_bytes <= result["used"] < PLAN_CACHE_SIZE * key_bytes * 1.25, result
 
 
 # A model with a double top eigenvalue 1.0 and a double 0.5, and a U of each kind.
